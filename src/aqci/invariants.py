@@ -172,7 +172,10 @@ def group_order_lattice(d: SpecialDatum) -> int:
     rows += [[int(x * m) for x in g] for g in gens]
     det = math.prod(_row_lattice_diagonal(rows, d.n))
     q, rem = divmod(m**d.n, det)
-    assert rem == 0, "lattice index must divide the cleared-denominator volume"
+    if rem:
+        raise ArithmeticError(
+            f"lattice index {det} does not divide the cleared-denominator volume {m}^{d.n}"
+        )
     return q
 
 

@@ -227,5 +227,9 @@ def find_closure_power(d: SpecialDatum, point_ceiling: int = 10**6) -> int | Non
         return None
     if not closure_is_power(monomial_ideal(d), q, point_ceiling):
         return None
-    assert q * lct_datum(d) == d.n
+    lct = lct_datum(d)
+    if q * lct != d.n:
+        raise ArithmeticError(
+            f"closure power {q} times the threshold {lct} is not the dimension {d.n}"
+        )
     return q

@@ -13,7 +13,11 @@ Two routes are provided and never mixed:
     directly on the semigroup of the ring and extracts the multiplicity from
     stabilized finite differences.  It is the ground truth the verification
     suite compares everything against, and it reports honestly when its
-    budget was too small to stabilize (never a wrong value).
+    budget was too small to stabilize (never a wrong value).  Its points are
+    packed into single integers (one guard-bit field per coordinate, so a
+    generator step is one add and the predecessor test one subtract), its
+    longest-decomposition DP runs in degree order in the same pass as the
+    closure, and its tables are cached per isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` expose the full
 bound family on their own: the floor-factor product and the group-order
@@ -23,11 +27,21 @@ power bound from below, the branching product and the power-of-two bound
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .datum import SpecialDatum, children, maximal_elements, monomial_ideal, reduce, restrict
+from .datum import (
+    SpecialDatum,
+    canonical_form,
+    children,
+    maximal_elements,
+    monomial_ideal,
+    reduce,
+    restrict,
+    validate,
+)
 from .invariants import branching_product, floor_factor_product, group_order
 from .lct import lct_datum
 
@@ -184,7 +198,9 @@ class HilbertSamuelTable:
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
     table is `stabilized` when the last three n-th finite differences agree;
     `e` is then that common value.  `aborted` means the point budget ran out
-    before the tabulation finished (then values is empty and e is None).
+    before the tabulation finished: then values is empty, e is None and
+    points is the count at which the closure stopped, point_ceiling + 1 for
+    any ceiling >= 0.
     """
 
     n: int
@@ -204,49 +220,102 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     longest decomposition into generators has fewer than k parts.  The
     longest-decomposition length satisfies a DAG recurrence over the
     semigroup ordered by coordinate sum.  Only reachable semigroup points
-    are generated (breadth-first closure under adding generators), which
-    keeps the visited set a |G|-th of the ambient simplex.
+    are generated (closure under adding generators, up to the degree bound
+    k_max times the largest generator degree), which keeps the visited set
+    a |G|-th of the ambient simplex.
+
+    The table depends only on the isomorphism class and the budget, so it is
+    cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
+    (canonical form, budget).  Relabelings of one valid datum share an
+    entry.  A datum that fails validation has no trustworthy canonical form
+    and is keyed by its own labels instead.  See `_tabulate` for the packed
+    encoding of the points.
     """
+    key = canonical_form(d)[0] if validate(d).ok else d
+    return _tabulate(key, budget)
+
+
+_TABLE_CACHE_SIZE = 1024
+
+
+def _pack(v: tuple[int, ...], width: int) -> int:
+    """One integer with coordinate i in bits [i*width, (i+1)*width)."""
+    packed = 0
+    for i, x in enumerate(v):
+        packed |= x << (i * width)
+    return packed
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
+    """The colength table of `d`, on points packed into single integers.
+
+    A point is one int with a field of w = bound.bit_length() + 1 bits per
+    coordinate.  No coordinate of a point within the degree bound exceeds
+    `bound`, so the top bit of every field (the guard bit, all of them in
+    `guard`) is free: adding a generator is one integer add that never
+    carries between fields.  The predecessor test sets every guard bit and
+    subtracts: q = (p | guard) - g keeps each field's guard bit exactly
+    when that coordinate of p is at least the one of g, so p covers g iff
+    q & guard == guard, and the predecessor p - g is then q ^ guard.
+
+    Points are visited in order of degree (coordinate sum), one bucket per
+    degree.  Every generator has positive degree, so when a bucket comes up
+    all its points have been found and all their predecessors already carry
+    their final longest-decomposition length; the DP runs in the same pass
+    as the closure, with no sort.  One dict is both the visited set and the
+    DP table.  `point_ceiling` is checked on every insertion.
+    """
+    n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
-    n = d.n
-    bound = budget.k_max * max(sum(g) for g in gens)
-    zero = (0,) * n
+    bound = k_max * max(sum(g) for g in gens)
+    width = max(bound, 0).bit_length() + 1
+    guard = _pack((1 << (width - 1),) * n, width)
+    # A generator above the degree bound reaches no point within it.
+    packed = [(sum(g), _pack(g, width)) for g in gens if sum(g) <= bound]
 
-    points = {zero}
-    frontier = [zero]
-    while frontier:
-        new = set()
-        for p in frontier:
-            for g in gens:
-                q = tuple(a + b for a, b in zip(p, g))
-                if sum(q) <= bound and q not in points and q not in new:
-                    new.add(q)
-        points |= new
-        if len(points) > budget.point_ceiling:
-            return HilbertSamuelTable(n, (), False, None, len(points), True)
-        frontier = sorted(new)
-
-    longest: dict[tuple[int, ...], int] = {}
-    histogram = [0] * budget.k_max
-    for p in sorted(points, key=lambda q: (sum(q), q)):
-        if p == zero:
-            longest[p] = 0
-        else:
-            best = -1
-            for g in gens:
-                q = tuple(a - b for a, b in zip(p, g))
-                if all(x >= 0 for x in q):
-                    lq = longest.get(q, -1)
-                    if lq > best:
-                        best = lq
-            assert best >= 0, "reachable point lost its predecessors"
-            longest[p] = best + 1
-        if longest[p] < budget.k_max:
-            histogram[longest[p]] += 1
+    longest = {0: 0}
+    if len(longest) > ceiling:
+        return HilbertSamuelTable(n, (), False, None, len(longest), True)
+    histogram = [0] * k_max
+    buckets: list[list[int]] = [[0]] + [[] for _ in range(bound)]
+    for degree in range(bound + 1):
+        bucket = buckets[degree]
+        buckets[degree] = []
+        below = [g for dg, g in packed if dg <= degree]
+        above = [(g, buckets[degree + dg]) for dg, g in packed if degree + dg <= bound]
+        for p in bucket:
+            if p:
+                lifted = p | guard
+                best = -1
+                for g in below:
+                    q = lifted - g
+                    if q & guard == guard:
+                        lq = longest.get(q ^ guard, -1)
+                        if lq > best:
+                            best = lq
+                if best < 0:
+                    raise ArithmeticError(
+                        f"reachable point of degree {degree} lost its predecessors"
+                    )
+                best += 1
+                longest[p] = best
+            else:
+                best = 0
+            if best < k_max:
+                histogram[best] += 1
+            for g, out in above:
+                q = p + g
+                if q not in longest:
+                    # Placeholder: the length is set when q's bucket comes up.
+                    longest[q] = 0
+                    if len(longest) > ceiling:
+                        return HilbertSamuelTable(n, (), False, None, len(longest), True)
+                    out.append(q)
 
     values = []
     total = 0
-    for k in range(budget.k_max):
+    for k in range(k_max):
         total += histogram[k]
         values.append(total)
 
@@ -255,4 +324,4 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
     e = diffs[-1] if stabilized else None
-    return HilbertSamuelTable(n, tuple(values), stabilized, e, len(points), False)
+    return HilbertSamuelTable(n, tuple(values), stabilized, e, len(longest), False)

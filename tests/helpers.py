@@ -3,7 +3,8 @@
 Nothing here imports the solver code under test beyond plain data types:
 the point is to recompute expected values by a different route (exact
 linear-system enumeration, breadth-first group closure, exhaustive labeled
-generation) and freeze or compare.
+generation, colength tabulation on coordinate tuples) and freeze or
+compare.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from aqci import make_datum
+from aqci import HilbertSamuelTable, OracleBudget, make_datum
 
 
 def star(n: int, a: int):
@@ -37,6 +38,19 @@ def chain(*ratios: int):
         members.append(((n - depth,), weight))
     members.append(((1,), weight))
     return make_datum(n, members)
+
+
+def loose_points(n: int):
+    """n singletons of weight 1 and nothing else: affine n-space."""
+    return make_datum(n, [((i,), 1) for i in range(1, n + 1)])
+
+
+# The open case of the structural rules: an honest interval, pinned to 5 by
+# the oracle.
+INTERVAL_FIXTURE = make_datum(
+    4,
+    [((1, 2, 3, 4), 1), ((1,), 3), ((2, 3, 4), 3), ((2,), 6), ((3,), 6), ((4,), 6)],
+)
 
 
 def solve_linear(mat, rhs):
@@ -180,3 +194,67 @@ def labeled_data(n: int, max_ratio: int):
             sets += [((i,), weight_of(frozenset((i,)))) for i in range(1, n + 1)]
             out.append(make_datum(n, sets))
     return out
+
+
+def reference_table(d, budget=OracleBudget()):
+    """The colength table of `d`, tabulated on plain coordinate tuples.
+
+    Breadth-first closure of the semigroup under adding generators, checking
+    the point ceiling after each whole layer, then the longest-decomposition
+    DP over the points sorted by degree.  Slow, but it shares nothing with
+    the packed-integer oracle except the output type.  An aborted table
+    counts the points of the whole layer that crossed the ceiling.
+    """
+    n = d.n
+    gens = set()
+    for m in d.members:
+        v = [0] * n
+        for e in m.elements:
+            v[e - 1] = m.weight
+        gens.add(tuple(v))
+    gens = sorted(gens)
+    bound = budget.k_max * max(sum(g) for g in gens)
+    zero = (0,) * n
+
+    points = {zero}
+    frontier = [zero]
+    while frontier:
+        new = set()
+        for p in frontier:
+            for g in gens:
+                q = tuple(a + b for a, b in zip(p, g))
+                if sum(q) <= bound and q not in points:
+                    new.add(q)
+        points |= new
+        if len(points) > budget.point_ceiling:
+            return HilbertSamuelTable(n, (), False, None, len(points), True)
+        frontier = sorted(new)
+
+    longest = {}
+    histogram = [0] * budget.k_max
+    for p in sorted(points, key=lambda q: (sum(q), q)):
+        if p == zero:
+            longest[p] = 0
+        else:
+            best = -1
+            for g in gens:
+                q = tuple(a - b for a, b in zip(p, g))
+                if all(x >= 0 for x in q):
+                    best = max(best, longest.get(q, -1))
+            if best < 0:
+                raise AssertionError(f"reachable point {p} lost its predecessors")
+            longest[p] = best + 1
+        if longest[p] < budget.k_max:
+            histogram[longest[p]] += 1
+
+    values = []
+    total = 0
+    for k in range(budget.k_max):
+        total += histogram[k]
+        values.append(total)
+    diffs = values
+    for _ in range(n):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
+    e = diffs[-1] if stabilized else None
+    return HilbertSamuelTable(n, tuple(values), stabilized, e, len(points), False)

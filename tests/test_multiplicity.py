@@ -18,17 +18,7 @@ from aqci import (
     multiplicity_upper_bound,
 )
 
-from helpers import chain, star, two_stars
-
-
-def loose_points(n):
-    return make_datum(n, [((i,), 1) for i in range(1, n + 1)])
-
-
-INTERVAL_FIXTURE = make_datum(
-    4,
-    [((1, 2, 3, 4), 1), ((1,), 3), ((2, 3, 4), 3), ((2,), 6), ((3,), 6), ((4,), 6)],
-)
+from helpers import INTERVAL_FIXTURE, chain, loose_points, star, two_stars
 
 
 # ---------------------------------------------------------------------------

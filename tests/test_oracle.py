@@ -1,0 +1,162 @@
+"""The packed-integer colength oracle against an independent tuple tabulation."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aqci import (
+    EnumerationBudget,
+    OracleBudget,
+    apply_permutation,
+    canonical_form,
+    enumerate_data,
+    hilbert_samuel_table,
+    make_datum,
+    to_json,
+)
+from aqci.cli import main
+
+from helpers import INTERVAL_FIXTURE, chain, loose_points, reference_table, star, two_stars
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOW_DIMENSION = list(enumerate_data(EnumerationBudget(n_max=3, max_ratio=3)))
+FOUR_DIMENSIONAL = {
+    "two_stars(2,2)": two_stars(2, 2),
+    "interval_fixture": INTERVAL_FIXTURE,
+    "star(4,2)": star(4, 2),
+    "star(4,3)": star(4, 3),
+    "chain(2,2,2)": chain(2, 2, 2),
+    "pair_of_pairs": make_datum(
+        4, [((1, 2, 3, 4), 1), ((1, 2), 2), ((3, 4), 2)] + [((i,), 4) for i in range(1, 5)]
+    ),
+}
+
+
+def test_packed_table_matches_reference_in_low_dimension():
+    for d in LOW_DIMENSION:
+        assert hilbert_samuel_table(d) == reference_table(d), d
+
+
+@pytest.mark.parametrize("name", FOUR_DIMENSIONAL)
+def test_packed_table_matches_reference_in_dimension_four(name):
+    d = FOUR_DIMENSIONAL[name]
+    assert hilbert_samuel_table(d) == reference_table(d)
+
+
+def test_two_stars_table_has_its_known_size():
+    assert hilbert_samuel_table(two_stars(2, 2)).points == 5551
+
+
+def test_coordinate_equal_to_the_degree_bound():
+    # One variable of weight 1: the points are 0..12 and 12 is the bound, so
+    # the last point fills its field right up to the guard bit.
+    t = hilbert_samuel_table(loose_points(1))
+    assert t.points == 13
+    assert t == reference_table(loose_points(1))
+
+
+def _near_power_of_two(bound: int) -> bool:
+    return any(abs(bound - 2**j) <= 1 for j in range(1, 10))
+
+
+@pytest.mark.parametrize(
+    "d", [loose_points(1), loose_points(2), star(2, 2), star(3, 2)],
+    ids=["loose_points(1)", "loose_points(2)", "star(2,2)", "star(3,2)"],
+)
+def test_degree_bounds_around_powers_of_two(d):
+    top = max(len(m.elements) * m.weight for m in d.members)
+    budgets = [OracleBudget(k_max=k) for k in range(1, 18) if _near_power_of_two(k * top)]
+    assert len(budgets) >= 3
+    for budget in budgets:
+        assert hilbert_samuel_table(d, budget) == reference_table(d, budget), (d, budget)
+
+
+def test_empty_budget_keeps_the_origin_only():
+    t = hilbert_samuel_table(star(2, 2), OracleBudget(k_max=0))
+    assert t == reference_table(star(2, 2), OracleBudget(k_max=0))
+    assert t.values == () and t.points == 1
+
+
+@pytest.mark.parametrize("ceiling", [0, 1, 2, 10, 100, 5550])
+def test_aborted_points_stop_at_the_ceiling(ceiling):
+    t = hilbert_samuel_table(two_stars(2, 2), OracleBudget(k_max=12, point_ceiling=ceiling))
+    assert t.aborted and t.values == () and t.e is None and not t.stabilized
+    assert t.points == ceiling + 1
+
+
+def test_exact_ceiling_does_not_abort():
+    t = hilbert_samuel_table(two_stars(2, 2), OracleBudget(k_max=12, point_ceiling=5551))
+    assert not t.aborted and t.points == 5551
+
+
+def test_invalid_data_are_keyed_by_their_own_labels():
+    # Both miss singletons and have the same canonical form, yet they present
+    # different ideals, so they must not share a cache entry.
+    a = make_datum(3, [((1, 2, 3), 1), ((1,), 2)])
+    b = make_datum(3, [((1, 2), 1), ((1,), 2)])
+    assert canonical_form(a)[0] == canonical_form(b)[0]
+    budget = OracleBudget(k_max=6)
+    ta, tb = hilbert_samuel_table(a, budget), hilbert_samuel_table(b, budget)
+    assert ta == reference_table(a, budget)
+    assert tb == reference_table(b, budget)
+    assert ta != tb
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_relabeling_shares_one_cache_entry(data):
+    d = data.draw(st.sampled_from(LOW_DIMENSION + [two_stars(2, 2)]))
+    perm = data.draw(st.permutations(range(1, d.n + 1)))
+    relabeled = apply_permutation(d, tuple(perm))
+    budget = OracleBudget(k_max=8)
+    t = hilbert_samuel_table(d, budget)
+    assert hilbert_samuel_table(relabeled, budget) is t
+    assert t == reference_table(relabeled, budget)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(LOW_DIMENSION),
+    st.tuples(st.integers(1, 14), st.sampled_from([3, 50, 10**6])),
+    st.tuples(st.integers(1, 14), st.sampled_from([3, 50, 10**6])),
+)
+def test_different_budgets_never_share_an_entry(d, first, second):
+    b1, b2 = OracleBudget(*first), OracleBudget(*second)
+    t1, t2 = hilbert_samuel_table(d, b1), hilbert_samuel_table(d, b2)
+    assert (t1 is t2) == (b1 == b2)
+    for t, b in ((t1, b1), (t2, b2)):
+        if t.aborted:
+            assert t.points == b.point_ceiling + 1
+            assert reference_table(d, b).aborted
+        else:
+            assert t == reference_table(d, b)
+
+
+def _run_oracle_cli(path, *extra):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "aqci", "mult", "--method", "oracle", "--json", *extra, path],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout)
+
+
+def test_optimized_interpreter_gives_the_same_oracle_payload(tmp_path, capsys):
+    path = tmp_path / "pair22.json"
+    path.write_text(to_json(two_stars(2, 2)) + "\n", encoding="utf-8")
+    for extra in ((), ("--point-ceiling", "100")):
+        assert main(["mult", "--method", "oracle", "--json", *extra, str(path)]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        assert _run_oracle_cli(str(path), *extra) == (0, expected)
+    assert expected["oracle"]["aborted"] and expected["oracle"]["points"] == 101

@@ -300,6 +300,16 @@ def _cmd_verify(args) -> int:
     return 0 if summary["all_passed"] else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqci",
@@ -326,8 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", help="multiplicity (structural rules, bounds, or oracle)")
     p.add_argument("file")
     p.add_argument("--method", choices=("auto", "oracle", "bounds"), default="auto")
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--point-ceiling", type=int, default=5_000_000)
+    p.add_argument("--k-max", type=_positive_int, default=12)
+    p.add_argument("--point-ceiling", type=_positive_int, default=5_000_000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_mult)
 
@@ -341,18 +351,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dot)
 
     p = sub.add_parser("enumerate", help="list all isomorphism classes within a budget")
-    p.add_argument("--n", type=int, required=True, help="largest ground-set size")
-    p.add_argument("--max-ratio", type=int, default=3)
+    p.add_argument("--n", type=_positive_int, required=True, help="largest ground-set size")
+    p.add_argument("--max-ratio", type=_positive_int, default=3)
     p.add_argument("--jsonl", action="store_true", help="one datum JSON per line")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every check on every class within a budget")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--max-ratio", type=int, default=3)
+    p.add_argument("--n-max", type=_positive_int, required=True)
+    p.add_argument("--max-ratio", type=_positive_int, default=3)
     p.add_argument("--report", help="write summary JSON here (records go to a .jsonl sibling)")
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--point-ceiling", type=int, default=5_000_000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--k-max", type=_positive_int, default=12)
+    p.add_argument("--point-ceiling", type=_positive_int, default=5_000_000)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

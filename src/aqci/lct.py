@@ -89,11 +89,11 @@ def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
     rows = []
     rhs = []
     for j in range(n):
-        rows.append([Fraction(g[j]) for g in gens] + [Fraction(int(j == k)) for k in range(n)])
+        rows.append([g[j] for g in gens] + [int(j == k) for k in range(n)])
         rhs.append(p[j])
-    rows.append([Fraction(1)] * m + [Fraction(0)] * n)
-    rhs.append(Fraction(1))
-    sol = lp.solve_min([Fraction(0)] * (m + n), rows, rhs)
+    rows.append([1] * m + [0] * n)
+    rhs.append(1)
+    sol = lp.solve_min([0] * (m + n), rows, rhs)
     if sol.status != lp.OPTIMAL:
         return False, None
     coeffs = {i: sol.x[i] for i in range(m) if sol.x[i] != 0}
@@ -108,14 +108,11 @@ def lct_lp(a: MonomialIdeal) -> Fraction:
     rows = []
     rhs = []
     for j in range(n):
-        row = [Fraction(g[j]) for g in gens]
-        row.append(Fraction(-1))
-        row.extend(Fraction(int(j == k)) for k in range(n))
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * m + [Fraction(0)] * (n + 1))
-    rhs.append(Fraction(1))
-    c = [Fraction(0)] * m + [Fraction(1)] + [Fraction(0)] * n
+        rows.append([g[j] for g in gens] + [-1] + [int(j == k) for k in range(n)])
+        rhs.append(0)
+    rows.append([1] * m + [0] * (n + 1))
+    rhs.append(1)
+    c = [0] * m + [1] + [0] * n
     sol = lp.solve_min(c, rows, rhs)
     if sol.status != lp.OPTIMAL or sol.value <= 0:
         raise ArithmeticError(f"diagonal scaling LP failed: {sol.status}")
@@ -166,14 +163,11 @@ def multiplier_membership(a: MonomialIdeal, t: Fraction, m) -> bool:
     rows = []
     rhs = []
     for j in range(n):
-        row = [t * Fraction(g[j]) for g in gens]
-        row.extend([Fraction(1), Fraction(-1)])
-        row.extend(Fraction(int(j == i)) for i in range(n))
-        rows.append(row)
+        rows.append([t * g[j] for g in gens] + [1, -1] + [int(j == i) for i in range(n)])
         rhs.append(m[j] + 1)
-    rows.append([Fraction(1)] * k + [Fraction(0)] * (n + 2))
-    rhs.append(Fraction(1))
-    c = [Fraction(0)] * k + [Fraction(-1), Fraction(1)] + [Fraction(0)] * n
+    rows.append([1] * k + [0] * (n + 2))
+    rhs.append(1)
+    c = [0] * k + [-1, 1] + [0] * n
     sol = lp.solve_min(c, rows, rhs)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"shift-maximization LP failed: {sol.status}")

@@ -1,13 +1,30 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming over the rationals, on integers.
 
-A dense two-phase primal simplex on `fractions.Fraction`, with Bland's rule
-for anti-cycling.  Every problem solved in this package has a handful of rows
-and columns, so there is no point in sparsity, revised updates, or floating
-point: exactness is the whole point.
+A dense two-phase primal simplex with Bland's rule for anti-cycling.  Every
+problem solved in this package has a handful of rows and columns, so there
+is no point in sparsity, revised updates, or floating point: exactness is
+the whole point.
+
+The tableau is fraction-free (Bareiss's integer-preserving elimination, as
+in Avis's `lrs`).  Each input row is scaled by the lcm of its denominators,
+which gives an integer matrix M; the tableau is T = d * B^-1 M in Python
+`int`s, where B is the current basis of M and d = |det B| is one common
+denominator.  A pivot on p = T[r][s] replaces every other row k by
+(p * T[k] - T[k][s] * T[r]) / d and makes d = |p| (row r only takes the sign
+of p).  By Cramer's rule every entry of the new tableau is a minor of M, so
+that division is always exact.  Every decision of the simplex compares
+signs or cross-multiplied ratios, which the positive d does not change, so
+the pivots are the ones a rational tableau would make.
+
+Before an optimum is returned its point is certified against the scaled
+input: M x = b, x >= 0 and c.x = value are checked exactly in integers, and
+a failure raises `ArithmeticError`.  `Fraction`s are built only for the
+returned value and point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,66 +40,81 @@ class LpSolution:
     x: tuple[Fraction, ...] | None
 
 
-def _pivot(tab, basis, obj, i, j):
-    piv = tab[i][j]
-    tab[i] = [v / piv for v in tab[i]]
-    row = tab[i]
+def _eliminate(v, row, p, d, s):
+    """v with column s cleared against the pivot row (pivot p, old denominator d)."""
+    f = v[s]
+    if f == 0:
+        return v if p == d else [a * p // d for a in v]
+    return [(a * p - f * b) // d for a, b in zip(v, row)]
+
+
+def _pivot(tab, basis, obj, d, r, s):
+    """Pivot on (r, s); returns the new denominator."""
+    row = tab[r]
+    p = row[s]
+    if p < 0:
+        row = tab[r] = [-v for v in row]
+        p = -p
     for k in range(len(tab)):
-        if k != i and tab[k][j] != 0:
-            f = tab[k][j]
-            tab[k] = [a - f * b for a, b in zip(tab[k], row)]
-    if obj is not None and obj[j] != 0:
-        f = obj[j]
-        for c in range(len(obj)):
-            obj[c] -= f * row[c]
-    basis[i] = j
+        if k != r:
+            tab[k] = _eliminate(tab[k], row, p, d, s)
+    if obj is not None:
+        obj[:] = _eliminate(obj, row, p, d, s)
+    basis[r] = s
+    return p
 
 
-def _iterate(tab, basis, obj, ncols):
-    """Run Bland-rule pivots to optimality; returns OPTIMAL or UNBOUNDED."""
+def _iterate(tab, basis, obj, d, ncols):
+    """Run Bland-rule pivots; returns (OPTIMAL or UNBOUNDED, denominator)."""
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
-            return OPTIMAL
+            return OPTIMAL, d
         best = None
-        for i in range(len(tab)):
-            a = tab[i][enter]
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < best[1]):
-                    best = (ratio, basis[i], i)
+                if best is None:
+                    best = i
+                    continue
+                # row[-1] / a against the best ratio, cross-multiplied.
+                lhs = row[-1] * tab[best][enter]
+                rhs = tab[best][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best = i
         if best is None:
-            return UNBOUNDED
-        _pivot(tab, basis, obj, best[2], enter)
+            return UNBOUNDED, d
+        d = _pivot(tab, basis, obj, d, best, enter)
+
+
+def _integer_rows(rows):
+    """(d * row for each row, d) with d the product of the rows' denominator lcms."""
+    d = math.prod(math.lcm(*(x.denominator for x in row)) for row in rows)
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
 def solve_min(c, A, b) -> LpSolution:
     """Minimize c.x subject to A x = b, x >= 0, exactly.
 
-    `A` is a list of rows.  Rows with negative right-hand side are flipped, a
-    phase-1 run with artificial variables finds a basic feasible point (or
-    proves infeasibility), leftover artificials are driven out or their rows
+    `A` is a list of rows; entries of `c`, `A` and `b` are `int`s or
+    `Fraction`s.  Rows with negative right-hand side are flipped, a phase-1
+    run with artificial variables finds a basic feasible point (or proves
+    infeasibility), leftover artificials are driven out or their rows
     dropped as redundant, and phase 2 optimizes the real objective.
     """
     m, n = len(A), len(c)
-    cost = [Fraction(x) for x in c]
+    given, d = _integer_rows([[*A[i], b[i]] for i in range(m)])
     tab = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        tab.append(row + [Fraction(int(i == j)) for j in range(m)] + [rhs])
+    for i, row in enumerate(given):
+        if row[-1] < 0:
+            row = [-v for v in row]
+        tab.append(row[:n] + [d if i == j else 0 for j in range(m)] + row[-1:])
     basis = list(range(n, n + m))
-    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        if obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            for cidx in range(len(obj)):
-                obj[cidx] -= f * tab[i][cidx]
-    _iterate(tab, basis, obj, n + m)
-    if -obj[-1] != 0:
+    obj = [0] * n + [d] * m + [0]
+    for row in tab:
+        obj = [o - v for o, v in zip(obj, row)]
+    _, d = _iterate(tab, basis, obj, d, n + m)
+    if obj[-1] != 0:
         return LpSolution(INFEASIBLE, None, None)
 
     drop = []
@@ -92,23 +124,37 @@ def solve_min(c, A, b) -> LpSolution:
             if piv is None:
                 drop.append(i)
             else:
-                _pivot(tab, basis, None, i, piv)
+                d = _pivot(tab, basis, None, d, i, piv)
+    # A dropped row is zero on every real column, so no later pivot reads it:
+    # the kept rows are the integers they would be beside it, and d stays exact.
     for i in sorted(drop, reverse=True):
         del tab[i]
         del basis[i]
 
     for i in range(len(tab)):
-        tab[i] = tab[i][:n] + [tab[i][-1]]
-    obj = cost + [Fraction(0)]
-    for i in range(len(tab)):
-        if obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            for cidx in range(n + 1):
-                obj[cidx] -= f * tab[i][cidx]
-    status = _iterate(tab, basis, obj, n)
+        tab[i] = tab[i][:n] + tab[i][-1:]
+    (cost,), scale = _integer_rows([c])
+    obj = [d * v for v in cost] + [0]
+    for row, bv in zip(tab, basis):
+        f = cost[bv]
+        if f != 0:
+            obj = [o - f * v for o, v in zip(obj, row)]
+    status, d = _iterate(tab, basis, obj, d, n)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        x[bv] = tab[i][-1]
-    return LpSolution(OPTIMAL, -obj[-1], tuple(x))
+
+    # The point is d * x in integers; certify it before trusting it.
+    point = [0] * n
+    for row, bv in zip(tab, basis):
+        point[bv] = row[-1]
+    if (
+        any(v < 0 for v in point)
+        or any(sum(a * v for a, v in zip(row, point)) != row[-1] * d for row in given)
+        or sum(a * v for a, v in zip(cost, point)) != -obj[-1]
+    ):
+        raise ArithmeticError("simplex optimum fails its certificate A x = b, x >= 0, c.x = value")
+    return LpSolution(
+        OPTIMAL,
+        Fraction(-obj[-1], scale * d),
+        tuple(Fraction(v, d) for v in point),
+    )

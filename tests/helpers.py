@@ -2,9 +2,9 @@
 
 Nothing here imports the solver code under test beyond plain data types:
 the point is to recompute expected values by a different route (exact
-linear-system enumeration, breadth-first group closure, exhaustive labeled
-generation, colength tabulation on coordinate tuples) and freeze or
-compare.
+linear-system enumeration, a simplex on a `Fraction` tableau, breadth-first
+group closure, exhaustive labeled generation, colength tabulation on
+coordinate tuples) and freeze or compare.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from aqci import HilbertSamuelTable, OracleBudget, make_datum
+from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 
 def star(n: int, a: int):
@@ -142,6 +143,96 @@ def brute_lp_min(c, A, b):
         if best is None or val < best:
             best = val
     return best
+
+
+def _reference_pivot(tab, basis, obj, i, j):
+    piv = tab[i][j]
+    tab[i] = [v / piv for v in tab[i]]
+    row = tab[i]
+    for k in range(len(tab)):
+        if k != i and tab[k][j] != 0:
+            f = tab[k][j]
+            tab[k] = [a - f * b for a, b in zip(tab[k], row)]
+    if obj is not None and obj[j] != 0:
+        f = obj[j]
+        for c in range(len(obj)):
+            obj[c] -= f * row[c]
+    basis[i] = j
+
+
+def _reference_iterate(tab, basis, obj, ncols):
+    while True:
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        best = None
+        for i in range(len(tab)):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < best[1]):
+                    best = (ratio, basis[i], i)
+        if best is None:
+            return UNBOUNDED
+        _reference_pivot(tab, basis, obj, best[2], enter)
+
+
+def reference_solve_min(c, A, b) -> LpSolution:
+    """min c.x, A x = b, x >= 0 by a two-phase simplex on a `Fraction` tableau.
+
+    The same pivot rule as `aqci.lp.solve_min` (Bland's entering column, the
+    least ratio with ties to the lower basis index, artificials driven out
+    or their rows dropped after phase 1), on normalized rational rows, so
+    both must return equal solutions field for field.
+    """
+    m, n = len(A), len(c)
+    cost = [Fraction(x) for x in c]
+    tab = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        tab.append(row + [Fraction(int(i == j)) for j in range(m)] + [rhs])
+    basis = list(range(n, n + m))
+    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    for i in range(m):
+        if obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            for cidx in range(len(obj)):
+                obj[cidx] -= f * tab[i][cidx]
+    _reference_iterate(tab, basis, obj, n + m)
+    if -obj[-1] != 0:
+        return LpSolution(INFEASIBLE, None, None)
+
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is None:
+                drop.append(i)
+            else:
+                _reference_pivot(tab, basis, None, i, piv)
+    for i in sorted(drop, reverse=True):
+        del tab[i]
+        del basis[i]
+
+    for i in range(len(tab)):
+        tab[i] = tab[i][:n] + [tab[i][-1]]
+    obj = cost + [Fraction(0)]
+    for i in range(len(tab)):
+        if obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            for cidx in range(n + 1):
+                obj[cidx] -= f * tab[i][cidx]
+    status = _reference_iterate(tab, basis, obj, n)
+    if status == UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, None)
+    x = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        x[bv] = tab[i][-1]
+    return LpSolution(OPTIMAL, -obj[-1], tuple(x))
 
 
 def subgroup_order(gens, n: int) -> int:

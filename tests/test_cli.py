@@ -82,6 +82,25 @@ def test_usage_error_exits_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mult", "--method", "oracle", "--k-max", "0", "x.json"],
+        ["mult", "--method", "oracle", "--point-ceiling", "-5", "x.json"],
+        ["verify", "--n-max", "2", "--jobs", "0"],
+        ["verify", "--n-max", "-1"],
+        ["verify", "--n-max", "2", "--max-ratio", "0"],
+        ["enumerate", "--n", "0"],
+    ],
+    ids=["k-max", "point-ceiling", "jobs", "n-max", "max-ratio", "enumerate-n"],
+)
+def test_non_positive_budget_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # info
 

@@ -1,13 +1,34 @@
-"""Exact simplex solver tests, cross-checked against basic-solution enumeration."""
+"""Exact simplex solver tests.
+
+Optimal values are cross-checked against basic-solution enumeration, and
+whole solutions, field for field, against the `Fraction`-tableau simplex
+kept in the test helpers as the reference.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aqci import (
+    EnumerationBudget,
+    enumerate_data,
+    lct_lp,
+    lp,
+    monomial_ideal,
+    multiplier_membership,
+    newton_contains,
+)
+from aqci.lct import _compositions
 from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_min
 
-from helpers import brute_lp_min, matrix_rank
+import helpers
+from helpers import brute_lp_min, matrix_rank, reference_solve_min
 
 
 def test_single_variable_equation():
@@ -134,3 +155,156 @@ def test_random_instances_match_basis_enumeration():
         elif sol.status == INFEASIBLE:
             assert expected is None
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Equality with the reference `Fraction` simplex
+
+
+_INTEGER = st.integers(-3, 3)
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _small_lps(draw):
+    """min c.x, A x = b: integer or rational rows, sometimes a redundant row.
+
+    Small entries make negative right-hand sides, zero right-hand sides
+    (degenerate ties), infeasible and unbounded instances common.
+    """
+    entry = draw(st.sampled_from([_INTEGER, _RATIONAL]))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 5))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(entry) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        k = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        A[-1] = [k * v for v in A[0]]
+        b[-1] = k * b[0]
+    c = [draw(st.one_of(_INTEGER, _RATIONAL)) for _ in range(n)]
+    return c, A, b
+
+
+def _solve_recording_pivots(module, pivot_name, solve, c, A, b):
+    """(solution, [(row, column, phase-1 drive-out?) for each pivot])."""
+    pivots = []
+    pivot = getattr(module, pivot_name)
+
+    def spy(tab, basis, obj, *args):
+        pivots.append((args[-2], args[-1], obj is None))
+        return pivot(tab, basis, obj, *args)
+
+    with mock.patch.object(module, pivot_name, spy):
+        return solve(c, A, b), pivots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_lps())
+def test_solutions_and_pivots_equal_the_reference_solver(instance):
+    got = _solve_recording_pivots(lp, "_pivot", solve_min, *instance)
+    want = _solve_recording_pivots(helpers, "_reference_pivot", reference_solve_min, *instance)
+    assert got == want
+
+
+def test_redundant_rational_row_is_dropped_exactly(monkeypatch):
+    # The second row is twice the first: phase 1 leaves its artificial basic
+    # on a row that is zero on every real column, and the row is dropped
+    # while the common denominator is 360.
+    c = [1, 0, 2]
+    A = [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(2, 3), 2], [0, 1, Fraction(1, 5)]]
+    b = [1, 2, Fraction(3, 4)]
+    rows_seen = []
+    iterate = lp._iterate
+
+    def spy(tab, *args):
+        rows_seen.append(len(tab))
+        return iterate(tab, *args)
+
+    monkeypatch.setattr(lp, "_iterate", spy)
+    sol = solve_min(c, A, b)
+    assert rows_seen == [3, 2]
+    assert sol == reference_solve_min(c, A, b)
+    assert sol == lp.LpSolution(OPTIMAL, Fraction(3, 2), (Fraction(3, 2), Fraction(3, 4), Fraction(0)))
+
+
+def test_artificial_driven_out_on_a_negative_pivot(monkeypatch):
+    c, A, b = [0, 1, 0], [[0, 2, 2], [-2, 0, -2]], [1, 0]
+    negative_drive_outs = []
+    pivot = lp._pivot
+
+    def spy(tab, basis, obj, d, r, s):
+        if obj is None and tab[r][s] < 0:
+            negative_drive_outs.append((tab[r][s], d))
+        return pivot(tab, basis, obj, d, r, s)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    sol = solve_min(c, A, b)
+    assert negative_drive_outs == [(-4, 2)]
+    assert sol == reference_solve_min(c, A, b)
+    assert sol == lp.LpSolution(OPTIMAL, Fraction(1, 2), (Fraction(0), Fraction(1, 2), Fraction(0)))
+
+
+def test_int_fraction_and_mixed_input_agree():
+    c = [2, 1, 3]
+    A = [[1, 1, 2], [0, 1, 1]]
+    b = [4, 1]
+    frac = ([Fraction(v) for v in c], [[Fraction(v) for v in row] for row in A], [Fraction(v) for v in b])
+    mixed = (frac[0][:1] + c[1:], [A[0], frac[1][1]], [b[0], frac[2][1]])
+    solutions = {solve_min(c, A, b), solve_min(*frac), solve_min(*mixed)}
+    assert solutions == {reference_solve_min(c, A, b)}
+    (sol,) = solutions
+    assert sol.status == OPTIMAL and all(type(v) is Fraction for v in (sol.value, *sol.x))
+
+
+def _lct_lp_results(data):
+    out = []
+    for d in data:
+        a = monomial_ideal(d)
+        out.append(lct_lp(a))
+        for p in [*_compositions(2, d.n), (Fraction(3, 2),) * d.n]:
+            out.append(newton_contains(a, p))
+        for t in (Fraction(1, 2), 1, Fraction(3, 2)):
+            for m in ((0,) * d.n, (1,) + (0,) * (d.n - 1)):
+                out.append(multiplier_membership(a, t, m))
+    return out
+
+
+def test_lct_lp_callers_match_the_reference_solver(monkeypatch):
+    # The reference turns every entry into a `Fraction`, as the callers did
+    # before they passed plain integer rows.
+    data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)))
+    got = _lct_lp_results(data)
+    monkeypatch.setattr(lp, "solve_min", reference_solve_min)
+    assert _lct_lp_results(data) == got
+
+
+# ---------------------------------------------------------------------------
+# The certificate of an optimum
+
+
+def _bump_rhs(tab, obj):
+    tab[0][-1] += 1
+
+
+def _bump_value(tab, obj):
+    obj[-1] -= 1
+
+
+@pytest.mark.parametrize("call, corrupt", [(0, _bump_rhs), (1, _bump_value)])
+def test_corrupted_pivot_fails_the_certificate(monkeypatch, call, corrupt):
+    # min x + y subject to x + 2y = 4 takes one pivot in each phase.
+    pivots = []
+    pivot = lp._pivot
+
+    def corrupted(tab, basis, obj, d, r, s):
+        d = pivot(tab, basis, obj, d, r, s)
+        if len(pivots) == call:
+            corrupt(tab, obj)
+        pivots.append((r, s))
+        return d
+
+    assert solve_min([1, 1], [[1, 2]], [4]).status == OPTIMAL
+    monkeypatch.setattr(lp, "_pivot", corrupted)
+    with pytest.raises(ArithmeticError, match="certificate"):
+        solve_min([1, 1], [[1, 2]], [4])
+    assert len(pivots) == 2

@@ -32,6 +32,8 @@ from .multiplicity import (
     multiplicity,
     multiplicity_lower_bound,
     multiplicity_upper_bound,
+    result_payload,
+    table_payload,
 )
 from .datum import monomial_ideal
 from .verify import run_suite
@@ -66,6 +68,19 @@ def _load_valid(path: str):
         detail = "\n".join(f"  [{v.kind}] {v.message}" for v in report.violations)
         raise _CliError(1, f"invalid datum {path}:\n{detail}")
     return d
+
+
+def _oracle_budget(args, n: int) -> OracleBudget:
+    """The oracle budget of the flags, refused if it can never stabilize at dimension n.
+
+    Stabilization needs three equal n-th differences of k_max colengths.
+    """
+    if args.k_max < n + 3:
+        raise _CliError(
+            2, f"--k-max {args.k_max} can never stabilize the oracle in dimension {n}: "
+            f"it needs at least n + 3 = {n + 3}"
+        )
+    return OracleBudget(k_max=args.k_max, point_ceiling=args.point_ceiling)
 
 
 def _emit_json(payload) -> None:
@@ -122,12 +137,7 @@ def _cmd_info(args) -> int:
                     {"member": list(j), "value": format_fraction(v)}
                     for j, v in s.child_weight_factors
                 ],
-                "multiplicity": {
-                    "status": result.status,
-                    "value": result.value,
-                    "lower": format_fraction(result.lower),
-                    "upper": format_fraction(result.upper),
-                },
+                "multiplicity": {k: v for k, v in result_payload(result).items() if k != "trace"},
                 "lower_bound": format_fraction(lower),
                 "upper_bound": format_fraction(upper),
                 "closure_power": closure_q,
@@ -175,7 +185,6 @@ def _cmd_lct(args) -> int:
 
 def _cmd_mult(args) -> int:
     d = _load_valid(args.file)
-    budget = OracleBudget(k_max=args.k_max, point_ceiling=args.point_ceiling)
     payload: dict = {"method": args.method}
     lines: list[str] = []
     if args.method in ("auto", "bounds"):
@@ -186,16 +195,7 @@ def _cmd_mult(args) -> int:
         lines.append(f"bound envelope: [{format_fraction(lower)}, {format_fraction(upper)}]")
     if args.method == "auto":
         result = multiplicity(d)
-        payload["multiplicity"] = {
-            "status": result.status,
-            "value": result.value,
-            "lower": format_fraction(result.lower),
-            "upper": format_fraction(result.upper),
-            "trace": [
-                {"rule": s.rule, "member": list(s.member) if s.member else None}
-                for s in result.trace
-            ],
-        }
+        payload["multiplicity"] = result_payload(result)
         if result.is_exact:
             lines.insert(0, f"multiplicity: {result.value} (exact)")
         else:
@@ -206,14 +206,8 @@ def _cmd_mult(args) -> int:
             )
         lines.append("trace: " + ", ".join(s.rule for s in result.trace))
     if args.method == "oracle":
-        table = hilbert_samuel_table(d, budget)
-        payload["oracle"] = {
-            "stabilized": table.stabilized,
-            "e": table.e,
-            "values": list(table.values),
-            "points": table.points,
-            "aborted": table.aborted,
-        }
+        table = hilbert_samuel_table(d, _oracle_budget(args, d.n))
+        payload["oracle"] = table_payload(table)
         if table.aborted:
             lines.append(f"oracle: aborted after {table.points} points (ceiling exceeded)")
         else:
@@ -267,11 +261,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budget = EnumerationBudget(
-        n_max=args.n_max,
-        max_ratio=args.max_ratio,
-        oracle=OracleBudget(k_max=args.k_max, point_ceiling=args.point_ceiling),
-    )
+    budget = EnumerationBudget(args.n_max, args.max_ratio, _oracle_budget(args, args.n_max))
     report = run_suite(budget, jobs=args.jobs)
     summary = report.summary
     if args.report:

@@ -18,10 +18,16 @@ is computed from this one structure.
 Nested members form a forest: for any member J with at least two elements
 its immediate sub-members partition J into at least two blocks of equal
 weight, and every parent-to-child weight ratio is an integer >= 2.
+`member_forest` builds it in one pass from a parent index and interns the
+subtree below each member as a *class node*, a small int: `LEAF`, or the
+node of (ratio, sorted child nodes).  Equal nodes are isomorphic subtrees,
+so the structural invariants live in `ClassMemo`s, computed once per class
+node by an explicit post-order loop: no recursion, however deep the tree.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,12 +203,19 @@ def validate(d: SpecialDatum) -> ValidationReport:
         if i not in singletons:
             out.append(Violation(MISSING_SINGLETON, f"singleton {{{i}}} is missing", ((i,),)))
 
-    # Axiom 2: pairwise nested or disjoint.
+    # Axiom 2: pairwise nested or disjoint.  The same pass lists the strict
+    # supersets of every member, in member order, for axioms 3 to 5.
     sets = [frozenset(m.elements) for m in d.members]
+    supers: list[list[int]] = [[] for _ in sets]
     for a in range(len(sets)):
+        sa = sets[a]
         for b in range(a + 1, len(sets)):
-            sa, sb = sets[a], sets[b]
-            if sa & sb and not (sa <= sb or sb <= sa):
+            sb = sets[b]
+            if sa < sb:
+                supers[a].append(b)
+            elif sb < sa:
+                supers[b].append(a)
+            elif sa != sb and not sa.isdisjoint(sb):
                 out.append(
                     Violation(
                         NOT_LAMINAR,
@@ -213,9 +226,7 @@ def validate(d: SpecialDatum) -> ValidationReport:
 
     # Axiom 3: maximal members have weight 1.
     for a in range(len(sets)):
-        if any(b != a and sets[a] < sets[b] for b in range(len(sets))):
-            continue
-        if d.members[a].weight != 1:
+        if not supers[a] and d.members[a].weight != 1:
             out.append(
                 Violation(
                     MAXIMAL_WEIGHT,
@@ -227,9 +238,7 @@ def validate(d: SpecialDatum) -> ValidationReport:
 
     # Axiom 4: weights strictly increase inward and divide outward-to-inward.
     for a in range(len(sets)):
-        for b in range(len(sets)):
-            if a == b or not (sets[a] < sets[b]):
-                continue
+        for b in supers[a]:
             wi, wo = d.members[a].weight, d.members[b].weight
             pair = (d.members[a].elements, d.members[b].elements)
             if wi <= wo:
@@ -253,21 +262,23 @@ def validate(d: SpecialDatum) -> ValidationReport:
 
     # Axiom 5: children of a common parent share one weight.  Immediate
     # containment is meaningful even on sloppy candidates, so this check runs
-    # unconditionally.
+    # unconditionally.  Taken by size, a superset is immediate unless it
+    # contains an immediate one found before it.
+    kids: list[list[int]] = [[] for _ in sets]
+    for a in range(len(sets)):
+        covered: set[int] = set()
+        for b in sorted(supers[a], key=lambda b: len(sets[b])):
+            if b not in covered:
+                kids[b].append(a)
+                covered.update(supers[b])
     for b in range(len(sets)):
-        kids = [
-            a
-            for a in range(len(sets))
-            if sets[a] < sets[b]
-            and not any(sets[a] < sets[c] < sets[b] for c in range(len(sets)))
-        ]
-        weights = {d.members[a].weight for a in kids}
+        weights = {d.members[a].weight for a in kids[b]}
         if len(weights) > 1:
             out.append(
                 Violation(
                     SIBLING_WEIGHTS,
                     f"children of {sorted(sets[b])} carry different weights {sorted(weights)}",
-                    tuple(d.members[a].elements for a in kids),
+                    tuple(d.members[a].elements for a in kids[b]),
                 )
             )
 
@@ -280,24 +291,152 @@ def require_valid(d: SpecialDatum) -> None:
         raise InvalidDatumError(report)
 
 
+# Class nodes.  LEAF is the one-element tree; node x > 0 is a tree whose
+# root's children carry weight ratio NODE_RATIO[x] and have the class nodes
+# NODE_KIDS[x], in signature order.  Interning keys are flat tuples of ints.
+LEAF = 0
+NODE_RATIO: list[int] = [0]
+NODE_KIDS: list[tuple[int, ...]] = [()]
+NODE_LEAVES: list[int] = [1]
+_NODE_IDS: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+def _compare(a: int, b: int) -> int:
+    """Order class nodes as their nested signature tuples compare.
+
+    Tuples compare at their first differing entry, so the walk follows one
+    pair of differing children down; it is a loop, not a recursion.
+    """
+    while a != b:
+        if LEAF in (a, b):
+            return -1 if a == LEAF else 1
+        if NODE_RATIO[a] != NODE_RATIO[b]:
+            return -1 if NODE_RATIO[a] < NODE_RATIO[b] else 1
+        ka, kb = NODE_KIDS[a], NODE_KIDS[b]
+        pair = next(((x, y) for x, y in zip(ka, kb) if x != y), None)
+        if pair is None:
+            return -1 if len(ka) < len(kb) else 1
+        a, b = pair
+    return 0
+
+
+class_order = functools.cmp_to_key(_compare)
+
+
+def intern_class(ratio: int, kids) -> int:
+    """The class node of a tree with children `kids` of weight ratio `ratio`."""
+    key = (ratio, tuple(sorted(kids, key=class_order)))
+    x = _NODE_IDS.get(key)
+    if x is None:
+        x = _NODE_IDS[key] = len(NODE_KIDS)
+        NODE_RATIO.append(ratio)
+        NODE_KIDS.append(key[1])
+        NODE_LEAVES.append(sum(NODE_LEAVES[k] for k in key[1]))
+    return x
+
+
+class ClassMemo(dict):
+    """One structural invariant per class node, filled children first.
+
+    `compute(x)` may read `memo[k]` for every child k of x: the explicit
+    post-order loop in `__missing__` has stored those before it calls it.
+    """
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, x: int):
+        stack = [x]
+        while stack:
+            y = stack[-1]
+            todo = [k for k in NODE_KIDS[y] if k not in self]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                if y not in self:
+                    self[y] = self.compute(y)
+        return self[x]
+
+
+@dataclass(frozen=True)
+class MemberForest:
+    """The member forest of a laminar family, by member index.
+
+    `roots` are the maximal members and `kids[j]` the children of member j,
+    both by smallest element; `node[j]` is the class node below member j.
+    """
+
+    roots: tuple[int, ...]
+    kids: tuple[tuple[int, ...], ...]
+    node: tuple[int, ...]
+
+    @property
+    def root_nodes(self) -> list[int]:
+        return [self.node[j] for j in self.roots]
+
+
+def _links(d: SpecialDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(maximal members, children of each member), from one parent index.
+
+    Members are visited largest first, and owner[e] is the last one seen
+    that contains e.  In a laminar family without repeated members that is
+    the immediate superset of every later member containing e.
+    """
+    members = d.members
+    parent = [-1] * len(members)
+    owner: dict[int, int] = {}
+    for j in sorted(range(len(members)), key=lambda j: -len(members[j].elements)):
+        elems = members[j].elements
+        if elems:
+            parent[j] = owner.get(elems[0], -1)
+        for e in elems:
+            owner[e] = j
+    roots: list[int] = []
+    kids: list[list[int]] = [[] for _ in members]
+    for j, p in enumerate(parent):
+        (kids[p] if p >= 0 else roots).append(j)
+    return tuple(roots), tuple(map(tuple, kids))
+
+
+def member_forest(d: SpecialDatum) -> MemberForest:
+    """The member forest with the class node of every member (valid data)."""
+    roots, kids = _links(d)
+    node = [LEAF] * len(kids)
+    for j in sorted(range(len(kids)), key=lambda j: len(d.elements_of(j))):
+        if kids[j]:
+            ratio = d.weight_of(kids[j][0]) // d.weight_of(j)
+            node[j] = intern_class(ratio, [node[k] for k in kids[j]])
+    return MemberForest(roots, kids, tuple(node))
+
+
+def class_datum(nodes) -> SpecialDatum:
+    """The canonical datum whose components are the given class nodes.
+
+    Leaves are numbered in pre-order with siblings in signature order, so a
+    member's elements are consecutive; roots get weight 1.
+    """
+    members: list[Member] = []
+    label = 1
+    stack = [(x, 1) for x in sorted(nodes, key=class_order, reverse=True)]
+    while stack:
+        x, weight = stack.pop()
+        members.append(Member(tuple(range(label, label + NODE_LEAVES[x])), weight))
+        if x == LEAF:
+            label += 1
+        stack.extend((k, weight * NODE_RATIO[x]) for k in reversed(NODE_KIDS[x]))
+    return SpecialDatum(label - 1, tuple(members))
+
+
 def children(d: SpecialDatum, j: int) -> list[int]:
     """Indices of the immediate sub-members of member j, by smallest element."""
-    outer = frozenset(d.elements_of(j))
-    inner = [k for k in range(len(d.members)) if frozenset(d.elements_of(k)) < outer]
-    tops = [
-        k
-        for k in inner
-        if not any(
-            frozenset(d.elements_of(k)) < frozenset(d.elements_of(m)) for m in inner if m != k
-        )
-    ]
-    return sorted(tops, key=lambda k: d.elements_of(k)[0])
+    return list(_links(d)[1][j])
 
 
 def maximal_elements(d: SpecialDatum) -> list[int]:
     """Indices of the inclusion-maximal members (the roots of the forest)."""
-    sets = [frozenset(m.elements) for m in d.members]
-    return [a for a in range(len(sets)) if not any(b != a and sets[a] < sets[b] for b in range(len(sets)))]
+    return list(_links(d)[0])
 
 
 def is_connected(d: SpecialDatum) -> bool:
@@ -394,17 +533,15 @@ def monomial_ideal(d: SpecialDatum) -> MonomialIdeal:
     return MonomialIdeal(d.n, tuple(gens))
 
 
-def _node_signature(d: SpecialDatum, j: int):
-    kids = children(d, j)
-    if not kids:
-        return (0,)
-    ratio = d.weight_of(kids[0]) // d.weight_of(j)
-    return (1, ratio, tuple(sorted(_node_signature(d, k) for k in kids)))
+_SIGNATURE = ClassMemo(
+    lambda x: (0,) if x == LEAF
+    else (1, NODE_RATIO[x], tuple(_SIGNATURE[k] for k in NODE_KIDS[x]))
+)
 
 
 def signature(d: SpecialDatum):
     """A hashable forest shape + ratio labels, invariant under relabeling."""
-    return tuple(sorted(_node_signature(d, j) for j in maximal_elements(d)))
+    return tuple(_SIGNATURE[x] for x in sorted(member_forest(d).root_nodes, key=class_order))
 
 
 def apply_permutation(d: SpecialDatum, perm: tuple[int, ...]) -> SpecialDatum:
@@ -419,25 +556,19 @@ def canonical_form(d: SpecialDatum) -> tuple[SpecialDatum, tuple[int, ...]]:
     Equal-signature siblings are tie-broken by their current smallest element,
     so the permutation itself is deterministic.
     """
-    sig_cache: dict[int, tuple] = {}
+    f = member_forest(d)
 
-    def sig(j: int):
-        if j not in sig_cache:
-            sig_cache[j] = _node_signature(d, j)
-        return sig_cache[j]
+    def by_class(js):
+        return sorted(js, key=lambda j: (class_order(f.node[j]), d.elements_of(j)[0]), reverse=True)
 
     order: list[int] = []
-
-    def visit(j: int) -> None:
-        kids = children(d, j)
-        if not kids:
+    stack = by_class(f.roots)
+    while stack:
+        j = stack.pop()
+        if f.kids[j]:
+            stack.extend(by_class(f.kids[j]))
+        else:
             order.append(d.elements_of(j)[0])
-            return
-        for k in sorted(kids, key=lambda k: (sig(k), d.elements_of(k)[0])):
-            visit(k)
-
-    for j in sorted(maximal_elements(d), key=lambda k: (sig(k), d.elements_of(k)[0])):
-        visit(j)
 
     perm = [0] * d.n
     for new, old in enumerate(order, start=1):
@@ -506,15 +637,16 @@ def to_dot(d: SpecialDatum) -> str:
     lines = ["digraph datum {", "  rankdir=TB;", "  node [shape=circle];"]
     for idx, m in enumerate(d.members):
         lines.append(f'  v{idx} [label="{m.weight}"];')
+    roots, kids = _links(d)
     depth = {}
-    stack = [(j, 0) for j in maximal_elements(d)]
+    stack = [(j, 0) for j in roots]
     while stack:
         j, dep = stack.pop()
         depth[j] = dep
-        for k in children(d, j):
+        for k in kids[j]:
             stack.append((k, dep + 1))
     for j in range(len(d.members)):
-        for k in children(d, j):
+        for k in kids[j]:
             lines.append(f"  v{j} -> v{k};")
     for dep in sorted(set(depth.values())):
         same = [f"v{j};" for j in sorted(depth) if depth[j] == dep]

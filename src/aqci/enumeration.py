@@ -6,7 +6,7 @@ least two children and carries an integer ratio label in [2, max_ratio] (the
 factor between its weight and its children's weight; roots have weight 1).
 Trees are generated in a fixed structural order and forests as nondecreasing
 tuples of trees, so the output order is deterministic and duplicate-free;
-canonical forms are still recorded as a guard.
+the class nodes of the forests are still recorded as a guard.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from .datum import SpecialDatum, canonical_form, make_datum, signature
+from . import datum
+from .datum import SpecialDatum, class_datum
 from .multiplicity import OracleBudget
 
 __all__ = ["EnumerationBudget", "enumerate_data"]
@@ -30,12 +31,6 @@ class EnumerationBudget:
     n_max: int
     max_ratio: int = 3
     oracle: OracleBudget = field(default_factory=OracleBudget)
-
-
-def _leaf_count(tree) -> int:
-    if tree == LEAF:
-        return 1
-    return sum(_leaf_count(t) for t in tree[2])
 
 
 @lru_cache(maxsize=None)
@@ -74,26 +69,11 @@ def _tree_tuples(total: int, min_parts: int, max_ratio: int) -> list[tuple]:
     return results
 
 
-def _datum_from_forest(forest: tuple) -> SpecialDatum:
-    members: list[tuple[tuple[int, ...], int]] = []
-    counter = iter(range(1, 10**9))
-
-    def build(tree, weight: int) -> list[int]:
-        if tree == LEAF:
-            label = next(counter)
-            members.append(((label,), weight))
-            return [label]
-        _, ratio, kids = tree
-        elems: list[int] = []
-        for kid in kids:
-            elems.extend(build(kid, weight * ratio))
-        members.append((tuple(elems), weight))
-        return elems
-
-    total = 0
-    for tree in forest:
-        total += len(build(tree, 1))
-    return make_datum(total, members)
+def _class_node(tree) -> int:
+    if tree == LEAF:
+        return datum.LEAF
+    _, ratio, kids = tree
+    return datum.intern_class(ratio, [_class_node(k) for k in kids])
 
 
 def enumerate_data(budget: EnumerationBudget) -> Iterator[SpecialDatum]:
@@ -102,9 +82,8 @@ def enumerate_data(budget: EnumerationBudget) -> Iterator[SpecialDatum]:
     seen = set()
     for n in range(1, budget.n_max + 1):
         for forest in _tree_tuples(n, 1, budget.max_ratio):
-            d, _ = canonical_form(_datum_from_forest(forest))
-            sig = signature(d)
-            if sig in seen:
+            nodes = tuple(sorted(_class_node(tree) for tree in forest))
+            if nodes in seen:
                 continue
-            seen.add(sig)
-            yield d
+            seen.add(nodes)
+            yield class_datum(nodes)

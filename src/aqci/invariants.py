@@ -12,6 +12,10 @@ finite abelian group acting diagonally.  This module computes:
   * `floor_factor` / `top_child_weight` and their product over all members,
     the exact lower-bound machinery for the multiplicity.
 
+The structural values are `ClassMemo`s over the class nodes of
+`datum.member_forest` (`class_*` below): a tree's value comes from its
+ratio, its leaf count and its children's values, a forest's from its trees.
+
 The two group-order routes are kept separate on purpose; the verification
 suite compares them on every enumerated datum.
 """
@@ -23,14 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .datum import (
+    LEAF,
+    NODE_KIDS,
+    NODE_LEAVES,
+    NODE_RATIO,
+    ClassMemo,
     SpecialDatum,
     children,
-    is_connected,
-    maximal_elements,
-    reduce,
-    restrict,
+    member_forest,
 )
-from .lct import lct_datum
+from .lct import lct_datum, reduced_lct
 
 __all__ = [
     "embedding_dimension",
@@ -56,13 +62,15 @@ def child_count(d: SpecialDatum, j: int) -> int:
     return len(children(d, j))
 
 
+class_branching = ClassMemo(
+    lambda x: 1 if x == LEAF
+    else len(NODE_KIDS[x]) * math.prod(class_branching[k] for k in NODE_KIDS[x])
+)
+
+
 def branching_product(d: SpecialDatum) -> int:
     """Product of child counts over members with at least two elements."""
-    out = 1
-    for j in range(len(d.members)):
-        if len(d.elements_of(j)) >= 2:
-            out *= child_count(d, j)
-    return out
+    return math.prod(class_branching[x] for x in member_forest(d).root_nodes)
 
 
 def edge_count_identity(d: SpecialDatum) -> tuple[int, int]:
@@ -72,11 +80,9 @@ def edge_count_identity(d: SpecialDatum) -> tuple[int, int]:
     non-root nodes), and the right side equals n - 1 exactly when the datum
     is connected.
     """
-    lhs = sum(
-        child_count(d, j) - 1 for j in range(len(d.members)) if len(d.elements_of(j)) >= 2
-    )
-    rhs = d.n - len(maximal_elements(d))
-    return lhs, rhs
+    f = member_forest(d)
+    lhs = sum(len(kids) - 1 for m, kids in zip(d.members, f.kids) if len(m.elements) >= 2)
+    return lhs, d.n - len(f.roots)
 
 
 def group_generators(d: SpecialDatum) -> list[tuple[Fraction, ...]]:
@@ -105,6 +111,13 @@ def group_generators(d: SpecialDatum) -> list[tuple[Fraction, ...]]:
     return gens
 
 
+class_group_order = ClassMemo(
+    lambda x: 1 if x == LEAF
+    else NODE_RATIO[x] ** (NODE_LEAVES[x] - 1)
+    * math.prod(class_group_order[k] for k in NODE_KIDS[x])
+)
+
+
 def group_order(d: SpecialDatum) -> int:
     """Order of the acting group, by structural recursion.
 
@@ -112,17 +125,7 @@ def group_order(d: SpecialDatum) -> int:
     datum with child weight r under the top member, r^(n-1) times the order
     for the reduced datum.
     """
-    maxes = maximal_elements(d)
-    if len(maxes) > 1:
-        out = 1
-        for j in maxes:
-            out *= group_order(restrict(d, j))
-        return out
-    if d.n == 1:
-        return 1
-    top = maxes[0]
-    r = d.weight_of(children(d, top)[0])
-    return r ** (d.n - 1) * group_order(reduce(d, top))
+    return math.prod(class_group_order[x] for x in member_forest(d).root_nodes)
 
 
 def _row_lattice_diagonal(rows: list[list[int]], n: int) -> list[int]:
@@ -179,14 +182,29 @@ def group_order_lattice(d: SpecialDatum) -> int:
     return q
 
 
+def class_top_weight(x: int) -> Fraction:
+    return Fraction(1) if x == LEAF else Fraction(NODE_RATIO[x])
+
+
+class_floor_factor = ClassMemo(
+    lambda x: Fraction(1) if x == LEAF
+    else min(reduced_lct(x), class_top_weight(x))
+)
+class_floor_product = ClassMemo(
+    lambda x: math.prod((class_floor_product[k] for k in NODE_KIDS[x]), start=class_floor_factor[x])
+)
+
+
+def _connected_node(d: SpecialDatum) -> int:
+    roots = member_forest(d).root_nodes
+    if len(roots) != 1:
+        raise ValueError("defined only for connected data")
+    return roots[0]
+
+
 def top_child_weight(d: SpecialDatum) -> Fraction:
     """Weight of the top member's children (1 in dimension one)."""
-    maxes = maximal_elements(d)
-    if len(maxes) != 1:
-        raise ValueError("defined only for connected data")
-    if d.n == 1:
-        return Fraction(1)
-    return Fraction(d.weight_of(children(d, maxes[0])[0]))
+    return class_top_weight(_connected_node(d))
 
 
 def floor_factor(d: SpecialDatum) -> Fraction:
@@ -195,20 +213,13 @@ def floor_factor(d: SpecialDatum) -> Fraction:
     The product of this factor over all members (of the data induced on
     them) is a lower bound for the multiplicity.
     """
-    maxes = maximal_elements(d)
-    if len(maxes) != 1:
-        raise ValueError("defined only for connected data")
-    if d.n == 1:
-        return Fraction(1)
-    top = maxes[0]
-    return min(lct_datum(reduce(d, top)), top_child_weight(d))
+    return class_floor_factor[_connected_node(d)]
 
 
 def floor_factor_product(d: SpecialDatum) -> Fraction:
-    out = Fraction(1)
-    for j in range(len(d.members)):
-        out *= floor_factor(restrict(d, j))
-    return out
+    return math.prod(
+        (class_floor_product[x] for x in member_forest(d).root_nodes), start=Fraction(1)
+    )
 
 
 @dataclass(frozen=True)
@@ -226,21 +237,20 @@ class InvariantSummary:
 
 
 def summarize(d: SpecialDatum) -> InvariantSummary:
+    f = member_forest(d)
     lct = lct_datum(d)
     return InvariantSummary(
         n=d.n,
         emb=embedding_dimension(d),
         child_counts=tuple(
-            (d.elements_of(j), child_count(d, j))
-            for j in range(len(d.members))
-            if len(d.elements_of(j)) >= 2
+            (m.elements, len(kids)) for m, kids in zip(d.members, f.kids) if len(m.elements) >= 2
         ),
         branching_product=branching_product(d),
         floor_factors=tuple(
-            (d.elements_of(j), floor_factor(restrict(d, j))) for j in range(len(d.members))
+            (m.elements, class_floor_factor[x]) for m, x in zip(d.members, f.node)
         ),
         child_weight_factors=tuple(
-            (d.elements_of(j), top_child_weight(restrict(d, j))) for j in range(len(d.members))
+            (m.elements, class_top_weight(x)) for m, x in zip(d.members, f.node)
         ),
         group_order=group_order(d),
         group_order_lattice=group_order_lattice(d),

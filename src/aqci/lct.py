@@ -10,7 +10,7 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
   * `lct_datum` computes the same number structurally: 1 in dimension one,
     additive over the components of a disconnected datum, and
     max{1, lct(reduced)/r} for a connected datum whose top member has
-    children of weight r;
+    children of weight r, once per isomorphism class of subtree;
   * `multiplier_membership` decides interior membership of m + (1,..,1) in
     t*Newt(a), which is exact because Newt(a) is closed under adding the
     orthant: a point is interior iff some uniform positive shift down stays
@@ -31,14 +31,14 @@ from fractions import Fraction
 
 from . import lp
 from .datum import (
+    LEAF,
+    NODE_KIDS,
+    NODE_RATIO,
+    ClassMemo,
     MonomialIdeal,
     SpecialDatum,
-    children,
-    maximal_elements,
+    member_forest,
     monomial_ideal,
-    reduce,
-    restrict,
-    signature,
 )
 
 __all__ = [
@@ -119,30 +119,27 @@ def lct_lp(a: MonomialIdeal) -> Fraction:
     return 1 / sol.value
 
 
-_LCT_CACHE: dict[tuple, Fraction] = {}
+def reduced_lct(x: int) -> Fraction:
+    """Threshold of the reduced datum of the tree x: the sum over its children."""
+    return sum((class_lct[k] for k in NODE_KIDS[x]), Fraction(0))
+
+
+def _lct_class(x: int) -> Fraction:
+    return Fraction(1) if x == LEAF else max(Fraction(1), reduced_lct(x) / NODE_RATIO[x])
+
+
+class_lct = ClassMemo(_lct_class)
 
 
 def lct_datum(d: SpecialDatum) -> Fraction:
-    """Threshold by structural recursion (memoized on the isomorphism class).
+    """Threshold by structural recursion on the class nodes of `member_forest`.
 
-    The cache is a plain dict keyed by `signature`; concurrent re-insertion
-    of the same value is benign.
+    1 on a leaf, max{1, lct(reduced)/r} on a tree whose top has children of
+    ratio r (the reduced datum is the forest of those children), and the
+    sum over the components of a forest.  `class_lct` holds each class
+    node's value, computed once.
     """
-    sig = signature(d)
-    hit = _LCT_CACHE.get(sig)
-    if hit is not None:
-        return hit
-    maxes = maximal_elements(d)
-    if len(maxes) > 1:
-        val = sum((lct_datum(restrict(d, j)) for j in maxes), Fraction(0))
-    elif d.n == 1:
-        val = Fraction(1)
-    else:
-        top = maxes[0]
-        r = d.weight_of(children(d, top)[0])
-        val = max(Fraction(1), lct_datum(reduce(d, top)) / r)
-    _LCT_CACHE[sig] = val
-    return val
+    return sum((class_lct[x] for x in member_forest(d).root_nodes), Fraction(0))
 
 
 def multiplier_membership(a: MonomialIdeal, t: Fraction, m) -> bool:

@@ -33,17 +33,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .datum import (
+    LEAF,
+    NODE_KIDS,
+    NODE_LEAVES,
+    NODE_RATIO,
+    ClassMemo,
     SpecialDatum,
     canonical_form,
-    children,
-    maximal_elements,
+    format_fraction,
+    member_forest,
     monomial_ideal,
-    reduce,
-    restrict,
     validate,
 )
-from .invariants import branching_product, floor_factor_product, group_order
-from .lct import lct_datum
+from .invariants import class_branching, class_floor_product, class_group_order
+from .lct import class_lct, reduced_lct
 
 __all__ = [
     "OracleBudget",
@@ -54,6 +57,8 @@ __all__ = [
     "multiplicity_lower_bound",
     "multiplicity_upper_bound",
     "hilbert_samuel_table",
+    "result_payload",
+    "table_payload",
 ]
 
 EXACT = "exact"
@@ -87,108 +92,151 @@ class MultiplicityResult:
         return self.status == EXACT
 
 
-def _exact(value: int, trace) -> MultiplicityResult:
+def _exact(value: int, trace=()) -> MultiplicityResult:
     v = Fraction(value)
     return MultiplicityResult(EXACT, value, v, v, tuple(trace))
 
 
-def _interval(lower: Fraction, upper: Fraction, trace) -> MultiplicityResult:
+def _interval(lower: Fraction, upper: Fraction, trace=()) -> MultiplicityResult:
     if lower == upper:
         return _exact(int(lower), tuple(trace) + (TraceStep("interval-pinned"),))
     return MultiplicityResult(INTERVAL, None, lower, upper, tuple(trace))
 
 
-def multiplicity(d: SpecialDatum) -> MultiplicityResult:
-    """Structural multiplicity: exact where the rules decide, else an interval."""
-    maxes = maximal_elements(d)
-    if d.n == 1:
-        return _exact(1, (TraceStep("dimension-one"),))
-    if len(maxes) > 1:
-        parts = [multiplicity(restrict(d, j)) for j in maxes]
-        trace = (TraceStep("component-product"),)
-        for p in parts:
-            trace += p.trace
-        if all(p.is_exact for p in parts):
-            return _exact(math.prod(p.value for p in parts), trace)
-        lower = math.prod((p.lower for p in parts), start=Fraction(1))
-        upper = math.prod((p.upper for p in parts), start=Fraction(1))
-        return _interval(lower, upper, trace)
+# The structural rules per class node and per forest of class nodes.  A
+# result's own trace holds only the steps that follow its sub-traces (an
+# "interval-pinned"); `multiplicity` splices the sub-traces in label order.
 
-    top = maxes[0]
-    top_elems = d.elements_of(top)
-    kids = children(d, top)
-    r = d.weight_of(kids[0])
-    red = reduce(d, top)
-    reduced_lct = lct_datum(red)
-    sub = multiplicity(red)
 
-    if reduced_lct >= r:
-        # The threshold of d equals reduced_lct / r here, which is the exact
-        # equality case of the reduce rule.
-        trace = (TraceStep("reduce-equality", top_elems),) + sub.trace
+def _forest(nodes) -> MultiplicityResult:
+    """The component-product rule over the trees `nodes`."""
+    parts = [_class_rule[x][0] for x in nodes]
+    if all(p.is_exact for p in parts):
+        return _exact(math.prod(p.value for p in parts))
+    lower = math.prod((p.lower for p in parts), start=Fraction(1))
+    upper = math.prod((p.upper for p in parts), start=Fraction(1))
+    return _interval(lower, upper)
+
+
+def _rule(x: int) -> tuple[MultiplicityResult, str]:
+    """(result, rule) of the tree x; its reduced datum is its children."""
+    n, r, kids = NODE_LEAVES[x], NODE_RATIO[x], NODE_KIDS[x]
+    if x == LEAF:
+        return _exact(1), "dimension-one"
+    reduced, sub = reduced_lct(x), _forest(kids)
+    if reduced >= r:
+        # The threshold of the tree equals reduced_lct / r here, which is the
+        # exact equality case of the reduce rule.
         if sub.is_exact:
-            return _exact(r * sub.value, trace)
-        return _interval(r * sub.lower, r * sub.upper, trace)
+            return _exact(r * sub.value), "reduce-equality"
+        return _interval(r * sub.lower, r * sub.upper), "reduce-equality"
 
-    if all(len(d.elements_of(k)) == 1 for k in kids):
+    if all(k == LEAF for k in kids):
         # One binomial relation: the ring is a hypersurface.
-        return _exact(min(r, d.n), (TraceStep("hypersurface", top_elems),))
+        return _exact(min(r, n)), "hypersurface"
 
     # Open case (threshold is 1, some child is composite): certified interval.
     lower = max(
-        floor_factor_product(d),
-        reduced_lct * sub.lower,
-        Fraction(d.n**d.n, group_order(d)),
+        class_floor_product[x],
+        reduced * sub.lower,
+        Fraction(n**n, class_group_order[x]),
     )
-    lower_int = Fraction(math.ceil(lower))
-    upper = min(
-        Fraction(r) * sub.upper,
-        Fraction(branching_product(d)),
-        Fraction(2 ** (d.n - 1)),
-    )
-    trace = (TraceStep("interval-bounds", top_elems),) + sub.trace
-    return _interval(lower_int, upper, trace)
+    upper = min(Fraction(r) * sub.upper, Fraction(class_branching[x]), Fraction(2 ** (n - 1)))
+    return _interval(Fraction(math.ceil(lower)), upper), "interval-bounds"
+
+
+_class_rule = ClassMemo(_rule)
+
+
+def multiplicity(d: SpecialDatum) -> MultiplicityResult:
+    """Structural multiplicity: exact where the rules decide, else an interval.
+
+    The value depends only on the class; the trace walks the member forest
+    in label order.  A tree records its rule on its top member (relabeled
+    to 1..size, as `restrict` would) and, after "reduce-equality" or
+    "interval-bounds", the trace of its reduced datum; a forest of two or
+    more trees records "component-product" and then each tree's trace.
+    """
+    f = member_forest(d)
+    result = _forest(f.root_nodes)
+    trace: list[TraceStep] = []
+    stack: list = [f.roots]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TraceStep):
+            trace.append(item)
+        elif len(item) > 1:
+            stack.extend(reversed(_forest(f.node[j] for j in item).trace))
+            stack.extend((j,) for j in reversed(item))
+            trace.append(TraceStep("component-product"))
+        else:
+            x = f.node[item[0]]
+            sub, rule = _class_rule[x]
+            stack.extend(reversed(sub.trace))
+            if rule in ("reduce-equality", "interval-bounds"):
+                stack.append(f.kids[item[0]])
+            top = tuple(range(1, NODE_LEAVES[x] + 1)) if x != LEAF else None
+            trace.append(TraceStep(rule, top))
+    return MultiplicityResult(result.status, result.value, result.lower, result.upper, tuple(trace))
+
+
+# Over components the bounds are the products of the components' bounds.
+# That product already beats the forest's own candidates: each factor is
+# within its branching and power-of-two bounds (and sum ceil >= ceil sum),
+# and above 1, its floor product and (n/lct)^n/|G| (the weighted power
+# inequality of `verify.product_concavity_grid`).
+
+
+def _upper(x: int) -> Fraction:
+    n = NODE_LEAVES[x]
+    cands = [Fraction(class_branching[x]), Fraction(2 ** (n - math.ceil(class_lct[x])))]
+    if x != LEAF:
+        cands.append(NODE_RATIO[x] * _product(_class_upper, NODE_KIDS[x]))
+    return min(cands)
+
+
+def _lower(x: int) -> Fraction:
+    n = NODE_LEAVES[x]
+    # (n/lct)^n/|G| counts only above 1; testing that first skips reducing a
+    # huge fraction (|G| of a deep chain has about n^2/2 bits).
+    power, group = (Fraction(n) / class_lct[x]) ** n, class_group_order[x]
+    cands = [Fraction(1), class_floor_product[x], power / group if power > group else Fraction(1)]
+    if x != LEAF:
+        r, reduced = NODE_RATIO[x], reduced_lct(x)
+        factor = Fraction(r) if reduced >= r else reduced
+        cands.append(factor * _product(_class_lower, NODE_KIDS[x]))
+    return max(cands)
+
+
+_class_upper = ClassMemo(_upper)
+_class_lower = ClassMemo(_lower)
+
+
+def _product(memo: ClassMemo, nodes) -> Fraction:
+    return math.prod((memo[x] for x in nodes), start=Fraction(1))
 
 
 def multiplicity_upper_bound(d: SpecialDatum) -> Fraction:
     """Least available upper bound for the multiplicity, as an exact rational."""
-    cands = [
-        Fraction(branching_product(d)),
-        Fraction(2 ** (d.n - math.ceil(lct_datum(d)))),
-    ]
-    maxes = maximal_elements(d)
-    if len(maxes) > 1:
-        cands.append(
-            math.prod((multiplicity_upper_bound(restrict(d, j)) for j in maxes), start=Fraction(1))
-        )
-    elif d.n >= 2:
-        top = maxes[0]
-        r = d.weight_of(children(d, top)[0])
-        cands.append(r * multiplicity_upper_bound(reduce(d, top)))
-    return min(cands)
+    return _product(_class_upper, member_forest(d).root_nodes)
 
 
 def multiplicity_lower_bound(d: SpecialDatum) -> Fraction:
     """Greatest available lower bound for the multiplicity, as an exact rational."""
-    lct = lct_datum(d)
-    cands = [
-        Fraction(1),
-        floor_factor_product(d),
-        (Fraction(d.n) / lct) ** d.n / group_order(d),
-    ]
-    maxes = maximal_elements(d)
-    if len(maxes) > 1:
-        cands.append(
-            math.prod((multiplicity_lower_bound(restrict(d, j)) for j in maxes), start=Fraction(1))
-        )
-    elif d.n >= 2:
-        top = maxes[0]
-        r = d.weight_of(children(d, top)[0])
-        red = reduce(d, top)
-        reduced_lct = lct_datum(red)
-        factor = Fraction(r) if reduced_lct >= r else reduced_lct
-        cands.append(factor * multiplicity_lower_bound(red))
-    return max(cands)
+    return _product(_class_lower, member_forest(d).root_nodes)
+
+
+def result_payload(result: MultiplicityResult) -> dict:
+    """The JSON form of a structural result, as the CLI and the reports print it."""
+    return {
+        "status": result.status,
+        "value": result.value,
+        "lower": format_fraction(result.lower),
+        "upper": format_fraction(result.upper),
+        "trace": [
+            {"rule": s.rule, "member": list(s.member) if s.member else None} for s in result.trace
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -325,3 +373,14 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
     e = diffs[-1] if stabilized else None
     return HilbertSamuelTable(n, tuple(values), stabilized, e, len(longest), False)
+
+
+def table_payload(table: HilbertSamuelTable) -> dict:
+    """The JSON form of an oracle table, as the CLI and the reports print it."""
+    return {
+        "stabilized": table.stabilized,
+        "e": table.e,
+        "values": list(table.values),
+        "points": table.points,
+        "aborted": table.aborted,
+    }

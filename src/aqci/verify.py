@@ -52,37 +52,35 @@ from functools import partial
 from itertools import product
 
 from .datum import (
+    NODE_KIDS,
+    NODE_RATIO,
     SpecialDatum,
     canonical_form,
+    class_datum,
     format_fraction,
-    is_connected,
-    children,
-    maximal_elements,
+    member_forest,
     monomial_ideal,
-    reduce,
-    restrict,
     scale,
     to_payload,
     validate,
 )
 from .enumeration import EnumerationBudget, enumerate_data
 from .invariants import (
-    branching_product,
     edge_count_identity,
-    embedding_dimension,
-    floor_factor,
     floor_factor_product,
     group_order,
     group_order_lattice,
-    top_child_weight,
+    summarize,
 )
-from .lct import find_closure_power, lct_datum, lct_lp
+from .lct import class_lct, find_closure_power, lct_lp, reduced_lct
 from .multiplicity import (
     OracleBudget,
     hilbert_samuel_table,
     multiplicity,
     multiplicity_lower_bound,
     multiplicity_upper_bound,
+    result_payload,
+    table_payload,
 )
 
 __all__ = [
@@ -129,16 +127,12 @@ def _cond(cid: str, ok: bool, witness: dict) -> dict:
 
 def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -> dict:
     """Evaluate every check on one datum; returns a JSON-ready record."""
-    n = d.n
-    emb = embedding_dimension(d)
-    conn = is_connected(d)
-    maxes = maximal_elements(d)
-    comps = [restrict(d, j) for j in maxes]
-    lct = lct_datum(d)
-    ceil_lct = math.ceil(lct)
-    gorder = group_order(d)
-    glattice = group_order_lattice(d)
-    bprod = branching_product(d)
+    summary = summarize(d)
+    n, emb, lct, ceil_lct = summary.n, summary.emb, summary.lct, summary.ceil_lct
+    gorder, glattice = summary.group_order, summary.group_order_lattice
+    bprod = summary.branching_product
+    comps = member_forest(d).root_nodes
+    conn = len(comps) == 1
     edge_lhs, edge_rhs = edge_count_identity(d)
     ffp = floor_factor_product(d)
     power_lower = (Fraction(n) / lct) ** n / gorder
@@ -149,8 +143,8 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     table = hilbert_samuel_table(d, oracle_budget)
     e = table.e
 
-    floors = [floor_factor(restrict(d, j)) for j in range(len(d.members))]
-    weights_factors = [top_child_weight(restrict(d, j)) for j in range(len(d.members))]
+    floors = [f for _, f in summary.floor_factors]
+    weights_factors = [w for _, w in summary.child_weight_factors]
     uniform = all(a == b for a, b in zip(floors, weights_factors))
 
     checks: list[dict] = []
@@ -163,7 +157,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         and recanon == canon
         and edge_lhs == edge_rhs
         and (not conn or edge_rhs == n - 1)
-        and bprod <= 2 ** (n - len(maxes)) <= 2 ** (n - 1)
+        and bprod <= 2 ** (n - len(comps)) <= 2 ** (n - 1)
     )
     checks.append(
         _cond(
@@ -203,7 +197,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     else:
         checks.append(_skip("C3", "weight scaling is defined only for connected data"))
 
-    comp_ceils = sum(math.ceil(lct_datum(c)) for c in comps)
+    comp_ceils = sum(math.ceil(class_lct[x]) for x in comps)
     checks.append(
         _cond(
             "C4",
@@ -277,11 +271,10 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         )
 
     if conn and n >= 2:
-        top = maxes[0]
-        r = d.weight_of(children(d, top)[0])
-        red = reduce(d, top)
-        red_lct = lct_datum(red)
-        red_table = hilbert_samuel_table(red, oracle_budget)
+        kids = NODE_KIDS[comps[0]]
+        r = NODE_RATIO[comps[0]]
+        red_lct = reduced_lct(comps[0])
+        red_table = hilbert_samuel_table(class_datum(kids), oracle_budget)
         if e is None:
             checks.append(_skip("C10", "oracle did not stabilize"))
         elif red_table.e is None:
@@ -328,7 +321,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         checks.append(_skip("C11", reason))
 
     if not conn:
-        comp_tables = [hilbert_samuel_table(c, oracle_budget) for c in comps]
+        comp_tables = [hilbert_samuel_table(class_datum([x]), oracle_budget) for x in comps]
         if e is None:
             checks.append(_skip("C12", "oracle did not stabilize"))
         elif any(t.e is None for t in comp_tables):
@@ -389,23 +382,8 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         "lower_bound": format_fraction(lower),
         "upper_bound": format_fraction(upper),
         "closure_power": closure_q,
-        "multiplicity": {
-            "status": result.status,
-            "value": result.value,
-            "lower": format_fraction(result.lower),
-            "upper": format_fraction(result.upper),
-            "trace": [
-                {"rule": s.rule, "member": list(s.member) if s.member else None}
-                for s in result.trace
-            ],
-        },
-        "oracle": {
-            "stabilized": table.stabilized,
-            "e": table.e,
-            "values": list(table.values),
-            "points": table.points,
-            "aborted": table.aborted,
-        },
+        "multiplicity": result_payload(result),
+        "oracle": table_payload(table),
         "pinned_without_uniform_factors": pinned_without_uniform,
         "checks": checks,
     }

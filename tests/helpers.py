@@ -1,18 +1,32 @@
 """Independent brute-force oracles and fixture builders for the tests.
 
-Nothing here imports the solver code under test beyond plain data types:
-the point is to recompute expected values by a different route (exact
-linear-system enumeration, a simplex on a `Fraction` tableau, breadth-first
-group closure, exhaustive labeled generation, colength tabulation on
-coordinate tuples) and freeze or compare.
+Nothing here imports the solver code under test beyond plain data types and
+the label-level operations `restrict` and `reduce`: the point is to
+recompute expected values by a different route (exact linear-system
+enumeration, a simplex on a `Fraction` tableau, breadth-first group
+closure, exhaustive labeled generation, colength tabulation on coordinate
+tuples, the structural recursions on relabeled sub-data, the cubic
+containment tests of the axioms) and freeze or compare.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from aqci import HilbertSamuelTable, OracleBudget, make_datum
+from aqci import (
+    HilbertSamuelTable,
+    MultiplicityResult,
+    OracleBudget,
+    TraceStep,
+    ValidationReport,
+    Violation,
+    make_datum,
+    reduce,
+    restrict,
+)
+from aqci import datum as _datum
 from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 
@@ -349,3 +363,284 @@ def reference_table(d, budget=OracleBudget()):
     stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
     e = diffs[-1] if stabilized else None
     return HilbertSamuelTable(n, tuple(values), stabilized, e, len(points), False)
+
+
+# ---------------------------------------------------------------------------
+# Label-level references for the structural layer: every recursion step
+# builds the restricted or reduced datum and finds children by pairwise
+# containment, as the package did before it recursed on class nodes.
+
+
+def reference_children(d, j: int) -> list[int]:
+    outer = frozenset(d.elements_of(j))
+    inner = [k for k in range(len(d.members)) if frozenset(d.elements_of(k)) < outer]
+    tops = [
+        k
+        for k in inner
+        if not any(
+            frozenset(d.elements_of(k)) < frozenset(d.elements_of(m)) for m in inner if m != k
+        )
+    ]
+    return sorted(tops, key=lambda k: d.elements_of(k)[0])
+
+
+def reference_maximal_elements(d) -> list[int]:
+    sets = [frozenset(m.elements) for m in d.members]
+    return [a for a in range(len(sets)) if not any(b != a and sets[a] < sets[b] for b in range(len(sets)))]
+
+
+def _top_ratio(d, top: int) -> int:
+    return d.weight_of(reference_children(d, top)[0])
+
+
+def reference_lct_datum(d) -> Fraction:
+    maxes = reference_maximal_elements(d)
+    if len(maxes) > 1:
+        return sum((reference_lct_datum(restrict(d, j)) for j in maxes), Fraction(0))
+    if d.n == 1:
+        return Fraction(1)
+    top = maxes[0]
+    return max(Fraction(1), reference_lct_datum(reduce(d, top)) / _top_ratio(d, top))
+
+
+def reference_group_order(d) -> int:
+    maxes = reference_maximal_elements(d)
+    if len(maxes) > 1:
+        return math.prod(reference_group_order(restrict(d, j)) for j in maxes)
+    if d.n == 1:
+        return 1
+    top = maxes[0]
+    return _top_ratio(d, top) ** (d.n - 1) * reference_group_order(reduce(d, top))
+
+
+def reference_branching_product(d) -> int:
+    return math.prod(
+        len(reference_children(d, j)) for j in range(len(d.members)) if len(d.elements_of(j)) >= 2
+    )
+
+
+def reference_floor_factor(d) -> Fraction:
+    """The floor factor of a connected datum."""
+    if d.n == 1:
+        return Fraction(1)
+    top = reference_maximal_elements(d)[0]
+    return min(reference_lct_datum(reduce(d, top)), Fraction(_top_ratio(d, top)))
+
+
+def reference_floor_factor_product(d) -> Fraction:
+    return math.prod(
+        (reference_floor_factor(restrict(d, j)) for j in range(len(d.members))), start=Fraction(1)
+    )
+
+
+def _reference_interval(lower, upper, trace) -> MultiplicityResult:
+    if lower == upper:
+        v = Fraction(int(lower))
+        return MultiplicityResult("exact", int(lower), v, v, tuple(trace) + (TraceStep("interval-pinned"),))
+    return MultiplicityResult("interval", None, lower, upper, tuple(trace))
+
+
+def _reference_exact(value: int, trace) -> MultiplicityResult:
+    return MultiplicityResult("exact", value, Fraction(value), Fraction(value), tuple(trace))
+
+
+def reference_multiplicity(d) -> MultiplicityResult:
+    maxes = reference_maximal_elements(d)
+    if d.n == 1:
+        return _reference_exact(1, (TraceStep("dimension-one"),))
+    if len(maxes) > 1:
+        parts = [reference_multiplicity(restrict(d, j)) for j in maxes]
+        trace = (TraceStep("component-product"),)
+        for p in parts:
+            trace += p.trace
+        if all(p.is_exact for p in parts):
+            return _reference_exact(math.prod(p.value for p in parts), trace)
+        lower = math.prod((p.lower for p in parts), start=Fraction(1))
+        upper = math.prod((p.upper for p in parts), start=Fraction(1))
+        return _reference_interval(lower, upper, trace)
+
+    top = maxes[0]
+    top_elems = d.elements_of(top)
+    kids = reference_children(d, top)
+    r = d.weight_of(kids[0])
+    red = reduce(d, top)
+    reduced_lct = reference_lct_datum(red)
+    sub = reference_multiplicity(red)
+    if reduced_lct >= r:
+        trace = (TraceStep("reduce-equality", top_elems),) + sub.trace
+        if sub.is_exact:
+            return _reference_exact(r * sub.value, trace)
+        return _reference_interval(r * sub.lower, r * sub.upper, trace)
+    if all(len(d.elements_of(k)) == 1 for k in kids):
+        return _reference_exact(min(r, d.n), (TraceStep("hypersurface", top_elems),))
+    lower = max(
+        reference_floor_factor_product(d),
+        reduced_lct * sub.lower,
+        Fraction(d.n**d.n, reference_group_order(d)),
+    )
+    upper = min(
+        Fraction(r) * sub.upper,
+        Fraction(reference_branching_product(d)),
+        Fraction(2 ** (d.n - 1)),
+    )
+    trace = (TraceStep("interval-bounds", top_elems),) + sub.trace
+    return _reference_interval(Fraction(math.ceil(lower)), upper, trace)
+
+
+def reference_multiplicity_upper_bound(d) -> Fraction:
+    cands = [
+        Fraction(reference_branching_product(d)),
+        Fraction(2 ** (d.n - math.ceil(reference_lct_datum(d)))),
+    ]
+    maxes = reference_maximal_elements(d)
+    if len(maxes) > 1:
+        cands.append(
+            math.prod(
+                (reference_multiplicity_upper_bound(restrict(d, j)) for j in maxes),
+                start=Fraction(1),
+            )
+        )
+    elif d.n >= 2:
+        top = maxes[0]
+        cands.append(_top_ratio(d, top) * reference_multiplicity_upper_bound(reduce(d, top)))
+    return min(cands)
+
+
+def reference_multiplicity_lower_bound(d) -> Fraction:
+    lct = reference_lct_datum(d)
+    cands = [
+        Fraction(1),
+        reference_floor_factor_product(d),
+        (Fraction(d.n) / lct) ** d.n / reference_group_order(d),
+    ]
+    maxes = reference_maximal_elements(d)
+    if len(maxes) > 1:
+        cands.append(
+            math.prod(
+                (reference_multiplicity_lower_bound(restrict(d, j)) for j in maxes),
+                start=Fraction(1),
+            )
+        )
+    elif d.n >= 2:
+        top = maxes[0]
+        r = _top_ratio(d, top)
+        red = reduce(d, top)
+        reduced_lct = reference_lct_datum(red)
+        factor = Fraction(r) if reduced_lct >= r else reduced_lct
+        cands.append(factor * reference_multiplicity_lower_bound(red))
+    return max(cands)
+
+
+def reference_validate(d) -> ValidationReport:
+    """Every axiom violation, by cubic pairwise containment tests."""
+    out: list[Violation] = []
+    if d.n < 1:
+        out.append(Violation(_datum.BAD_DIMENSION, f"ground set size must be >= 1, got {d.n}"))
+    if not d.members:
+        out.append(Violation(_datum.NO_MEMBERS, "family has no members"))
+
+    for m in d.members:
+        if not m.elements:
+            out.append(Violation(_datum.EMPTY_MEMBER, "empty member set", (m.elements,)))
+        elif d.n >= 1 and (m.elements[0] < 1 or m.elements[-1] > d.n):
+            out.append(
+                Violation(
+                    _datum.ELEMENT_RANGE,
+                    f"member {list(m.elements)} leaves the ground set {{1..{d.n}}}",
+                    (m.elements,),
+                )
+            )
+        if m.weight < 1:
+            out.append(
+                Violation(
+                    _datum.NONPOSITIVE_WEIGHT,
+                    f"member {list(m.elements)} has nonpositive weight {m.weight}",
+                    (m.elements,),
+                )
+            )
+
+    seen: dict[tuple[int, ...], int] = {}
+    for m in d.members:
+        seen[m.elements] = seen.get(m.elements, 0) + 1
+    for elems, count in seen.items():
+        if count > 1:
+            out.append(
+                Violation(
+                    _datum.DUPLICATE_MEMBER, f"member {list(elems)} appears {count} times", (elems,)
+                )
+            )
+
+    singletons = {m.elements[0] for m in d.members if len(m.elements) == 1}
+    for i in range(1, d.n + 1):
+        if i not in singletons:
+            out.append(Violation(_datum.MISSING_SINGLETON, f"singleton {{{i}}} is missing", ((i,),)))
+
+    sets = [frozenset(m.elements) for m in d.members]
+    for a in range(len(sets)):
+        for b in range(a + 1, len(sets)):
+            sa, sb = sets[a], sets[b]
+            if sa & sb and not (sa <= sb or sb <= sa):
+                out.append(
+                    Violation(
+                        _datum.NOT_LAMINAR,
+                        f"members {sorted(sa)} and {sorted(sb)} overlap without nesting",
+                        (d.members[a].elements, d.members[b].elements),
+                    )
+                )
+
+    for a in range(len(sets)):
+        if any(b != a and sets[a] < sets[b] for b in range(len(sets))):
+            continue
+        if d.members[a].weight != 1:
+            out.append(
+                Violation(
+                    _datum.MAXIMAL_WEIGHT,
+                    f"maximal member {list(d.members[a].elements)} has weight "
+                    f"{d.members[a].weight}, expected 1",
+                    (d.members[a].elements,),
+                )
+            )
+
+    for a in range(len(sets)):
+        for b in range(len(sets)):
+            if a == b or not (sets[a] < sets[b]):
+                continue
+            wi, wo = d.members[a].weight, d.members[b].weight
+            pair = (d.members[a].elements, d.members[b].elements)
+            if wi <= wo:
+                out.append(
+                    Violation(
+                        _datum.WEIGHT_ORDER,
+                        f"inner member {sorted(sets[a])} (weight {wi}) must outweigh "
+                        f"outer member {sorted(sets[b])} (weight {wo})",
+                        pair,
+                    )
+                )
+            if wo > 0 and wi % wo != 0:
+                out.append(
+                    Violation(
+                        _datum.WEIGHT_DIVISIBILITY,
+                        f"weight {wo} of {sorted(sets[b])} does not divide weight "
+                        f"{wi} of {sorted(sets[a])}",
+                        pair,
+                    )
+                )
+
+    for b in range(len(sets)):
+        kids = [
+            a
+            for a in range(len(sets))
+            if sets[a] < sets[b]
+            and not any(sets[a] < sets[c] < sets[b] for c in range(len(sets)))
+        ]
+        weights = {d.members[a].weight for a in kids}
+        if len(weights) > 1:
+            out.append(
+                Violation(
+                    _datum.SIBLING_WEIGHTS,
+                    f"children of {sorted(sets[b])} carry different weights {sorted(weights)}",
+                    tuple(d.members[a].elements for a in kids),
+                )
+            )
+
+    return ValidationReport(tuple(out))

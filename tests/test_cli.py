@@ -101,6 +101,27 @@ def test_non_positive_budget_is_a_usage_error(argv, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+def test_mult_oracle_refuses_a_budget_that_cannot_stabilize(star_file, capsys):
+    # star(3, 2) has n = 3: the third differences of 5 colengths are only two.
+    assert main(["mult", "--method", "oracle", "--k-max", "5", star_file]) == 2
+    captured = capsys.readouterr()
+    assert "n + 3 = 6" in captured.err
+    assert captured.out == ""
+    assert main(["mult", "--method", "oracle", "--k-max", "6", "--json", star_file]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle"]["e"] == 2
+    assert main(["mult", "--method", "bounds", "--k-max", "1", star_file]) == 0
+
+
+def test_verify_refuses_a_budget_that_cannot_stabilize(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["verify", "--n-max", "3", "--max-ratio", "2", "--k-max", "5", "--report", str(report)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "n + 3 = 6" in captured.err
+    assert "ALL PASSED" not in captured.out
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # info
 

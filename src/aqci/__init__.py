@@ -54,7 +54,6 @@ from .invariants import (
     top_child_weight,
 )
 from .lct import (
-    BudgetExceededError,
     LpCertificate,
     closure_is_power,
     find_closure_power,

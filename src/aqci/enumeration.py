@@ -5,8 +5,7 @@ trees whose leaves are the ground elements, where every internal node has at
 least two children and carries an integer ratio label in [2, max_ratio] (the
 factor between its weight and its children's weight; roots have weight 1).
 Trees are generated in a fixed structural order and forests as nondecreasing
-tuples of trees, so the output order is deterministic and duplicate-free;
-the class nodes of the forests are still recorded as a guard.
+tuples of trees, so the output order is deterministic and duplicate-free.
 """
 
 from __future__ import annotations
@@ -79,11 +78,6 @@ def _class_node(tree) -> int:
 def enumerate_data(budget: EnumerationBudget) -> Iterator[SpecialDatum]:
     """Yield one canonical representative per isomorphism class, smallest
     dimension first, in a deterministic order."""
-    seen = set()
     for n in range(1, budget.n_max + 1):
         for forest in _tree_tuples(n, 1, budget.max_ratio):
-            nodes = tuple(sorted(_class_node(tree) for tree in forest))
-            if nodes in seen:
-                continue
-            seen.add(nodes)
-            yield class_datum(nodes)
+            yield class_datum([_class_node(tree) for tree in forest])

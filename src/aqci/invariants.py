@@ -93,8 +93,7 @@ def group_generators(d: SpecialDatum) -> list[tuple[Fraction, ...]]:
     other, the group contains the diagonal element (e_i - e_j)/w.
     """
     gens: list[tuple[Fraction, ...]] = []
-    for jdx in range(len(d.members)):
-        kids = children(d, jdx)
+    for kids in member_forest(d).kids:
         if len(kids) < 2:
             continue
         w = d.weight_of(kids[0])

@@ -16,8 +16,13 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
     orthant: a point is interior iff some uniform positive shift down stays
     inside;
   * `closure_is_power` checks whether the integral closure of the ideal is
-    exactly the q-th power of the maximal ideal, using the lattice-point
-    description of the closure of a monomial ideal.
+    exactly the q-th power of the maximal ideal.  The closure of a monomial
+    ideal is given by the lattice points of its Newton polyhedron, and
+    Newt(m^q) = conv(q*e_1, .., q*e_n) + orthant, so it suffices that every
+    generator has degree >= q and that the n vertices q*e_i lie in Newt(a).
+
+All three LPs come from `_newton_lp`: minimize a cost on extra variables y
+subject to target - (sum_k y_k*diagonal_k)(1,..,1) in t*Newt(a).
 
 The two lct routes are deliberately independent and are cross-checked over
 whole enumeration budgets by the verification suite.
@@ -25,7 +30,6 @@ whole enumeration budgets by the verification suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +47,6 @@ from .datum import (
 
 __all__ = [
     "LpCertificate",
-    "BudgetExceededError",
     "newton_contains",
     "lct_lp",
     "lct_datum",
@@ -51,10 +54,6 @@ __all__ = [
     "closure_is_power",
     "find_closure_power",
 ]
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive computation was refused because it would be too large."""
 
 
 @dataclass(frozen=True)
@@ -80,40 +79,34 @@ def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:
     return q
 
 
+def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=(), t=1) -> lp.LpSolution:
+    """min cost.y over y >= 0 with target - (sum_k y_k*diagonal_k)(1,..,1) in t*Newt(a).
+
+    Variables: convex weights (one per generator), y, slacks (n); one row per
+    coordinate and a last row making the weights sum to 1.
+    """
+    gens = a.generators
+    n = a.n
+    rows = [
+        [t * g[j] for g in gens] + list(diagonal) + [int(j == k) for k in range(n)]
+        for j in range(n)
+    ]
+    rows.append([1] * len(gens) + [0] * (len(diagonal) + n))
+    return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
+
+
 def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
     """Decide p in conv(generators) + orthant, with certificate when true."""
-    p = _check_point(a, p)
-    gens = a.generators
-    m, n = len(gens), a.n
-    # Variables: convex weights (m), slacks (n).
-    rows = []
-    rhs = []
-    for j in range(n):
-        rows.append([g[j] for g in gens] + [int(j == k) for k in range(n)])
-        rhs.append(p[j])
-    rows.append([1] * m + [0] * n)
-    rhs.append(1)
-    sol = lp.solve_min([0] * (m + n), rows, rhs)
+    sol = _newton_lp(a, _check_point(a, p))
     if sol.status != lp.OPTIMAL:
         return False, None
-    coeffs = {i: sol.x[i] for i in range(m) if sol.x[i] != 0}
+    coeffs = {i: x for i, x in enumerate(sol.x[: len(a.generators)]) if x != 0}
     return True, LpCertificate(Fraction(1), coeffs)
 
 
 def lct_lp(a: MonomialIdeal) -> Fraction:
     """Threshold via the diagonal: minimize u with (u,..,u) in Newt(a)."""
-    gens = a.generators
-    m, n = len(gens), a.n
-    # Variables: convex weights (m), u (1), slacks (n).
-    rows = []
-    rhs = []
-    for j in range(n):
-        rows.append([g[j] for g in gens] + [-1] + [int(j == k) for k in range(n)])
-        rhs.append(0)
-    rows.append([1] * m + [0] * (n + 1))
-    rhs.append(1)
-    c = [0] * m + [1] + [0] * n
-    sol = lp.solve_min(c, rows, rhs)
+    sol = _newton_lp(a, [0] * a.n, diagonal=[-1], cost=[1])
     if sol.status != lp.OPTIMAL or sol.value <= 0:
         raise ArithmeticError(f"diagonal scaling LP failed: {sol.status}")
     return 1 / sol.value
@@ -153,59 +146,31 @@ def multiplier_membership(a: MonomialIdeal, t: Fraction, m) -> bool:
     t = Fraction(t)
     if t <= 0:
         raise ValueError(f"scaling factor must be positive, got {t}")
-    m = _check_point(a, m)
-    gens = a.generators
-    k, n = len(gens), a.n
-    # Variables: convex weights (k), eps+ (1), eps- (1), slacks (n).
-    rows = []
-    rhs = []
-    for j in range(n):
-        rows.append([t * g[j] for g in gens] + [1, -1] + [int(j == i) for i in range(n)])
-        rhs.append(m[j] + 1)
-    rows.append([1] * k + [0] * (n + 2))
-    rhs.append(1)
-    c = [0] * k + [-1, 1] + [0] * n
-    sol = lp.solve_min(c, rows, rhs)
+    shifted = [x + 1 for x in _check_point(a, m)]
+    # y = (eps+, eps-): maximize eps = eps+ - eps-.
+    sol = _newton_lp(a, shifted, diagonal=[1, -1], cost=[-1, 1], t=t)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"shift-maximization LP failed: {sol.status}")
     return -sol.value > 0
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def closure_is_power(a: MonomialIdeal, q: int, point_ceiling: int = 10**6) -> bool:
+def closure_is_power(a: MonomialIdeal, q: int) -> bool:
     """Does the integral closure of `a` equal the q-th power of (x_1,..,x_n)?
 
     Containment in the power holds iff every generator has degree >= q; the
-    reverse containment holds iff every degree-q exponent vector lies in
-    Newt(a).  Refuses (BudgetExceededError) if the number of degree-q vectors
-    exceeds `point_ceiling`.
+    reverse containment holds iff Newt(a) contains Newt(m^q), that is, its n
+    vertices q*e_i.
     """
     if q < 1:
         raise ValueError(f"power must be >= 1, got {q}")
     if any(sum(g) < q for g in a.generators):
         return False
-    count = math.comb(q + a.n - 1, a.n - 1)
-    if count > point_ceiling:
-        raise BudgetExceededError(
-            f"{count} degree-{q} exponent vectors exceed the ceiling {point_ceiling}"
-        )
-    for p in _compositions(q, a.n):
-        inside, _ = newton_contains(a, p)
-        if not inside:
-            return False
-    return True
+    return all(
+        newton_contains(a, [q * (j == i) for j in range(a.n)])[0] for i in range(a.n)
+    )
 
 
-def find_closure_power(d: SpecialDatum, point_ceiling: int = 10**6) -> int | None:
+def find_closure_power(d: SpecialDatum) -> int | None:
     """The q with closure(a_d) = (x_1,..,x_n)^q, if one exists.
 
     Only a common singleton weight can be such a q (the closure meets the
@@ -216,7 +181,7 @@ def find_closure_power(d: SpecialDatum, point_ceiling: int = 10**6) -> int | Non
     q = singles[0]
     if any(w != q for w in singles):
         return None
-    if not closure_is_power(monomial_ideal(d), q, point_ceiling):
+    if not closure_is_power(monomial_ideal(d), q):
         return None
     lct = lct_datum(d)
     if q * lct != d.n:

@@ -150,10 +150,11 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     checks: list[dict] = []
 
     # C0: the datum itself is coherent.
+    validation = validate(d)
     canon, _ = canonical_form(d)
     recanon, _ = canonical_form(canon)
     structural_ok = (
-        validate(d).ok
+        validation.ok
         and recanon == canon
         and edge_lhs == edge_rhs
         and (not conn or edge_rhs == n - 1)
@@ -164,7 +165,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
             "C0",
             structural_ok,
             {
-                "violations": [v.kind for v in validate(d).violations],
+                "violations": [v.kind for v in validation.violations],
                 "edge_identity": [edge_lhs, edge_rhs],
                 "branching_product": bprod,
             },

@@ -1,12 +1,13 @@
 """Independent brute-force oracles and fixture builders for the tests.
 
-Nothing here imports the solver code under test beyond plain data types and
-the label-level operations `restrict` and `reduce`: the point is to
-recompute expected values by a different route (exact linear-system
-enumeration, a simplex on a `Fraction` tableau, breadth-first group
-closure, exhaustive labeled generation, colength tabulation on coordinate
-tuples, the structural recursions on relabeled sub-data, the cubic
-containment tests of the axioms) and freeze or compare.
+Nothing here imports the solver code under test beyond plain data types,
+the label-level operations `restrict` and `reduce`, and Newton-polyhedron
+membership for the closure sweep: the point is to recompute expected values
+by a different route (exact linear-system enumeration, a simplex on a
+`Fraction` tableau, breadth-first group closure, exhaustive labeled
+generation, colength tabulation on coordinate tuples, the structural
+recursions on relabeled sub-data, the cubic containment tests of the axioms,
+a membership sweep over a whole degree slice) and freeze or compare.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from aqci import (
     ValidationReport,
     Violation,
     make_datum,
+    newton_contains,
     reduce,
     restrict,
 )
@@ -264,6 +266,49 @@ def subgroup_order(gens, n: int) -> int:
                     new.append(q)
         frontier = new
     return len(seen)
+
+
+def reference_group_generators(d) -> list[tuple[Fraction, ...]]:
+    """The generators of `group_generators`, children found by pairwise containment."""
+    gens = []
+    for jdx in range(len(d.members)):
+        kids = reference_children(d, jdx)
+        if len(kids) < 2:
+            continue
+        w = d.weight_of(kids[0])
+        for k1 in kids:
+            for k2 in kids:
+                if k1 == k2:
+                    continue
+                for i in d.elements_of(k1):
+                    for j in d.elements_of(k2):
+                        v = [Fraction(0)] * d.n
+                        v[i - 1] = Fraction(1, w)
+                        v[j - 1] = Fraction(-1, w)
+                        gens.append(tuple(v))
+    return gens
+
+
+def compositions(total: int, parts: int):
+    """All nonnegative integer vectors of given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def reference_closure_is_power(a, q: int) -> bool:
+    """Closure of `a` equal to m^q, by sweeping every degree-q exponent vector.
+
+    Every generator must have degree >= q, and every degree-q point must lie
+    in Newt(a): C(q+n-1, n-1) membership LPs where the package tests the n
+    vertices of Newt(m^q).
+    """
+    if any(sum(g) < q for g in a.generators):
+        return False
+    return all(newton_contains(a, p)[0] for p in compositions(q, a.n))
 
 
 def labeled_data(n: int, max_ratio: int):

@@ -215,6 +215,10 @@ def test_closure(star_file, pair_file, tmp_path, capsys):
     no_power.write_text(to_json(star(3, 4)), encoding="utf-8")
     assert main(["closure", "--json", str(no_power)]) == 0
     assert json.loads(capsys.readouterr().out) == {"closure_power": None}
+    big = tmp_path / "star1212.json"
+    big.write_text(to_json(star(12, 12)), encoding="utf-8")
+    assert main(["closure", str(big)]) == 0
+    assert "closure power: 12" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

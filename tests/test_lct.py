@@ -11,9 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqci import (
-    BudgetExceededError,
     EnumerationBudget,
     MonomialIdeal,
     closure_is_power,
@@ -27,7 +28,7 @@ from aqci import (
     newton_contains,
 )
 
-from helpers import brute_min_max, chain, star, two_stars
+from helpers import brute_min_max, chain, reference_closure_is_power, star, two_stars
 
 
 def small_ideals():
@@ -223,14 +224,38 @@ def test_closure_power_rejects_bad_power():
         closure_is_power(monomial_ideal(star(2, 2)), 0)
 
 
-def test_closure_power_budget_refusal():
-    # Degree checks pass here, so the sweep is actually attempted and must
-    # refuse: six degree-2 exponent vectors exceed a ceiling of three.
-    a = monomial_ideal(star(3, 2))
-    with pytest.raises(BudgetExceededError):
-        closure_is_power(a, 2, point_ceiling=3)
-    with pytest.raises(BudgetExceededError):
-        find_closure_power(star(3, 2), point_ceiling=3)
+def test_closure_power_matches_the_degree_sweep():
+    for d in enumerate_data(EnumerationBudget(n_max=5, max_ratio=3)):
+        a = monomial_ideal(d)
+        for q in range(1, 5):
+            assert closure_is_power(a, q) == reference_closure_is_power(a, q), (d, q)
+
+
+@st.composite
+def _ideals_with_pure_powers(draw):
+    """(ideal, q): pure powers near q on every axis plus a few mixed generators."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 4))
+    powers = draw(st.lists(st.integers(max(1, q - 1), q + 1), min_size=n, max_size=n))
+    gens = [tuple(c * (j == i) for j in range(n)) for i, c in enumerate(powers)]
+    vector = st.tuples(*[st.integers(0, 4)] * n).filter(any)
+    gens += draw(st.lists(vector, max_size=4))
+    return MonomialIdeal(n, tuple(gens)), q
+
+
+def test_closure_power_matches_the_degree_sweep_on_random_ideals():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(case=_ideals_with_pure_powers())
+    def agrees(case):
+        a, q = case
+        got = closure_is_power(a, q)
+        assert got == reference_closure_is_power(a, q)
+        outcomes.add(got)
+
+    agrees()
+    assert outcomes == {True, False}
 
 
 def test_find_closure_power_fixture_values():
@@ -240,6 +265,8 @@ def test_find_closure_power_fixture_values():
     assert find_closure_power(star(3, 5)) is None
     assert find_closure_power(two_stars(2, 2)) == 2
     assert find_closure_power(chain(2, 2)) is None
+    # C(23, 11) = 1352078 degree-12 exponent vectors, but only 12 vertices.
+    assert find_closure_power(star(12, 12)) == 12
 
 
 def test_find_closure_power_needs_equal_singleton_weights():

@@ -24,11 +24,10 @@ from aqci import (
     multiplier_membership,
     newton_contains,
 )
-from aqci.lct import _compositions
 from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_min
 
 import helpers
-from helpers import brute_lp_min, matrix_rank, reference_solve_min
+from helpers import brute_lp_min, compositions, matrix_rank, reference_solve_min
 
 
 def test_single_variable_equation():
@@ -261,7 +260,7 @@ def _lct_lp_results(data):
     for d in data:
         a = monomial_ideal(d)
         out.append(lct_lp(a))
-        for p in [*_compositions(2, d.n), (Fraction(3, 2),) * d.n]:
+        for p in [*compositions(2, d.n), (Fraction(3, 2),) * d.n]:
             out.append(newton_contains(a, p))
         for t in (Fraction(1, 2), 1, Fraction(3, 2)):
             for m in ((0,) * d.n, (1,) + (0,) * (d.n - 1)):

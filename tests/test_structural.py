@@ -26,6 +26,7 @@ from aqci import (
     enumerate_data,
     floor_factor,
     floor_factor_product,
+    group_generators,
     group_order,
     is_isomorphic,
     lct_datum,
@@ -49,6 +50,7 @@ from helpers import (
     reference_children,
     reference_floor_factor,
     reference_floor_factor_product,
+    reference_group_generators,
     reference_group_order,
     reference_lct_datum,
     reference_maximal_elements,
@@ -141,6 +143,15 @@ def test_forest_links_match_pairwise_containment():
         assert maximal_elements(d) == reference_maximal_elements(d)
         for j in range(len(d.members)):
             assert children(d, j) == reference_children(d, j)
+
+
+def test_group_generators_match_pairwise_containment():
+    rng = random.Random(0)
+    for d in CLASSES:
+        perm = list(range(1, d.n + 1))
+        rng.shuffle(perm)
+        for x in (d, apply_permutation(d, tuple(perm))):
+            assert group_generators(x) == reference_group_generators(x), x
 
 
 def test_class_order_is_signature_order():

@@ -42,7 +42,6 @@ from .enumeration import EnumerationBudget, enumerate_data
 from .invariants import (
     InvariantSummary,
     branching_product,
-    child_count,
     edge_count_identity,
     embedding_dimension,
     floor_factor,
@@ -59,7 +58,6 @@ from .lct import (
     find_closure_power,
     lct_datum,
     lct_lp,
-    multiplier_membership,
     newton_contains,
 )
 from .multiplicity import (

@@ -624,9 +624,11 @@ def to_json(d: SpecialDatum) -> str:
 
 
 def from_json(text: str) -> SpecialDatum:
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # the decoder raises RecursionError on deeply nested arrays.
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatumFormatError(f"malformed JSON: {exc}") from exc
     return from_payload(obj)
 

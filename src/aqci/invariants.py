@@ -4,11 +4,11 @@ The singularity presented by a datum is a quotient of affine n-space by a
 finite abelian group acting diagonally.  This module computes:
 
   * `embedding_dimension`: the number of members (one ring generator each);
-  * `child_count` / `branching_product`: the number of immediate sub-members
-    per member and the product of those counts over non-singleton members,
-    which bounds the multiplicity from above;
+  * `branching_product`: the product of the child counts of the
+    non-singleton members, which bounds the multiplicity from above;
   * `group_order` via structural recursion, and `group_order_lattice` via an
-    independent lattice-index computation from explicit group generators;
+    independent lattice-index computation from `group_generators`, which
+    gives |J| - 1 label-level vectors per non-singleton member J;
   * `floor_factor` / `top_child_weight` and their product over all members,
     the exact lower-bound machinery for the multiplicity.
 
@@ -33,14 +33,12 @@ from .datum import (
     NODE_RATIO,
     ClassMemo,
     SpecialDatum,
-    children,
     member_forest,
 )
 from .lct import lct_datum, reduced_lct
 
 __all__ = [
     "embedding_dimension",
-    "child_count",
     "branching_product",
     "edge_count_identity",
     "group_generators",
@@ -56,10 +54,6 @@ __all__ = [
 
 def embedding_dimension(d: SpecialDatum) -> int:
     return len(d.members)
-
-
-def child_count(d: SpecialDatum, j: int) -> int:
-    return len(children(d, j))
 
 
 class_branching = ClassMemo(
@@ -88,25 +82,24 @@ def edge_count_identity(d: SpecialDatum) -> tuple[int, int]:
 def group_generators(d: SpecialDatum) -> list[tuple[Fraction, ...]]:
     """Generators of the acting group as vectors in (Q/Z)^n.
 
-    For every member J with children J_1, .., J_k of common weight w, every
-    ordered pair of distinct children, and every i in one child and j in the
-    other, the group contains the diagonal element (e_i - e_j)/w.
+    For every member J whose children have common weight w, the group
+    contains (e_i - e_j)/w for i and j in distinct children.  With r = min J,
+    the |J| - 1 vectors (e_i - e_r)/w, i in J - {r}, span the same subgroup:
+    if i and r lie in one child, take s in another child, and then
+    (e_i - e_r)/w = (e_i - e_s)/w - (e_r - e_s)/w; conversely
+    (e_i - e_j)/w = (e_i - e_r)/w - (e_j - e_r)/w.
     """
     gens: list[tuple[Fraction, ...]] = []
-    for kids in member_forest(d).kids:
+    for jdx, kids in enumerate(member_forest(d).kids):
         if len(kids) < 2:
             continue
-        w = d.weight_of(kids[0])
-        for k1 in kids:
-            for k2 in kids:
-                if k1 == k2:
-                    continue
-                for i in d.elements_of(k1):
-                    for j in d.elements_of(k2):
-                        v = [Fraction(0)] * d.n
-                        v[i - 1] = Fraction(1, w)
-                        v[j - 1] = Fraction(-1, w)
-                        gens.append(tuple(v))
+        step = Fraction(1, d.weight_of(kids[0]))
+        r, *rest = d.elements_of(jdx)
+        for i in rest:
+            v = [Fraction(0)] * d.n
+            v[i - 1] = step
+            v[r - 1] = -step
+            gens.append(tuple(v))
     return gens
 
 

@@ -11,18 +11,14 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
     additive over the components of a disconnected datum, and
     max{1, lct(reduced)/r} for a connected datum whose top member has
     children of weight r, once per isomorphism class of subtree;
-  * `multiplier_membership` decides interior membership of m + (1,..,1) in
-    t*Newt(a), which is exact because Newt(a) is closed under adding the
-    orthant: a point is interior iff some uniform positive shift down stays
-    inside;
   * `closure_is_power` checks whether the integral closure of the ideal is
     exactly the q-th power of the maximal ideal.  The closure of a monomial
     ideal is given by the lattice points of its Newton polyhedron, and
     Newt(m^q) = conv(q*e_1, .., q*e_n) + orthant, so it suffices that every
     generator has degree >= q and that the n vertices q*e_i lie in Newt(a).
 
-All three LPs come from `_newton_lp`: minimize a cost on extra variables y
-subject to target - (sum_k y_k*diagonal_k)(1,..,1) in t*Newt(a).
+Both LPs come from `_newton_lp`: minimize a cost on extra variables y
+subject to target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
 
 The two lct routes are deliberately independent and are cross-checked over
 whole enumeration budgets by the verification suite.
@@ -50,7 +46,6 @@ __all__ = [
     "newton_contains",
     "lct_lp",
     "lct_datum",
-    "multiplier_membership",
     "closure_is_power",
     "find_closure_power",
 ]
@@ -79,8 +74,8 @@ def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:
     return q
 
 
-def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=(), t=1) -> lp.LpSolution:
-    """min cost.y over y >= 0 with target - (sum_k y_k*diagonal_k)(1,..,1) in t*Newt(a).
+def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()) -> lp.LpSolution:
+    """min cost.y over y >= 0 with target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
 
     Variables: convex weights (one per generator), y, slacks (n); one row per
     coordinate and a last row making the weights sum to 1.
@@ -88,7 +83,7 @@ def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=(), t=1) -> lp.LpSolu
     gens = a.generators
     n = a.n
     rows = [
-        [t * g[j] for g in gens] + list(diagonal) + [int(j == k) for k in range(n)]
+        [g[j] for g in gens] + list(diagonal) + [int(j == k) for k in range(n)]
         for j in range(n)
     ]
     rows.append([1] * len(gens) + [0] * (len(diagonal) + n))
@@ -133,25 +128,6 @@ def lct_datum(d: SpecialDatum) -> Fraction:
     node's value, computed once.
     """
     return sum((class_lct[x] for x in member_forest(d).root_nodes), Fraction(0))
-
-
-def multiplier_membership(a: MonomialIdeal, t: Fraction, m) -> bool:
-    """Is m + (1,..,1) in the interior of t*Newt(a)?
-
-    Decided exactly by maximizing the uniform shift eps with
-    m + (1,..,1) - eps*(1,..,1) in t*Newt(a); interior membership is
-    equivalent to a strictly positive optimum because the region is closed
-    under adding the orthant.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError(f"scaling factor must be positive, got {t}")
-    shifted = [x + 1 for x in _check_point(a, m)]
-    # y = (eps+, eps-): maximize eps = eps+ - eps-.
-    sol = _newton_lp(a, shifted, diagonal=[1, -1], cost=[-1, 1], t=t)
-    if sol.status != lp.OPTIMAL:
-        raise ArithmeticError(f"shift-maximization LP failed: {sol.status}")
-    return -sol.value > 0
 
 
 def closure_is_power(a: MonomialIdeal, q: int) -> bool:

@@ -308,11 +308,15 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     q & guard == guard, and the predecessor p - g is then q ^ guard.
 
     Points are visited in order of degree (coordinate sum), one bucket per
-    degree.  Every generator has positive degree, so when a bucket comes up
-    all its points have been found and all their predecessors already carry
-    their final longest-decomposition length; the DP runs in the same pass
-    as the closure, with no sort.  One dict is both the visited set and the
-    DP table.  `point_ceiling` is checked on every insertion.
+    degree, kept in a dict so that memory follows the points, not the
+    degree bound.  Every generator has positive degree, so when a bucket
+    comes up all its points have been found and all their predecessors
+    already carry their final longest-decomposition length; the DP runs in
+    the same pass as the closure, with no sort.  One dict is both the
+    visited set and the DP table.  `point_ceiling` is checked on every
+    insertion, and once up front: the multiples k*g of a generator of least
+    degree d_min, k = 0..bound // d_min, are distinct reachable points, so
+    when they alone exceed the ceiling the run would abort anyway.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
@@ -322,16 +326,19 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     # A generator above the degree bound reaches no point within it.
     packed = [(sum(g), _pack(g, width)) for g in gens if sum(g) <= bound]
 
+    if bound // min(sum(g) for g in gens) + 1 > ceiling:
+        return HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     longest = {0: 0}
-    if len(longest) > ceiling:
-        return HilbertSamuelTable(n, (), False, None, len(longest), True)
     histogram = [0] * k_max
-    buckets: list[list[int]] = [[0]] + [[] for _ in range(bound)]
+    buckets: dict[int, list[int]] = {0: [0]}
     for degree in range(bound + 1):
-        bucket = buckets[degree]
-        buckets[degree] = []
+        bucket = buckets.pop(degree, ())
+        if not bucket:
+            continue
         below = [g for dg, g in packed if dg <= degree]
-        above = [(g, buckets[degree + dg]) for dg, g in packed if degree + dg <= bound]
+        above = [
+            (g, buckets.setdefault(degree + dg, [])) for dg, g in packed if degree + dg <= bound
+        ]
         for p in bucket:
             if p:
                 lifted = p | guard

@@ -1,8 +1,9 @@
 """Independent brute-force oracles and fixture builders for the tests.
 
 Nothing here imports the solver code under test beyond plain data types,
-the label-level operations `restrict` and `reduce`, and Newton-polyhedron
-membership for the closure sweep: the point is to recompute expected values
+the label-level operations `restrict` and `reduce`, Newton-polyhedron
+membership for the closure sweep, and `lp.solve_min` for the multiplier
+membership LP: the point is to recompute expected values
 by a different route (exact linear-system enumeration, a simplex on a
 `Fraction` tableau, breadth-first group closure, exhaustive labeled
 generation, colength tabulation on coordinate tuples, the structural
@@ -29,6 +30,7 @@ from aqci import (
     restrict,
 )
 from aqci import datum as _datum
+from aqci import lp
 from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 
@@ -309,6 +311,31 @@ def reference_closure_is_power(a, q: int) -> bool:
     if any(sum(g) < q for g in a.generators):
         return False
     return all(newton_contains(a, p)[0] for p in compositions(q, a.n))
+
+
+def multiplier_membership(a, t, m) -> bool:
+    """Is m + (1,..,1) in the interior of t*Newt(a)?
+
+    A third angle on the threshold, kept as a test reference.  It maximizes
+    the uniform shift eps with m + (1,..,1) - eps*(1,..,1) in t*Newt(a);
+    interior membership is equivalent to a strictly positive optimum
+    because the region is closed under adding the orthant.  The LP has
+    convex weights (one per generator), eps = eps+ - eps-, and n slacks.
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError(f"scaling factor must be positive, got {t}")
+    gens, n = a.generators, a.n
+    rows = [
+        [t * g[j] for g in gens] + [1, -1] + [int(j == k) for k in range(n)]
+        for j in range(n)
+    ]
+    rows.append([1] * len(gens) + [0] * (2 + n))
+    cost = [0] * len(gens) + [-1, 1] + [0] * n
+    sol = lp.solve_min(cost, rows, [Fraction(x) + 1 for x in m] + [1])
+    if sol.status != OPTIMAL:
+        raise ArithmeticError(f"shift-maximization LP failed: {sol.status}")
+    return -sol.value > 0
 
 
 def labeled_data(n: int, max_ratio: int):

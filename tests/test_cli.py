@@ -76,6 +76,20 @@ def test_validate_unparsable_file(garbage_file, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"n": ' + "9" * 5000 + ', "sets": []}'],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_validate_hostile_json_is_one_message(tmp_path, capsys, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot parse" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["lct", "--method", "nonsense", "x.json"])
@@ -279,6 +293,19 @@ def test_verify_writes_reports(tmp_path, capsys):
     records = [json.loads(line) for line in records_path.read_text(encoding="utf-8").splitlines()]
     assert len(records) == 4
     assert [r["index"] for r in records] == [0, 1, 2, 3]
+
+
+def test_verify_unwritable_report_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran before the report path was checked")
+
+    monkeypatch.setattr("aqci.cli.run_suite", no_run)
+    report = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--n-max", "2", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot write report" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_verify_report_files_are_reproducible(tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 from aqci import (
     EnumerationBudget,
     branching_product,
-    child_count,
     children,
     edge_count_identity,
     embedding_dimension,
@@ -58,9 +57,9 @@ def test_embedding_dimension():
 def test_child_counts_and_branching_product():
     d = chain(3, 3, 3)
     idx = {m.elements: i for i, m in enumerate(d.members)}
-    assert child_count(d, idx[(1, 2, 3, 4)]) == 2
-    assert child_count(d, idx[(1, 2)]) == 2
-    assert child_count(d, idx[(4,)]) == 0
+    assert len(children(d, idx[(1, 2, 3, 4)])) == 2
+    assert len(children(d, idx[(1, 2)])) == 2
+    assert len(children(d, idx[(4,)])) == 0
     assert branching_product(d) == 8
     assert branching_product(star(3, 2)) == 3
     assert branching_product(two_stars(2, 3)) == 4
@@ -86,9 +85,14 @@ def test_branching_fits_under_binary_envelope():
 
 
 def test_group_generators_of_a_two_point_star():
-    gens = set(group_generators(star(2, 3)))
     third = Fraction(1, 3)
-    assert gens == {(third, -third), (-third, third)}
+    assert group_generators(star(2, 3)) == [(-third, third)]
+
+
+def test_group_generators_count_one_less_than_each_member():
+    for d in (star(5, 2), chain(3, 2, 2), two_stars(2, 3), INTERVAL_FIXTURE):
+        expected = sum(len(m.elements) - 1 for m in d.members)
+        assert len(group_generators(d)) == expected
 
 
 def test_group_generators_empty_for_loose_points():
@@ -112,6 +116,12 @@ def test_group_order_fixture_values():
 def test_group_order_recursion_matches_lattice_route():
     for d in enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)):
         assert group_order(d) == group_order_lattice(d)
+
+
+def test_group_order_lattice_closed_forms_at_scale():
+    # |G| = r^(n-1) for a star; a chain of ratio 2 gives 2^(1 + 2 + .. + (n-1)).
+    assert group_order_lattice(star(200, 2)) == 2**199
+    assert group_order_lattice(chain(*[2] * 39)) == 2**780
 
 
 def test_group_order_matches_subgroup_closure():

@@ -24,11 +24,17 @@ from aqci import (
     lct_lp,
     maximal_elements,
     monomial_ideal,
-    multiplier_membership,
     newton_contains,
 )
 
-from helpers import brute_min_max, chain, reference_closure_is_power, star, two_stars
+from helpers import (
+    brute_min_max,
+    chain,
+    multiplier_membership,
+    reference_closure_is_power,
+    star,
+    two_stars,
+)
 
 
 def small_ideals():

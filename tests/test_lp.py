@@ -21,13 +21,18 @@ from aqci import (
     lct_lp,
     lp,
     monomial_ideal,
-    multiplier_membership,
     newton_contains,
 )
 from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_min
 
 import helpers
-from helpers import brute_lp_min, compositions, matrix_rank, reference_solve_min
+from helpers import (
+    brute_lp_min,
+    compositions,
+    matrix_rank,
+    multiplier_membership,
+    reference_solve_min,
+)
 
 
 def test_single_variable_equation():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,18 @@ def test_aborted_points_stop_at_the_ceiling(ceiling):
     t = hilbert_samuel_table(two_stars(2, 2), OracleBudget(k_max=12, point_ceiling=ceiling))
     assert t.aborted and t.values == () and t.e is None and not t.stabilized
     assert t.points == ceiling + 1
+
+
+def test_large_weights_abort_in_memory_bounded_by_the_ceiling():
+    # bound = 12 * 10^5; the multiples of x_1 x_2 alone exceed the ceiling.
+    tracemalloc.start()
+    try:
+        t = hilbert_samuel_table(star(2, 10**5), OracleBudget(k_max=12, point_ceiling=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.aborted and t.values == () and t.points == 1001
+    assert peak < 1_000_000
 
 
 def test_exact_ceiling_does_not_abort():

@@ -59,6 +59,7 @@ from helpers import (
     reference_multiplicity_upper_bound,
     reference_validate,
     star,
+    subgroup_order,
 )
 
 CLASSES = list(enumerate_data(EnumerationBudget(n_max=5, max_ratio=3)))
@@ -146,12 +147,19 @@ def test_forest_links_match_pairwise_containment():
 
 
 def test_group_generators_match_pairwise_containment():
+    # The |J| - 1 differences per member against the all-pairs generators of
+    # pairwise containment: one subgroup, whichever set (or both) spans it.
     rng = random.Random(0)
     for d in CLASSES:
+        if d.n > 4:
+            continue
         perm = list(range(1, d.n + 1))
         rng.shuffle(perm)
         for x in (d, apply_permutation(d, tuple(perm))):
-            assert group_generators(x) == reference_group_generators(x), x
+            new, old = group_generators(x), reference_group_generators(x)
+            order = subgroup_order(new, x.n)
+            assert subgroup_order(old, x.n) == order, x
+            assert subgroup_order(new + old, x.n) == order, x
 
 
 def test_class_order_is_signature_order():

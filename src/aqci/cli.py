@@ -11,7 +11,6 @@ with --json the primary stream carries only JSON.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -259,21 +258,24 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     budget = EnumerationBudget(args.n_max, args.max_ratio, _oracle_budget(args, args.n_max))
-    with contextlib.ExitStack() as stack:
-        if args.report:
-            # Both files are opened before the run, so a bad path fails at once.
-            base = args.report
-            jsonl = base[:-5] + ".jsonl" if base.endswith(".json") else base + ".jsonl"
-            try:
-                out = [stack.enter_context(open(p, "w", encoding="utf-8")) for p in (base, jsonl)]
-            except OSError as exc:
-                raise _CliError(2, f"cannot write report: {exc}") from None
-        report = run_suite(budget, jobs=args.jobs)
-        if args.report:
-            out[0].write(report.summary_json())
-            out[1].write(report.records_jsonl())
-            print(f"report written to {base} and {jsonl}", file=sys.stderr)
+    if args.report:
+        base = args.report
+        jsonl = base[:-5] + ".jsonl" if base.endswith(".json") else base + ".jsonl"
+        # Opening to append checks both paths before the run, so a bad path
+        # fails at once and a report already there survives a failed run.
+        try:
+            for path in (base, jsonl):
+                open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _CliError(2, f"cannot write report: {exc}") from None
+    report = run_suite(budget, jobs=args.jobs)
     summary = report.summary
+    if args.report:
+        with open(base, "w", encoding="utf-8") as fh:
+            fh.write(report.summary_json())
+        with open(jsonl, "w", encoding="utf-8") as fh:
+            fh.write(report.records_jsonl())
+        print(f"report written to {base} and {jsonl}", file=sys.stderr)
     print(f"datum classes: {summary['datum_count']}")
     for cid, tally in summary["checks"].items():
         print(

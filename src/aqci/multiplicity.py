@@ -314,9 +314,7 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     already carry their final longest-decomposition length; the DP runs in
     the same pass as the closure, with no sort.  One dict is both the
     visited set and the DP table.  `point_ceiling` is checked on every
-    insertion, and once up front: the multiples k*g of a generator of least
-    degree d_min, k = 0..bound // d_min, are distinct reachable points, so
-    when they alone exceed the ceiling the run would abort anyway.
+    insertion.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
@@ -326,9 +324,9 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     # A generator above the degree bound reaches no point within it.
     packed = [(sum(g), _pack(g, width)) for g in gens if sum(g) <= bound]
 
-    if bound // min(sum(g) for g in gens) + 1 > ceiling:
-        return HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     longest = {0: 0}
+    if len(longest) > ceiling:
+        return HilbertSamuelTable(n, (), False, None, len(longest), True)
     histogram = [0] * k_max
     buckets: dict[int, list[int]] = {0: [0]}
     for degree in range(bound + 1):

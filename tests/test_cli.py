@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -76,18 +77,32 @@ def test_validate_unparsable_file(garbage_file, capsys):
     assert "cannot parse" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["[" * 200_000 + "]" * 200_000, '{"n": ' + "9" * 5000 + ', "sets": []}'],
-    ids=["deep-nesting", "long-integer"],
-)
-def test_validate_hostile_json_is_one_message(tmp_path, capsys, text):
+@pytest.fixture
+def default_int_digit_limit():
+    """Pin the interpreter's default limit of 4,300 digits per int()."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _assert_unparsable(tmp_path, capsys, text):
     path = tmp_path / "hostile.json"
     path.write_text(text, encoding="utf-8")
     assert main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert "cannot parse" in err
     assert "Traceback" not in err
+
+
+def test_validate_deeply_nested_json_is_one_message(tmp_path, capsys):
+    _assert_unparsable(tmp_path, capsys, "[" * 200_000 + "]" * 200_000)
+
+
+def test_validate_overlong_integer_is_one_message(tmp_path, capsys, default_int_digit_limit):
+    _assert_unparsable(tmp_path, capsys, '{"n": ' + "9" * 5000 + ', "sets": []}')
 
 
 def test_usage_error_exits_two(capsys):
@@ -306,6 +321,20 @@ def test_verify_unwritable_report_fails_before_the_run(tmp_path, capsys, monkeyp
     assert "cannot write report" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_verify_failed_run_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("aqci.cli.run_suite", failing_run)
+    report = tmp_path / "r.json"
+    report.write_text("old summary", encoding="utf-8")
+    (tmp_path / "r.jsonl").write_text("old records", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--n-max", "2", "--report", str(report)])
+    assert report.read_text(encoding="utf-8") == "old summary"
+    assert (tmp_path / "r.jsonl").read_text(encoding="utf-8") == "old records"
 
 
 def test_verify_report_files_are_reproducible(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_aborted_points_stop_at_the_ceiling(ceiling):
 
 
 def test_large_weights_abort_in_memory_bounded_by_the_ceiling():
-    # bound = 12 * 10^5; the multiples of x_1 x_2 alone exceed the ceiling.
+    # bound = 12 * 10^5, but the closure stops after ceiling + 1 points.
     tracemalloc.start()
     try:
         t = hilbert_samuel_table(star(2, 10**5), OracleBudget(k_max=12, point_ceiling=1000))

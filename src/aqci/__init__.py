@@ -44,13 +44,11 @@ from .invariants import (
     branching_product,
     edge_count_identity,
     embedding_dimension,
-    floor_factor,
     floor_factor_product,
     group_generators,
     group_order,
     group_order_lattice,
     summarize,
-    top_child_weight,
 )
 from .lct import (
     LpCertificate,

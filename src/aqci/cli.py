@@ -28,6 +28,7 @@ from .enumeration import EnumerationBudget, enumerate_data
 from .invariants import summarize
 from .lct import find_closure_power, lct_datum, lct_lp
 from .multiplicity import (
+    STABLE_RUN,
     OracleBudget,
     hilbert_samuel_table,
     multiplicity,
@@ -71,14 +72,11 @@ def _load_valid(path: str):
 
 
 def _oracle_budget(args, n: int) -> OracleBudget:
-    """The oracle budget of the flags, refused if it can never stabilize at dimension n.
-
-    Stabilization needs three equal n-th differences of k_max colengths.
-    """
-    if args.k_max < n + 3:
+    """The oracle budget of the flags, refused if it can never stabilize at dimension n."""
+    if args.k_max < n + STABLE_RUN:
         raise _CliError(
             2, f"--k-max {args.k_max} can never stabilize the oracle in dimension {n}: "
-            f"it needs at least n + 3 = {n + 3}"
+            f"it needs at least n + {STABLE_RUN} = {n + STABLE_RUN}"
         )
     return OracleBudget(k_max=args.k_max, point_ceiling=args.point_ceiling)
 
@@ -304,6 +302,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-max", type=_positive_int, default=OracleBudget.k_max)
+    p.add_argument("--point-ceiling", type=_positive_int, default=OracleBudget.point_ceiling)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqci",
@@ -330,8 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mult", help="multiplicity (structural rules, bounds, or oracle)")
     p.add_argument("file")
     p.add_argument("--method", choices=("auto", "oracle", "bounds"), default="auto")
-    p.add_argument("--k-max", type=_positive_int, default=12)
-    p.add_argument("--point-ceiling", type=_positive_int, default=5_000_000)
+    _add_oracle_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_mult)
 
@@ -346,16 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all isomorphism classes within a budget")
     p.add_argument("--n", type=_positive_int, required=True, help="largest ground-set size")
-    p.add_argument("--max-ratio", type=_positive_int, default=3)
+    p.add_argument("--max-ratio", type=_positive_int, default=EnumerationBudget.max_ratio)
     p.add_argument("--jsonl", action="store_true", help="one datum JSON per line")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every check on every class within a budget")
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--max-ratio", type=_positive_int, default=3)
+    p.add_argument("--max-ratio", type=_positive_int, default=EnumerationBudget.max_ratio)
     p.add_argument("--report", help="write summary JSON here (records go to a .jsonl sibling)")
-    p.add_argument("--k-max", type=_positive_int, default=12)
-    p.add_argument("--point-ceiling", type=_positive_int, default=5_000_000)
+    _add_oracle_flags(p)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_verify)
 

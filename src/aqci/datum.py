@@ -589,7 +589,11 @@ def to_payload(d: SpecialDatum) -> dict:
 
 
 def from_payload(obj) -> SpecialDatum:
-    """Parse the documented JSON shape into a candidate (axioms not checked)."""
+    """Parse the documented JSON shape into a candidate.
+
+    The axioms are not checked, except that `n` may not exceed the number of
+    sets: a datum has one singleton set per element.
+    """
     if not isinstance(obj, dict):
         raise DatumFormatError("datum must be a JSON object")
     if set(obj.keys()) != {"n", "sets"}:
@@ -616,6 +620,12 @@ def from_payload(obj) -> SpecialDatum:
         if isinstance(weight, bool) or not isinstance(weight, int):
             raise DatumFormatError(f"weight {weight!r} is not an integer")
         members.append(Member(tuple(elems), weight))
+    # Refused here, so that validation never lists n missing singletons.
+    if n > len(members):
+        raise DatumFormatError(
+            f'"n" is {n} but there are only {len(members)} sets; '
+            "a datum needs one singleton set per element"
+        )
     return SpecialDatum(n, tuple(members))
 
 

@@ -9,8 +9,10 @@ finite abelian group acting diagonally.  This module computes:
   * `group_order` via structural recursion, and `group_order_lattice` via an
     independent lattice-index computation from `group_generators`, which
     gives |J| - 1 label-level vectors per non-singleton member J;
-  * `floor_factor` / `top_child_weight` and their product over all members,
-    the exact lower-bound machinery for the multiplicity.
+  * the floor factor min(threshold of the reduced datum, top child weight)
+    of every member (1 for a singleton), in `summarize` next to the child
+    weight factor, and `floor_factor_product`, their product over all
+    members: the exact lower-bound machinery for the multiplicity.
 
 The structural values are `ClassMemo`s over the class nodes of
 `datum.member_forest` (`class_*` below): a tree's value comes from its
@@ -44,8 +46,6 @@ __all__ = [
     "group_generators",
     "group_order",
     "group_order_lattice",
-    "floor_factor",
-    "top_child_weight",
     "floor_factor_product",
     "InvariantSummary",
     "summarize",
@@ -185,27 +185,6 @@ class_floor_factor = ClassMemo(
 class_floor_product = ClassMemo(
     lambda x: math.prod((class_floor_product[k] for k in NODE_KIDS[x]), start=class_floor_factor[x])
 )
-
-
-def _connected_node(d: SpecialDatum) -> int:
-    roots = member_forest(d).root_nodes
-    if len(roots) != 1:
-        raise ValueError("defined only for connected data")
-    return roots[0]
-
-
-def top_child_weight(d: SpecialDatum) -> Fraction:
-    """Weight of the top member's children (1 in dimension one)."""
-    return class_top_weight(_connected_node(d))
-
-
-def floor_factor(d: SpecialDatum) -> Fraction:
-    """min(threshold of the reduced datum, top child weight); 1 if n = 1.
-
-    The product of this factor over all members (of the data induced on
-    them) is a lower bound for the multiplicity.
-    """
-    return class_floor_factor[_connected_node(d)]
 
 
 def floor_factor_product(d: SpecialDatum) -> Fraction:

@@ -73,6 +73,11 @@ class OracleBudget:
     point_ceiling: int = 5_000_000
 
 
+# The oracle is stabilized when its last STABLE_RUN n-th differences agree.
+# k_max colengths have k_max - n of them, so it needs k_max >= n + STABLE_RUN.
+STABLE_RUN = 3
+
+
 @dataclass(frozen=True)
 class TraceStep:
     rule: str
@@ -244,11 +249,11 @@ class HilbertSamuelTable:
     """Colengths of the powers of the maximal ideal, with difference analysis.
 
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
-    table is `stabilized` when the last three n-th finite differences agree;
-    `e` is then that common value.  `aborted` means the point budget ran out
-    before the tabulation finished: then values is empty, e is None and
-    points is the count at which the closure stopped, point_ceiling + 1 for
-    any ceiling >= 0.
+    table is `stabilized` when the last `STABLE_RUN` (three) n-th finite
+    differences agree; `e` is then that common value.  `aborted` means the
+    point budget ran out before the tabulation finished: then values is
+    empty, e is None and points is the count at which the closure stopped,
+    point_ceiling + 1 for any ceiling >= 0.
     """
 
     n: int
@@ -375,7 +380,8 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     diffs = values
     for _ in range(n):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
+    run = diffs[-STABLE_RUN:]
+    stabilized = len(run) == STABLE_RUN and len(set(run)) == 1
     e = diffs[-1] if stabilized else None
     return HilbertSamuelTable(n, tuple(values), stabilized, e, len(longest), False)
 

@@ -1,10 +1,20 @@
 """Exhaustive verification of every bound and identity on enumerated data.
 
 For each enumerated isomorphism class the suite computes all invariants,
-runs the colength oracle, and evaluates the checks below.  Every check ends
-pass, fail, or skip; a skip always carries a reason (usually an oracle that
-did not stabilize within budget) and is never silently counted as a pass.
+runs the colength oracle (on the class, on its reduced datum when it is
+connected with a composite top member, on each component when it is not),
+and evaluates the checks below.  Every check ends pass, fail, or skip; a
+skip always carries a reason and is never silently counted as a pass.
 All comparisons are exact rational comparisons; there is no epsilon anywhere.
+
+Skips are decided in two places.  A check whose hypothesis does not hold
+for the datum (C3, C10-C12) skips with that reason.  A check that reads
+oracle values names them (its own e, the reduced datum's e, the components'
+es), and one gate, `_gate`, skips it with the reason of the first value that
+did not stabilize within budget; only then is its condition evaluated.  A
+check that settles without the oracle keeps its outcome: C7 fails when the
+floor-factor product is below n^n/(|G| lct^n), and C9 passes when the floor
+factors are not all equal to the child-weight factors.
 
   C0  structural-consistency   axioms hold, canonical form is idempotent,
                                edge-count identity, branching product within
@@ -125,6 +135,19 @@ def _cond(cid: str, ok: bool, witness: dict) -> dict:
     return _pass(cid) if ok else _fail(cid, witness)
 
 
+def _gate(cid: str, reads, settle) -> dict:
+    """The one place where a missing oracle value turns into a skip.
+
+    `reads` lists the (value, reason) pairs of the oracle values the check
+    reads, in order; the first value that is None skips the check with its
+    reason.  Otherwise `settle()` gives the check's (condition, witness).
+    """
+    for value, reason in reads:
+        if value is None:
+            return _skip(cid, reason)
+    return _cond(cid, *settle())
+
+
 def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -> dict:
     """Evaluate every check on one datum; returns a JSON-ready record."""
     summary = summarize(d)
@@ -133,6 +156,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     bprod = summary.branching_product
     comps = member_forest(d).root_nodes
     conn = len(comps) == 1
+    composite = conn and n >= 2
     edge_lhs, edge_rhs = edge_count_identity(d)
     ffp = floor_factor_product(d)
     power_lower = (Fraction(n) / lct) ** n / gorder
@@ -140,12 +164,26 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     result = multiplicity(d)
     lower = multiplicity_lower_bound(d)
     upper = multiplicity_upper_bound(d)
+
+    # The oracle values the checks read: the datum's own e, the reduced
+    # datum's e (connected data with a composite top) and the components' es
+    # (disconnected data).
     table = hilbert_samuel_table(d, oracle_budget)
     e = table.e
+    own = [(e, "oracle did not stabilize")]
+    if composite:
+        r, red_lct = NODE_RATIO[comps[0]], reduced_lct(comps[0])
+        red_e = hilbert_samuel_table(class_datum(NODE_KIDS[comps[0]]), oracle_budget).e
+        reduced = own + [(red_e, "oracle for the reduced datum did not stabilize")]
+    if not conn:
+        comp_es = [hilbert_samuel_table(class_datum([x]), oracle_budget).e for x in comps]
+        components = own + [(x, "oracle for a component did not stabilize") for x in comp_es]
 
     floors = [f for _, f in summary.floor_factors]
     weights_factors = [w for _, w in summary.child_weight_factors]
     uniform = all(a == b for a, b in zip(floors, weights_factors))
+    ffp_text, power_lower_text = format_fraction(ffp), format_fraction(power_lower)
+    half_power, power = 2 ** (n - 1), 2 ** (n - ceil_lct)
 
     checks: list[dict] = []
 
@@ -207,48 +245,30 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         )
     )
 
-    if e is not None:
-        half_power = 2 ** (n - 1)
-        ok = e <= bprod and e <= half_power and ((e == half_power) == (emb == 2 * n - 1))
-        checks.append(
-            _cond("C5", ok, {"e": e, "branching_product": bprod, "emb": emb, "bound": half_power})
-        )
+    checks.append(_gate("C5", own, lambda: (
+        e <= bprod and e <= half_power and ((e == half_power) == (emb == 2 * n - 1)),
+        {"e": e, "branching_product": bprod, "emb": emb, "bound": half_power},
+    )))
 
-        power = 2 ** (n - ceil_lct)
-        ok = e <= power and ((e == power) == (emb == 2 * n - ceil_lct))
-        checks.append(
-            _cond("C6", ok, {"e": e, "bound": power, "emb": emb, "ceil_lct": ceil_lct})
-        )
-    else:
-        checks.append(_skip("C5", "oracle did not stabilize"))
-        checks.append(_skip("C6", "oracle did not stabilize"))
+    checks.append(_gate("C6", own, lambda: (
+        e <= power and ((e == power) == (emb == 2 * n - ceil_lct)),
+        {"e": e, "bound": power, "emb": emb, "ceil_lct": ceil_lct},
+    )))
 
     if ffp < power_lower:
-        checks.append(
-            _fail(
-                "C7",
-                {
-                    "floor_factor_product": format_fraction(ffp),
-                    "power_lower_bound": format_fraction(power_lower),
-                },
-            )
-        )
-    elif e is None:
-        checks.append(_skip("C7", "oracle did not stabilize"))
+        checks.append(_fail(
+            "C7", {"floor_factor_product": ffp_text, "power_lower_bound": power_lower_text}
+        ))
     else:
-        checks.append(
-            _cond(
-                "C7",
-                Fraction(e) >= ffp,
-                {"e": e, "floor_factor_product": format_fraction(ffp)},
-            )
-        )
+        checks.append(_gate("C7", own, lambda: (
+            e >= ffp, {"e": e, "floor_factor_product": ffp_text}
+        )))
 
     tight = ffp == power_lower
     ok = tight == (closure_q is not None)
     wit = {
-        "floor_factor_product": format_fraction(ffp),
-        "power_lower_bound": format_fraction(power_lower),
+        "floor_factor_product": ffp_text,
+        "power_lower_bound": power_lower_text,
         "closure_power": closure_q,
     }
     if ok and closure_q is not None:
@@ -258,62 +278,24 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         wit["singleton_weights"] = singles
     checks.append(_cond("C8", ok, wit))
 
-    if not uniform:
-        checks.append(_pass("C9"))
-    elif e is None:
-        checks.append(_skip("C9", "oracle did not stabilize"))
+    if uniform:
+        checks.append(_gate("C9", own, lambda: (
+            e == ffp, {"e": e, "floor_factor_product": ffp_text}
+        )))
     else:
-        checks.append(
-            _cond(
-                "C9",
-                Fraction(e) == ffp,
-                {"e": e, "floor_factor_product": format_fraction(ffp)},
-            )
-        )
+        checks.append(_pass("C9"))
 
-    if conn and n >= 2:
-        kids = NODE_KIDS[comps[0]]
-        r = NODE_RATIO[comps[0]]
-        red_lct = reduced_lct(comps[0])
-        red_table = hilbert_samuel_table(class_datum(kids), oracle_budget)
-        if e is None:
-            checks.append(_skip("C10", "oracle did not stabilize"))
-        elif red_table.e is None:
-            checks.append(_skip("C10", "oracle for the reduced datum did not stabilize"))
-        else:
-            ok = e <= r * red_table.e
-            if red_lct >= r:
-                ok = ok and e == r * red_table.e
-            checks.append(
-                _cond(
-                    "C10",
-                    ok,
-                    {
-                        "e": e,
-                        "r": r,
-                        "reduced_e": red_table.e,
-                        "reduced_lct": format_fraction(red_lct),
-                    },
-                )
-            )
+    if composite:
+        checks.append(_gate("C10", reduced, lambda: (
+            e <= r * red_e and (red_lct < r or e == r * red_e),
+            {"e": e, "r": r, "reduced_e": red_e, "reduced_lct": format_fraction(red_lct)},
+        )))
         if red_lct < r:
             # Threshold of d is 1 here, strictly above red_lct / r.
-            if e is None:
-                checks.append(_skip("C11", "oracle did not stabilize"))
-            elif red_table.e is None:
-                checks.append(_skip("C11", "oracle for the reduced datum did not stabilize"))
-            else:
-                checks.append(
-                    _cond(
-                        "C11",
-                        Fraction(e) >= red_lct * red_table.e,
-                        {
-                            "e": e,
-                            "reduced_e": red_table.e,
-                            "reduced_lct": format_fraction(red_lct),
-                        },
-                    )
-                )
+            checks.append(_gate("C11", reduced, lambda: (
+                e >= red_lct * red_e,
+                {"e": e, "reduced_e": red_e, "reduced_lct": format_fraction(red_lct)},
+            )))
         else:
             checks.append(_skip("C11", "threshold hypothesis does not apply"))
     else:
@@ -321,49 +303,28 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         checks.append(_skip("C10", reason))
         checks.append(_skip("C11", reason))
 
-    if not conn:
-        comp_tables = [hilbert_samuel_table(class_datum([x]), oracle_budget) for x in comps]
-        if e is None:
-            checks.append(_skip("C12", "oracle did not stabilize"))
-        elif any(t.e is None for t in comp_tables):
-            checks.append(_skip("C12", "oracle for a component did not stabilize"))
-        else:
-            prod_e = math.prod(t.e for t in comp_tables)
-            checks.append(
-                _cond(
-                    "C12",
-                    e == prod_e,
-                    {"e": e, "component_es": [t.e for t in comp_tables]},
-                )
-            )
-    else:
+    if conn:
         checks.append(_skip("C12", "datum is connected"))
-
-    if e is None:
-        checks.append(_skip("C13", "oracle did not stabilize"))
     else:
-        ok = lower <= Fraction(e) <= upper
-        if result.is_exact:
-            ok = ok and e == result.value
-        else:
-            ok = ok and result.lower <= Fraction(e) <= result.upper
-        checks.append(
-            _cond(
-                "C13",
-                ok,
-                {
-                    "e": e,
-                    "lower": format_fraction(lower),
-                    "upper": format_fraction(upper),
-                    "structural_status": result.status,
-                    "structural_value": result.value,
-                    "structural_lower": format_fraction(result.lower),
-                    "structural_upper": format_fraction(result.upper),
-                },
-            )
-        )
+        checks.append(_gate("C12", components, lambda: (
+            e == math.prod(comp_es), {"e": e, "component_es": comp_es}
+        )))
 
-    pinned_without_uniform = e is not None and Fraction(e) == ffp and not uniform
+    # An exact structural result has lower == upper == value.
+    checks.append(_gate("C13", own, lambda: (
+        lower <= e <= upper and result.lower <= e <= result.upper,
+        {
+            "e": e,
+            "lower": format_fraction(lower),
+            "upper": format_fraction(upper),
+            "structural_status": result.status,
+            "structural_value": result.value,
+            "structural_lower": format_fraction(result.lower),
+            "structural_upper": format_fraction(result.upper),
+        },
+    )))
+
+    pinned_without_uniform = e is not None and e == ffp and not uniform
 
     return {
         "datum": to_payload(d),
@@ -378,8 +339,8 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         "edge_identity": [edge_lhs, edge_rhs],
         "floor_factors": [format_fraction(x) for x in floors],
         "child_weight_factors": [format_fraction(x) for x in weights_factors],
-        "floor_factor_product": format_fraction(ffp),
-        "power_lower_bound": format_fraction(power_lower),
+        "floor_factor_product": ffp_text,
+        "power_lower_bound": power_lower_text,
         "lower_bound": format_fraction(lower),
         "upper_bound": format_fraction(upper),
         "closure_power": closure_q,

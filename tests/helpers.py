@@ -491,12 +491,19 @@ def reference_branching_product(d) -> int:
     )
 
 
+def reference_top_child_weight(d) -> Fraction:
+    """The weight of the top member's children in a connected datum; 1 if n = 1."""
+    if d.n == 1:
+        return Fraction(1)
+    return Fraction(_top_ratio(d, reference_maximal_elements(d)[0]))
+
+
 def reference_floor_factor(d) -> Fraction:
     """The floor factor of a connected datum."""
     if d.n == 1:
         return Fraction(1)
     top = reference_maximal_elements(d)[0]
-    return min(reference_lct_datum(reduce(d, top)), Fraction(_top_ratio(d, top)))
+    return min(reference_lct_datum(reduce(d, top)), reference_top_child_weight(d))
 
 
 def reference_floor_factor_product(d) -> Fraction:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqci import to_json
+from aqci import EnumerationBudget, enumerate_data, to_json, to_payload
 from aqci.cli import main
 
 from helpers import star, two_stars
@@ -103,6 +108,19 @@ def test_validate_deeply_nested_json_is_one_message(tmp_path, capsys):
 
 def test_validate_overlong_integer_is_one_message(tmp_path, capsys, default_int_digit_limit):
     _assert_unparsable(tmp_path, capsys, '{"n": ' + "9" * 5000 + ', "sets": []}')
+
+
+def test_validate_huge_n_is_one_quick_message(tmp_path, capsys):
+    # Validation would list a missing singleton per element: 10^9 lines.
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "sets": [{"elements": [1], "weight": 1}]}', encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["validate", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "one singleton set per element" in captured.err
 
 
 def test_usage_error_exits_two(capsys):
@@ -259,6 +277,55 @@ def test_dot_output(star_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith("digraph")
     assert out.count("->") == 3
+
+
+# ---------------------------------------------------------------------------
+# Hostile input to the single-datum commands
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.text(max_size=2), st.floats(width=16)
+)
+_well_formed = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 4),
+        "sets": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "elements": st.lists(st.integers(-1, 4), min_size=1, max_size=4, unique=True),
+                    "weight": st.integers(-1, 6),
+                }
+            ),
+            max_size=7,
+        ),
+    }
+)
+_payloads = st.one_of(
+    st.sampled_from([to_payload(d) for d in enumerate_data(EnumerationBudget(3, 3))]),
+    _well_formed,
+    st.dictionaries(
+        st.sampled_from(["n", "sets", "other"]),
+        st.one_of(_junk, st.lists(st.one_of(_junk, st.dictionaries(_junk, _junk)), max_size=3)),
+        max_size=3,
+    ),
+    _junk,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "datum.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=_payloads)
+def test_single_datum_commands_exit_cleanly_on_any_payload(fuzz_file, payload):
+    # An exception out of main would be a traceback on the command line.
+    fuzz_file.write_text(json.dumps(payload), encoding="utf-8")
+    for command in ("validate", "info", "lct", "mult", "closure", "dot"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(fuzz_file)])
+        assert code in (0, 1, 2), (command, payload)
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,7 @@ def test_from_json_rejects_malformed_json():
         '{"n": 2, "sets": [{"elements": [1.5], "weight": 2}]}',
         '{"n": 2, "sets": [{"weight": 2}]}',
         '{"n": 2, "sets": [[1, 2]]}',
+        '{"n": 3, "sets": [{"elements": [1], "weight": 1}]}',
     ],
 )
 def test_from_json_rejects_wrong_shapes(payload):

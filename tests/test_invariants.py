@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import pytest
-
 from aqci import (
     EnumerationBudget,
     branching_product,
@@ -15,7 +13,6 @@ from aqci import (
     embedding_dimension,
     enumerate_data,
     find_closure_power,
-    floor_factor,
     floor_factor_product,
     group_generators,
     group_order,
@@ -27,7 +24,6 @@ from aqci import (
     restrict,
     scale,
     summarize,
-    top_child_weight,
 )
 
 from helpers import chain, star, subgroup_order, two_stars
@@ -152,22 +148,25 @@ def test_group_order_multiplicative_over_components():
 # Child weight and floor factors
 
 
+def top_member_factors(d):
+    """(floor factor, child-weight factor) of the member holding every element."""
+    s = summarize(d)
+    top = tuple(range(1, d.n + 1))
+    return dict(s.floor_factors)[top], dict(s.child_weight_factors)[top]
+
+
 def test_top_child_weight():
-    assert top_child_weight(star(3, 4)) == 4
-    assert top_child_weight(chain(3, 3, 3)) == 3
-    assert top_child_weight(loose_points(1)) == 1
-    with pytest.raises(ValueError):
-        top_child_weight(two_stars(2, 2))
+    assert top_member_factors(star(3, 4))[1] == 4
+    assert top_member_factors(chain(3, 3, 3))[1] == 3
+    assert top_member_factors(loose_points(1))[1] == 1
 
 
 def test_floor_factor_values():
-    assert floor_factor(star(3, 2)) == 2
-    assert floor_factor(star(3, 3)) == 3
-    assert floor_factor(star(3, 4)) == 3
-    assert floor_factor(chain(3, 3, 3)) == 2
-    assert floor_factor(loose_points(1)) == 1
-    with pytest.raises(ValueError):
-        floor_factor(two_stars(2, 2))
+    assert top_member_factors(star(3, 2))[0] == 2
+    assert top_member_factors(star(3, 3))[0] == 3
+    assert top_member_factors(star(3, 4))[0] == 3
+    assert top_member_factors(chain(3, 3, 3))[0] == 2
+    assert top_member_factors(loose_points(1))[0] == 1
 
 
 def test_floor_factor_product_values():
@@ -179,9 +178,10 @@ def test_floor_factor_product_values():
 
 def test_floor_factor_never_exceeds_child_weight():
     for d in enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)):
-        for j in range(len(d.members)):
-            sub = restrict(d, j)
-            assert floor_factor(sub) <= top_child_weight(sub)
+        s = summarize(d)
+        for (j, floor), (k, weight) in zip(s.floor_factors, s.child_weight_factors):
+            assert j == k
+            assert floor <= weight
 
 
 def test_floor_product_dominates_power_bound():

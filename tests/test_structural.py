@@ -24,7 +24,6 @@ from aqci import (
     children,
     edge_count_identity,
     enumerate_data,
-    floor_factor,
     floor_factor_product,
     group_generators,
     group_order,
@@ -39,7 +38,6 @@ from aqci import (
     restrict,
     signature,
     summarize,
-    top_child_weight,
     validate,
 )
 from aqci.datum import class_datum, class_order, member_forest
@@ -57,6 +55,7 @@ from helpers import (
     reference_multiplicity,
     reference_multiplicity_lower_bound,
     reference_multiplicity_upper_bound,
+    reference_top_child_weight,
     reference_validate,
     star,
     subgroup_order,
@@ -135,8 +134,7 @@ def test_per_member_factors_match_the_restricted_data():
         for j, m in enumerate(d.members):
             sub = restrict(d, j)
             assert s.floor_factors[j] == (m.elements, reference_floor_factor(sub))
-            assert s.child_weight_factors[j][1] == top_child_weight(sub)
-            assert floor_factor(sub) == reference_floor_factor(sub)
+            assert s.child_weight_factors[j] == (m.elements, reference_top_child_weight(sub))
 
 
 def test_forest_links_match_pairwise_containment():

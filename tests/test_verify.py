@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,11 +12,13 @@ from aqci import (
     CHECKS,
     EnumerationBudget,
     OracleBudget,
+    canonical_form,
     ceiling_power_grid,
     check_datum,
     product_concavity_grid,
     run_suite,
 )
+from aqci import verify
 
 from helpers import star, two_stars
 
@@ -69,15 +72,89 @@ def test_every_skip_carries_a_reason():
                 assert "reason" not in c
 
 
+# Every skip reason check_datum can give.
+OWN = "oracle did not stabilize"
+REDUCED = "oracle for the reduced datum did not stabilize"
+COMPONENT = "oracle for a component did not stabilize"
+NOT_CONNECTED = "weight scaling is defined only for connected data"
+NO_TOP = "needs a connected datum with a composite top member"
+NO_THRESHOLD = "threshold hypothesis does not apply"
+CONNECTED = "datum is connected"
+
+# Three points: every oracle table aborts.
+TINY = OracleBudget(k_max=12, point_ceiling=3)
+
+
+def verdicts(record):
+    return [(c["id"], c["outcome"], c.get("reason")) for c in record["checks"]]
+
+
+def passing_but(skips):
+    """Every check passes except those in skips (id -> reason), which skip."""
+    return [(cid, "skip", skips[cid]) if cid in skips else (cid, "pass", None) for cid, _ in CHECKS]
+
+
 def test_unstabilized_oracle_skips_instead_of_failing():
-    rec = check_datum(star(3, 2), OracleBudget(k_max=12, point_ceiling=3))
-    got = outcomes(rec)
+    rec = check_datum(star(3, 2), TINY)
     assert rec["oracle"]["aborted"]
-    for cid in ("C5", "C6", "C7", "C9", "C10", "C13"):
-        assert got[cid] == "skip"
     # Oracle-free checks still run.
-    for cid in ("C0", "C1", "C2", "C3", "C4", "C8"):
-        assert got[cid] == "pass"
+    assert verdicts(rec) == passing_but(
+        {"C5": OWN, "C6": OWN, "C7": OWN, "C9": OWN, "C10": OWN,
+         "C11": NO_THRESHOLD, "C12": CONNECTED, "C13": OWN}
+    )
+
+
+def test_unstabilized_oracle_on_a_disconnected_datum():
+    rec = check_datum(two_stars(2, 2), TINY)
+    assert rec["oracle"]["aborted"]
+    assert verdicts(rec) == passing_but(
+        {"C3": NOT_CONNECTED, "C5": OWN, "C6": OWN, "C7": OWN, "C9": OWN,
+         "C10": NO_TOP, "C11": NO_TOP, "C12": OWN, "C13": OWN}
+    )
+
+
+def test_unstabilized_oracle_where_the_threshold_hypothesis_applies():
+    # The reduced threshold 2 of star(2, 3) is below its ratio 3, so C11
+    # applies; its floor factors are not uniform, so C9 passes unread.
+    assert verdicts(check_datum(star(2, 3))) == passing_but({"C12": CONNECTED})
+    rec = check_datum(star(2, 3), TINY)
+    assert rec["oracle"]["aborted"]
+    assert verdicts(rec) == passing_but(
+        {"C5": OWN, "C6": OWN, "C7": OWN, "C10": OWN, "C11": OWN,
+         "C12": CONNECTED, "C13": OWN}
+    )
+
+
+def unstabilized_but(monkeypatch, d):
+    """Patch the oracle so that every class but d's comes back unstabilized."""
+    real = verify.hilbert_samuel_table
+    own = canonical_form(d)[0]
+
+    def oracle(x, budget=OracleBudget()):
+        table = real(x, budget)
+        if canonical_form(x)[0] == own:
+            return table
+        return dataclasses.replace(table, stabilized=False, e=None)
+
+    monkeypatch.setattr(verify, "hilbert_samuel_table", oracle)
+
+
+def test_unstabilized_reduced_oracle_skips_the_reduce_checks(monkeypatch):
+    unstabilized_but(monkeypatch, star(2, 3))
+    rec = check_datum(star(2, 3))
+    assert rec["oracle"]["e"] == 2
+    assert verdicts(rec) == passing_but(
+        {"C10": REDUCED, "C11": REDUCED, "C12": CONNECTED}
+    )
+
+
+def test_unstabilized_component_oracle_skips_the_component_product(monkeypatch):
+    unstabilized_but(monkeypatch, two_stars(2, 2))
+    rec = check_datum(two_stars(2, 2))
+    assert rec["oracle"]["e"] == 4
+    assert verdicts(rec) == passing_but(
+        {"C3": NOT_CONNECTED, "C10": NO_TOP, "C11": NO_TOP, "C12": COMPONENT}
+    )
 
 
 def test_record_has_documented_keys():

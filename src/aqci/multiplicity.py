@@ -332,7 +332,11 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     longest = {0: 0}
     if len(longest) > ceiling:
         return HilbertSamuelTable(n, (), False, None, len(longest), True)
-    histogram = [0] * k_max
+    # A point of longest length L tops a chain of L + 1 visited points, so no
+    # index past the ceiling is reached before the abort; a table that
+    # finishes has visited more than k_max points (the multiples of one
+    # generator), so it keeps all k_max entries.
+    histogram = [0] * min(k_max, ceiling + 1)
     buckets: dict[int, list[int]] = {0: [0]}
     for degree in range(bound + 1):
         bucket = buckets.pop(degree, ())

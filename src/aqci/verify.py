@@ -45,16 +45,18 @@ factors are not all equal to the child-weight factors.
                                bound and equals the structural value when
                                that is exact
 
-Two closed-form inequality grids are checked alongside (exactly, over
-rationals): the ceiling power inequality a <= 2^(ceil(b) - ceil(b/a)) with
-its equality characterization, and concavity of x -> x log(x/c) in product
-form with equality only at proportional arguments.
+Two closed-form inequality grids are checked alongside, exactly and in
+integers: the ceiling power inequality a <= 2^(ceil(b) - ceil(b/a)) with its
+equality characterization, on b in quarter-units, and concavity of
+x -> x log(x/c) in product form with equality only at proportional
+arguments, on x and c in half-units.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,38 +358,20 @@ def ceiling_power_grid() -> dict:
 
     a runs over the integers [2, 12]; b runs over [a, 20] in steps of 1/4.
     Equality must occur exactly when a = 2 and ceil(b) - ceil(b/a) = 1.
+    With b = t/4 for an integer t, both ceilings are integer divisions.
     """
     failures: list[dict] = []
     points = 0
     equality_points = 0
     for a in range(2, 13):
-        b = Fraction(a)
-        while b <= 20:
-            k = math.ceil(b) - math.ceil(b / a)
-            bound = 2**k
-            holds = a <= bound
-            is_equal = a == bound
-            should_be_equal = a == 2 and k == 1
-            if not holds or is_equal != should_be_equal:
-                failures.append({"a": a, "b": format_fraction(b), "exponent": k})
+        for t in range(4 * a, 81):
+            k = -(-t // 4) - -(-t // (4 * a))  # ceil(t/4) - ceil(t/(4a))
+            is_equal = a == 2**k
+            if a > 2**k or is_equal != (a == 2 and k == 1):
+                failures.append({"a": a, "b": format_fraction(Fraction(t, 4)), "exponent": k})
             points += 1
             equality_points += int(is_equal)
-            b += Fraction(1, 4)
     return {"points": points, "equality_points": equality_points, "failures": failures}
-
-
-def _weighted_power_ge(xs, cs) -> tuple[bool, bool]:
-    """Compare prod((x_i/c_i)^(x_i)) with ((sum x)/(sum c))^(sum x), exactly.
-
-    Raising both positive sides to the lcm of the exponent denominators turns
-    the comparison into one between rationals with integer exponents.
-    """
-    s = math.lcm(*[x.denominator for x in xs])
-    lhs = math.prod(((x / c) ** int(x * s) for x, c in zip(xs, cs)), start=Fraction(1))
-    total_x = sum(xs)
-    total_c = sum(cs)
-    rhs = (total_x / total_c) ** int(total_x * s)
-    return lhs >= rhs, lhs == rhs
 
 
 def product_concavity_grid() -> dict:
@@ -396,25 +380,33 @@ def product_concavity_grid() -> dict:
     For positive rationals, prod((x_i/c_i)^(x_i)) >= ((sum x)/(sum c))^(sum x)
     with equality exactly when all the ratios x_i/c_i agree.  Checked for 2
     and 3 terms with every coordinate drawn from {1/2, 1, 3/2, 2, 3}.
+
+    The grid is walked in half-units {1, 2, 3, 4, 6}: doubling every x and c
+    keeps each ratio and squares both sides.  With X = sum x and C = sum c
+    the inequality is then prod(x_i^x_i) * C^X >= X^X * prod(c_i^x_i) in
+    integers.
     """
-    grid = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+    halves = (1, 2, 3, 4, 6)
     failures: list[dict] = []
     points = 0
     equality_points = 0
     for terms in (2, 3):
-        for xs in product(grid, repeat=terms):
-            for cs in product(grid, repeat=terms):
-                ge, eq = _weighted_power_ge(xs, cs)
+        for xs in product(halves, repeat=terms):
+            total_x = sum(xs)
+            x_powers = math.prod(x**x for x in xs)
+            for cs in product(halves, repeat=terms):
+                lhs = x_powers * sum(cs) ** total_x
+                rhs = total_x**total_x * math.prod(c**x for x, c in zip(xs, cs))
                 proportional = all(x * cs[0] == xs[0] * c for x, c in zip(xs, cs))
-                if not ge or eq != proportional:
+                if lhs < rhs or (lhs == rhs) != proportional:
                     failures.append(
                         {
-                            "xs": [format_fraction(x) for x in xs],
-                            "cs": [format_fraction(c) for c in cs],
+                            "xs": [format_fraction(Fraction(x, 2)) for x in xs],
+                            "cs": [format_fraction(Fraction(c, 2)) for c in cs],
                         }
                     )
                 points += 1
-                equality_points += int(eq)
+                equality_points += int(lhs == rhs)
     return {"points": points, "equality_points": equality_points, "failures": failures}
 
 
@@ -450,8 +442,10 @@ def run_suite(budget: EnumerationBudget, jobs: int = 1) -> VerificationReport:
     byte-identical reports (regardless of `jobs`).
     """
     data = list(enumerate_data(budget))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # More workers than classes or cores only costs forks.
+    workers = min(jobs, len(data), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(check_datum, oracle_budget=budget.oracle), data))
     else:
         records = [check_datum(d, budget.oracle) for d in data]

@@ -2,13 +2,15 @@
 
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
-membership for the closure sweep, and `lp.solve_min` for the multiplier
-membership LP: the point is to recompute expected values
+membership for the closure sweep, `lp.solve_min` for the multiplier
+membership LP, and `format_fraction` for the grid witnesses: the point is
+to recompute expected values
 by a different route (exact linear-system enumeration, a simplex on a
 `Fraction` tableau, breadth-first group closure, exhaustive labeled
 generation, colength tabulation on coordinate tuples, the structural
 recursions on relabeled sub-data, the cubic containment tests of the axioms,
-a membership sweep over a whole degree slice) and freeze or compare.
+a membership sweep over a whole degree slice, the inequality grids on
+`Fraction` powers) and freeze or compare.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from aqci import (
     TraceStep,
     ValidationReport,
     Violation,
+    format_fraction,
     make_datum,
     newton_contains,
     reduce,
@@ -723,3 +726,70 @@ def reference_validate(d) -> ValidationReport:
             )
 
     return ValidationReport(tuple(out))
+
+
+def reference_ceiling_power_grid() -> dict:
+    """Exhaustive exact check of a <= 2^(ceil(b) - ceil(b/a)) on a rational grid.
+
+    a runs over the integers [2, 12]; b runs over [a, 20] in steps of 1/4.
+    Equality must occur exactly when a = 2 and ceil(b) - ceil(b/a) = 1.
+    """
+    failures: list[dict] = []
+    points = 0
+    equality_points = 0
+    for a in range(2, 13):
+        b = Fraction(a)
+        while b <= 20:
+            k = math.ceil(b) - math.ceil(b / a)
+            bound = 2**k
+            holds = a <= bound
+            is_equal = a == bound
+            should_be_equal = a == 2 and k == 1
+            if not holds or is_equal != should_be_equal:
+                failures.append({"a": a, "b": format_fraction(b), "exponent": k})
+            points += 1
+            equality_points += int(is_equal)
+            b += Fraction(1, 4)
+    return {"points": points, "equality_points": equality_points, "failures": failures}
+
+
+def _weighted_power_ge(xs, cs) -> tuple[bool, bool]:
+    """Compare prod((x_i/c_i)^(x_i)) with ((sum x)/(sum c))^(sum x), exactly.
+
+    Raising both positive sides to the lcm of the exponent denominators turns
+    the comparison into one between rationals with integer exponents.
+    """
+    s = math.lcm(*[x.denominator for x in xs])
+    lhs = math.prod(((x / c) ** int(x * s) for x, c in zip(xs, cs)), start=Fraction(1))
+    total_x = sum(xs)
+    total_c = sum(cs)
+    rhs = (total_x / total_c) ** int(total_x * s)
+    return lhs >= rhs, lhs == rhs
+
+
+def reference_product_concavity_grid() -> dict:
+    """Exhaustive exact check of the weighted power inequality on small grids.
+
+    For positive rationals, prod((x_i/c_i)^(x_i)) >= ((sum x)/(sum c))^(sum x)
+    with equality exactly when all the ratios x_i/c_i agree.  Checked for 2
+    and 3 terms with every coordinate drawn from {1/2, 1, 3/2, 2, 3}.
+    """
+    grid = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+    failures: list[dict] = []
+    points = 0
+    equality_points = 0
+    for terms in (2, 3):
+        for xs in product(grid, repeat=terms):
+            for cs in product(grid, repeat=terms):
+                ge, eq = _weighted_power_ge(xs, cs)
+                proportional = all(x * cs[0] == xs[0] * c for x, c in zip(xs, cs))
+                if not ge or eq != proportional:
+                    failures.append(
+                        {
+                            "xs": [format_fraction(x) for x in xs],
+                            "cs": [format_fraction(c) for c in cs],
+                        }
+                    )
+                points += 1
+                equality_points += int(eq)
+    return {"points": points, "equality_points": equality_points, "failures": failures}

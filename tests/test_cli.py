@@ -243,6 +243,12 @@ def test_mult_oracle_budget_abort(star_file, capsys):
     assert "aborted" in out
 
 
+def test_mult_oracle_huge_k_max_aborts_at_the_ceiling(pair_file, capsys):
+    argv = ["mult", "--method", "oracle", "--k-max", "10000000", "--point-ceiling", "1000"]
+    assert main([*argv, pair_file]) == 0
+    assert "aborted after 1001 points" in capsys.readouterr().out
+
+
 def test_mult_bounds_only(pair_file, capsys):
     assert main(["mult", "--method", "bounds", "--json", pair_file]) == 0
     payload = json.loads(capsys.readouterr().out)

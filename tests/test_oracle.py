@@ -105,6 +105,18 @@ def test_large_weights_abort_in_memory_bounded_by_the_ceiling():
     assert peak < 1_000_000
 
 
+def test_huge_k_max_aborts_in_memory_bounded_by_the_ceiling():
+    # The histogram of longest lengths is sized by the ceiling, not by k_max.
+    tracemalloc.start()
+    try:
+        t = hilbert_samuel_table(star(2, 2), OracleBudget(k_max=10**7, point_ceiling=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.aborted and t.values == () and t.points == 1001
+    assert peak < 1_000_000
+
+
 def test_exact_ceiling_does_not_abort():
     t = hilbert_samuel_table(two_stars(2, 2), OracleBudget(k_max=12, point_ceiling=5551))
     assert not t.aborted and t.points == 5551

@@ -24,13 +24,17 @@ from aqci import (
     children,
     edge_count_identity,
     enumerate_data,
+    find_closure_power,
     floor_factor_product,
     group_generators,
     group_order,
+    group_order_lattice,
     is_isomorphic,
     lct_datum,
+    lct_lp,
     make_datum,
     maximal_elements,
+    monomial_ideal,
     multiplicity,
     multiplicity_lower_bound,
     multiplicity_upper_bound,
@@ -190,6 +194,35 @@ def test_invariants_do_not_see_a_relabeling(index, seed):
     assert is_isomorphic(moved, d)
     # The trace is not a class function: sibling sub-traces follow labels.
     assert multiplicity(moved).trace == reference_multiplicity(moved).trace
+
+
+def _label_level_values(d) -> tuple:
+    """The label-level routes of d, with the structural multiplicity and bounds."""
+    result = multiplicity(d)
+    return (
+        validate(d).ok,
+        lct_lp(monomial_ideal(d)),
+        group_order_lattice(d),
+        find_closure_power(d),
+        edge_count_identity(d),
+        result.status,
+        result.value,
+        result.lower,
+        result.upper,
+        multiplicity_lower_bound(d),
+        multiplicity_upper_bound(d),
+    )
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_label_level_routes_do_not_see_a_relabeling(seed):
+    rng = random.Random(seed)
+    for d in CLASSES:
+        perm = list(range(1, d.n + 1))
+        rng.shuffle(perm)
+        moved = apply_permutation(d, tuple(perm))
+        assert _label_level_values(moved) == _label_level_values(d), (d, perm)
 
 
 @pytest.mark.parametrize("name", DEEP)

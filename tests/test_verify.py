@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,12 @@ from aqci import (
 )
 from aqci import verify
 
-from helpers import star, two_stars
+from helpers import (
+    reference_ceiling_power_grid,
+    reference_product_concavity_grid,
+    star,
+    two_stars,
+)
 
 
 def outcomes(record):
@@ -205,6 +211,11 @@ def test_product_concavity_grid_is_exhaustive_and_clean():
     assert grid["equality_points"] == eq
 
 
+def test_integer_grids_match_the_fraction_reference():
+    assert ceiling_power_grid() == reference_ceiling_power_grid()
+    assert product_concavity_grid() == reference_product_concavity_grid()
+
+
 # ---------------------------------------------------------------------------
 # Suite assembly and determinism
 
@@ -236,6 +247,33 @@ def test_suite_reports_do_not_depend_on_worker_count():
     parallel = run_suite(budget, jobs=2)
     assert serial.summary_json() == parallel.summary_json()
     assert serial.records_jsonl() == parallel.records_jsonl()
+
+
+def test_worker_count_is_bounded_by_cores_and_classes(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    budget = EnumerationBudget(n_max=2, max_ratio=3)
+    report = run_suite(budget, jobs=10**6)
+    workers = min(os.cpu_count() or 1, report.summary["datum_count"])
+    assert started == ([workers] if workers > 1 else [])
+    assert report.records_jsonl() == run_suite(budget).records_jsonl()
+    started.clear()
+    assert run_suite(EnumerationBudget(n_max=1, max_ratio=3), jobs=10**6).all_passed
+    assert started == []
 
 
 def test_summary_references_its_budget():

@@ -14,10 +14,11 @@ Two routes are provided and never mixed:
     stabilized finite differences.  It is the ground truth the verification
     suite compares everything against, and it reports honestly when its
     budget was too small to stabilize (never a wrong value).  Its points are
-    packed into single integers (one guard-bit field per coordinate, so a
-    generator step is one add and the predecessor test one subtract), its
-    longest-decomposition DP runs in degree order in the same pass as the
-    closure, and its tables are cached per isomorphism class and budget.
+    packed into single integers (one field per coordinate, so a generator
+    step is one add), its longest-decomposition DP is one forward pass in
+    degree order, each visited point relaxing its successors in the same
+    pass as the closure, and its tables are cached per isomorphism class and
+    budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` expose the full
 bound family on their own: the floor-factor product and the group-order
@@ -301,31 +302,28 @@ def _pack(v: tuple[int, ...], width: int) -> int:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
-    """The colength table of `d`, on points packed into single integers.
+    """The colength table of `d`, in one forward pass over packed points.
 
-    A point is one int with a field of w = bound.bit_length() + 1 bits per
-    coordinate.  No coordinate of a point within the degree bound exceeds
-    `bound`, so the top bit of every field (the guard bit, all of them in
-    `guard`) is free: adding a generator is one integer add that never
-    carries between fields.  The predecessor test sets every guard bit and
-    subtracts: q = (p | guard) - g keeps each field's guard bit exactly
-    when that coordinate of p is at least the one of g, so p covers g iff
-    q & guard == guard, and the predecessor p - g is then q ^ guard.
+    A point is one int with a field of w = bound.bit_length() bits per
+    coordinate.  Every point made has degree at most `bound`, so no
+    coordinate exceeds it and adding a generator is one integer add that
+    never carries between fields.
 
     Points are visited in order of degree (coordinate sum), one bucket per
     degree, kept in a dict so that memory follows the points, not the
-    degree bound.  Every generator has positive degree, so when a bucket
-    comes up all its points have been found and all their predecessors
-    already carry their final longest-decomposition length; the DP runs in
-    the same pass as the closure, with no sort.  One dict is both the
+    degree bound.  Every generator has positive degree, so each predecessor
+    p - g of a point p that is itself a point has lower degree, and has
+    relaxed p before p's bucket comes up: a point's longest-decomposition
+    length is final when it is visited, and it then relaxes each successor
+    p + g within the bound.  The DP runs
+    in the same pass as the closure, with no sort.  One dict is both the
     visited set and the DP table.  `point_ceiling` is checked on every
     insertion.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
     bound = k_max * max(sum(g) for g in gens)
-    width = max(bound, 0).bit_length() + 1
-    guard = _pack((1 << (width - 1),) * n, width)
+    width = bound.bit_length()
     # A generator above the degree bound reaches no point within it.
     packed = [(sum(g), _pack(g, width)) for g in gens if sum(g) <= bound]
 
@@ -342,38 +340,24 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
         bucket = buckets.pop(degree, ())
         if not bucket:
             continue
-        below = [g for dg, g in packed if dg <= degree]
         above = [
             (g, buckets.setdefault(degree + dg, [])) for dg, g in packed if degree + dg <= bound
         ]
         for p in bucket:
-            if p:
-                lifted = p | guard
-                best = -1
-                for g in below:
-                    q = lifted - g
-                    if q & guard == guard:
-                        lq = longest.get(q ^ guard, -1)
-                        if lq > best:
-                            best = lq
-                if best < 0:
-                    raise ArithmeticError(
-                        f"reachable point of degree {degree} lost its predecessors"
-                    )
-                best += 1
-                longest[p] = best
-            else:
-                best = 0
+            best = longest[p]
             if best < k_max:
                 histogram[best] += 1
+            best += 1
             for g, out in above:
                 q = p + g
-                if q not in longest:
-                    # Placeholder: the length is set when q's bucket comes up.
-                    longest[q] = 0
+                lq = longest.get(q)
+                if lq is None:
+                    longest[q] = best
                     if len(longest) > ceiling:
                         return HilbertSamuelTable(n, (), False, None, len(longest), True)
                     out.append(q)
+                elif lq < best:
+                    longest[q] = best
 
     values = []
     total = 0

@@ -442,8 +442,13 @@ def run_suite(budget: EnumerationBudget, jobs: int = 1) -> VerificationReport:
     byte-identical reports (regardless of `jobs`).
     """
     data = list(enumerate_data(budget))
-    # More workers than classes or cores only costs forks.
-    workers = min(jobs, len(data), os.cpu_count() or 1)
+    # More workers than classes or usable CPUs (the affinity set, where the
+    # platform has one) only costs forks.
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    workers = min(jobs, len(data), usable)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(check_datum, oracle_budget=budget.oracle), data))

@@ -6,11 +6,11 @@ membership for the closure sweep, `lp.solve_min` for the multiplier
 membership LP, and `format_fraction` for the grid witnesses: the point is
 to recompute expected values
 by a different route (exact linear-system enumeration, a simplex on a
-`Fraction` tableau, breadth-first group closure, exhaustive labeled
-generation, colength tabulation on coordinate tuples, the structural
-recursions on relabeled sub-data, the cubic containment tests of the axioms,
-a membership sweep over a whole degree slice, the inequality grids on
-`Fraction` powers) and freeze or compare.
+`Fraction` tableau, breadth-first group closure on integer numerators,
+exhaustive labeled generation, colength tabulation on coordinate tuples,
+the structural recursions on relabeled sub-data, the cubic containment
+tests of the axioms, a membership sweep over a whole degree slice, the
+inequality grids on `Fraction` powers) and freeze or compare.
 """
 
 from __future__ import annotations
@@ -257,15 +257,21 @@ def reference_solve_min(c, A, b) -> LpSolution:
 
 
 def subgroup_order(gens, n: int) -> int:
-    """Order of the subgroup of (Q/Z)^n generated by the given vectors."""
-    zero = tuple(Fraction(0) for _ in range(n))
+    """Order of the subgroup of (Q/Z)^n generated by the given vectors.
+
+    Breadth-first closure on integer numerators mod M, over one common
+    denominator M: the lcm of the generators' denominators.
+    """
+    m = math.lcm(*(Fraction(x).denominator for g in gens for x in g))
+    steps = [tuple(int(x * m) % m for x in g) for g in gens]
+    zero = (0,) * n
     seen = {zero}
     frontier = [zero]
     while frontier:
         new = []
         for p in frontier:
-            for g in gens:
-                q = tuple((a + b) % 1 for a, b in zip(p, g))
+            for g in steps:
+                q = tuple((a + b) % m for a, b in zip(p, g))
                 if q not in seen:
                     seen.add(q)
                     new.append(q)

@@ -58,7 +58,7 @@ def test_two_stars_table_has_its_known_size():
 
 def test_coordinate_equal_to_the_degree_bound():
     # One variable of weight 1: the points are 0..12 and 12 is the bound, so
-    # the last point fills its field right up to the guard bit.
+    # the last point's coordinate is the largest value a field must hold.
     t = hilbert_samuel_table(loose_points(1))
     assert t.points == 13
     assert t == reference_table(loose_points(1))
@@ -163,6 +163,33 @@ def test_different_budgets_never_share_an_entry(d, first, second):
             assert reference_table(d, b).aborted
         else:
             assert t == reference_table(d, b)
+
+
+@st.composite
+def _candidates(draw):
+    """Every singleton plus up to three random subsets, weights 1-4, n <= 3.
+
+    Laminar or not, valid or not: the generator sets are arbitrary, so the
+    longest-decomposition lengths need not be as regular as on valid data.
+    """
+    n = draw(st.integers(1, 3))
+    labels = range(1, n + 1)
+    subsets = st.lists(st.sampled_from(labels), min_size=1, unique=True).map(sorted)
+    sets = [((i,), draw(st.integers(1, 4))) for i in labels]
+    sets += [(draw(subsets), draw(st.integers(1, 4))) for _ in range(draw(st.integers(0, 3)))]
+    return make_datum(n, sets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_candidates(), st.integers(3, 5), st.integers(0, 5000))
+def test_packed_table_matches_reference_on_arbitrary_generator_sets(d, extra, ceiling):
+    budget = OracleBudget(k_max=d.n + extra, point_ceiling=ceiling)
+    t = hilbert_samuel_table(d, budget)
+    if t.aborted:
+        assert t.points == ceiling + 1
+        assert reference_table(d, budget).aborted
+    else:
+        assert t == reference_table(d, budget)
 
 
 def _run_oracle_cli(path, *extra):

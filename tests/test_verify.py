@@ -268,11 +268,19 @@ def test_worker_count_is_bounded_by_cores_and_classes(monkeypatch):
     monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
     budget = EnumerationBudget(n_max=2, max_ratio=3)
     report = run_suite(budget, jobs=10**6)
-    workers = min(os.cpu_count() or 1, report.summary["datum_count"])
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    workers = min(usable, report.summary["datum_count"])
     assert started == ([workers] if workers > 1 else [])
     assert report.records_jsonl() == run_suite(budget).records_jsonl()
     started.clear()
     assert run_suite(EnumerationBudget(n_max=1, max_ratio=3), jobs=10**6).all_passed
+    assert started == []
+    # One usable CPU runs serially, however many the machine has.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_suite(budget, jobs=10**6).records_jsonl() == report.records_jsonl()
     assert started == []
 
 

@@ -3,15 +3,16 @@
 One datum file (the documented JSON shape) is the single input format.
 Subcommands either inspect one datum (validate, info, lct, mult, closure,
 dot) or sweep an enumeration budget (enumerate, verify).  Exit codes:
-0 success / all checks passed, 1 validation failure or any check failure,
-2 usage errors (including unreadable files).  Diagnostics go to stderr;
-with --json the primary stream carries only JSON.
+0 success / all checks passed, 1 validation failure or any check failure
+(or a closed stdout), 2 usage errors (including unreadable files).
+Diagnostics go to stderr; with --json the primary stream carries only JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .datum import (
@@ -62,12 +63,15 @@ def _load(path: str):
         raise _CliError(1, f"cannot parse datum file {path}: {exc}") from None
 
 
+def _violation_lines(report) -> list[str]:
+    return [f"  [{v.kind}] {v.message}" for v in report.violations]
+
+
 def _load_valid(path: str):
     d = _load(path)
     report = validate(d)
     if not report.ok:
-        detail = "\n".join(f"  [{v.kind}] {v.message}" for v in report.violations)
-        raise _CliError(1, f"invalid datum {path}:\n{detail}")
+        raise _CliError(1, f"invalid datum {path}:\n" + "\n".join(_violation_lines(report)))
     return d
 
 
@@ -81,154 +85,120 @@ def _oracle_budget(args, n: int) -> OracleBudget:
     return OracleBudget(k_max=args.k_max, point_ceiling=args.point_ceiling)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _structural_text(result) -> str:
+    """The structural multiplicity as `info` and `mult` print it."""
+    if result.is_exact:
+        return f"{result.value} (exact)"
+    return f"within [{format_fraction(result.lower)}, {format_fraction(result.upper)}]"
 
 
-def _cmd_validate(args) -> int:
-    d = _load(args.file)
-    report = validate(d)
-    if args.json:
-        _emit_json(
-            {
-                "valid": report.ok,
-                "violations": [
-                    {"kind": v.kind, "message": v.message, "members": [list(m) for m in v.members]}
-                    for v in report.violations
-                ],
-            }
-        )
-    elif report.ok:
-        print("valid")
-    else:
-        print("invalid:")
-        for v in report.violations:
-            print(f"  [{v.kind}] {v.message}")
-    return 0 if report.ok else 1
+def _member_values(pairs) -> list[dict]:
+    return [{"member": list(j), "value": format_fraction(v)} for j, v in pairs]
 
 
-def _cmd_info(args) -> int:
+class _Stderr(str):
+    """A text-mode line that `main` prints to stderr instead of stdout."""
+
+
+# Each single-datum command returns (exit code, JSON payload, text lines);
+# `main` prints the payload under --json and the lines otherwise.
+
+
+def _cmd_validate(args) -> tuple[int, dict, list[str]]:
+    report = validate(_load(args.file))
+    payload = {
+        "valid": report.ok,
+        "violations": [
+            {"kind": v.kind, "message": v.message, "members": [list(m) for m in v.members]}
+            for v in report.violations
+        ],
+    }
+    lines = ["valid"] if report.ok else ["invalid:", *_violation_lines(report)]
+    return (0 if report.ok else 1), payload, lines
+
+
+def _cmd_info(args) -> tuple[int, dict, list[str]]:
     d = _load_valid(args.file)
     s = summarize(d)
+    connected = is_connected(d)
     result = multiplicity(d)
-    lower = multiplicity_lower_bound(d)
-    upper = multiplicity_upper_bound(d)
+    lower = format_fraction(multiplicity_lower_bound(d))
+    upper = format_fraction(multiplicity_upper_bound(d))
     closure_q = find_closure_power(d)
-    if args.json:
-        _emit_json(
-            {
-                "n": s.n,
-                "emb": s.emb,
-                "connected": is_connected(d),
-                "lct": format_fraction(s.lct),
-                "ceil_lct": s.ceil_lct,
-                "group_order": s.group_order,
-                "group_order_lattice": s.group_order_lattice,
-                "branching_product": s.branching_product,
-                "child_counts": [
-                    {"member": list(j), "count": c} for j, c in s.child_counts
-                ],
-                "floor_factors": [
-                    {"member": list(j), "value": format_fraction(v)} for j, v in s.floor_factors
-                ],
-                "child_weight_factors": [
-                    {"member": list(j), "value": format_fraction(v)}
-                    for j, v in s.child_weight_factors
-                ],
-                "multiplicity": {k: v for k, v in result_payload(result).items() if k != "trace"},
-                "lower_bound": format_fraction(lower),
-                "upper_bound": format_fraction(upper),
-                "closure_power": closure_q,
-            }
-        )
-        return 0
-    print(f"n:                    {s.n}")
-    print(f"embedding dimension:  {s.emb}")
-    print(f"connected:            {'yes' if is_connected(d) else 'no'}")
-    print(f"lct:                  {format_fraction(s.lct)}  (ceiling {s.ceil_lct})")
-    print(f"group order:          {s.group_order}  (lattice route: {s.group_order_lattice})")
-    print(f"branching product:    {s.branching_product}")
-    if result.is_exact:
-        print(f"multiplicity:         {result.value} (exact)")
-    else:
-        print(
-            "multiplicity:         within "
-            f"[{format_fraction(result.lower)}, {format_fraction(result.upper)}]"
-        )
-    print(f"bound envelope:       [{format_fraction(lower)}, {format_fraction(upper)}]")
-    print(f"closure power:        {closure_q if closure_q is not None else 'none'}")
-    return 0
+    payload = {
+        "n": s.n,
+        "emb": s.emb,
+        "connected": connected,
+        "lct": format_fraction(s.lct),
+        "ceil_lct": s.ceil_lct,
+        "group_order": s.group_order,
+        "group_order_lattice": s.group_order_lattice,
+        "branching_product": s.branching_product,
+        "child_counts": [{"member": list(j), "count": c} for j, c in s.child_counts],
+        "floor_factors": _member_values(s.floor_factors),
+        "child_weight_factors": _member_values(s.child_weight_factors),
+        "multiplicity": {k: v for k, v in result_payload(result).items() if k != "trace"},
+        "lower_bound": lower,
+        "upper_bound": upper,
+        "closure_power": closure_q,
+    }
+    lines = [
+        f"n:                    {s.n}",
+        f"embedding dimension:  {s.emb}",
+        f"connected:            {'yes' if connected else 'no'}",
+        f"lct:                  {format_fraction(s.lct)}  (ceiling {s.ceil_lct})",
+        f"group order:          {s.group_order}  (lattice route: {s.group_order_lattice})",
+        f"branching product:    {s.branching_product}",
+        f"multiplicity:         {_structural_text(result)}",
+        f"bound envelope:       [{lower}, {upper}]",
+        f"closure power:        {closure_q if closure_q is not None else 'none'}",
+    ]
+    return 0, payload, lines
 
 
-def _cmd_lct(args) -> int:
+def _cmd_lct(args) -> tuple[int, dict, list[str]]:
     d = _load_valid(args.file)
-    values = {}
+    values: dict = {}
     if args.method in ("recursion", "both"):
-        values["recursion"] = lct_datum(d)
+        values["recursion"] = format_fraction(lct_datum(d))
     if args.method in ("lp", "both"):
-        values["lp"] = lct_lp(monomial_ideal(d))
+        values["lp"] = format_fraction(lct_lp(monomial_ideal(d)))
+    lines = [f"{k}: {v}" for k, v in values.items()]
     agree = len(set(values.values())) == 1
-    if args.json:
-        payload = {k: format_fraction(v) for k, v in values.items()}
-        if args.method == "both":
-            payload["agree"] = agree
-        _emit_json(payload)
-    else:
-        for k, v in values.items():
-            print(f"{k}: {format_fraction(v)}")
-        if args.method == "both" and not agree:
-            print("MISMATCH between the two routes", file=sys.stderr)
-    return 0 if agree else 1
+    if args.method == "both":
+        values["agree"] = agree
+        if not agree:
+            lines.append(_Stderr("MISMATCH between the two routes"))
+    return (0 if agree else 1), values, lines
 
 
-def _cmd_mult(args) -> int:
+def _cmd_mult(args) -> tuple[int, dict, list[str]]:
     d = _load_valid(args.file)
     payload: dict = {"method": args.method}
-    lines: list[str] = []
-    if args.method in ("auto", "bounds"):
-        lower = multiplicity_lower_bound(d)
-        upper = multiplicity_upper_bound(d)
-        payload["lower_bound"] = format_fraction(lower)
-        payload["upper_bound"] = format_fraction(upper)
-        lines.append(f"bound envelope: [{format_fraction(lower)}, {format_fraction(upper)}]")
-    if args.method == "auto":
-        result = multiplicity(d)
-        payload["multiplicity"] = result_payload(result)
-        if result.is_exact:
-            lines.insert(0, f"multiplicity: {result.value} (exact)")
-        else:
-            lines.insert(
-                0,
-                "multiplicity: within "
-                f"[{format_fraction(result.lower)}, {format_fraction(result.upper)}]",
-            )
-        lines.append("trace: " + ", ".join(s.rule for s in result.trace))
     if args.method == "oracle":
         table = hilbert_samuel_table(d, _oracle_budget(args, d.n))
         payload["oracle"] = table_payload(table)
         if table.aborted:
-            lines.append(f"oracle: aborted after {table.points} points (ceiling exceeded)")
+            return 0, payload, [f"oracle: aborted after {table.points} points (ceiling exceeded)"]
+        if table.stabilized:
+            verdict = f"multiplicity: {table.e} (differences stabilized)"
         else:
-            lines.append("colengths: " + " ".join(str(v) for v in table.values))
-            if table.stabilized:
-                lines.append(f"multiplicity: {table.e} (differences stabilized)")
-            else:
-                lines.append("multiplicity: not stabilized within budget")
-    if args.json:
-        _emit_json(payload)
-    else:
-        for line in lines:
-            print(line)
-    return 0
+            verdict = "multiplicity: not stabilized within budget"
+        return 0, payload, ["colengths: " + " ".join(str(v) for v in table.values), verdict]
+    payload["lower_bound"] = lower = format_fraction(multiplicity_lower_bound(d))
+    payload["upper_bound"] = upper = format_fraction(multiplicity_upper_bound(d))
+    lines = [f"bound envelope: [{lower}, {upper}]"]
+    if args.method == "auto":
+        result = multiplicity(d)
+        payload["multiplicity"] = result_payload(result)
+        trace = "trace: " + ", ".join(s.rule for s in result.trace)
+        lines = [f"multiplicity: {_structural_text(result)}", *lines, trace]
+    return 0, payload, lines
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> tuple[int, dict, list[str]]:
     q = find_closure_power(_load_valid(args.file))
-    if args.json:
-        _emit_json({"closure_power": q})
-    else:
-        print(f"closure power: {q if q is not None else 'none'}")
-    return 0
+    return 0, {"closure_power": q}, [f"closure power: {q if q is not None else 'none'}"]
 
 
 def _cmd_dot(args) -> int:
@@ -255,7 +225,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    budget = EnumerationBudget(args.n_max, args.max_ratio, _oracle_budget(args, args.n_max))
+    oracle = _oracle_budget(args, args.n_max)
     if args.report:
         base = args.report
         jsonl = base[:-5] + ".jsonl" if base.endswith(".json") else base + ".jsonl"
@@ -266,7 +236,7 @@ def _cmd_verify(args) -> int:
                 open(path, "a", encoding="utf-8").close()
         except OSError as exc:
             raise _CliError(2, f"cannot write report: {exc}") from None
-    report = run_suite(budget, jobs=args.jobs)
+    report = run_suite(EnumerationBudget(args.n_max, args.max_ratio), oracle, args.jobs)
     summary = report.summary
     if args.report:
         with open(base, "w", encoding="utf-8") as fh:
@@ -307,6 +277,19 @@ def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--point-ceiling", type=_positive_int, default=OracleBudget.point_ceiling)
 
 
+def _datum_command(sub, name: str, fn, help: str, methods=(), default=None, oracle=False):
+    """A single-datum command: the datum file, --method and the oracle flags
+    where it has them, then --json."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("file")
+    if methods:
+        p.add_argument("--method", choices=methods, default=default)
+    if oracle:
+        _add_oracle_flags(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=fn)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqci",
@@ -314,33 +297,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the family axioms on a datum file")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("info", help="all invariants of one datum")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_info)
-
-    p = sub.add_parser("lct", help="log canonical threshold")
-    p.add_argument("file")
-    p.add_argument("--method", choices=("recursion", "lp", "both"), default="both")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_lct)
-
-    p = sub.add_parser("mult", help="multiplicity (structural rules, bounds, or oracle)")
-    p.add_argument("file")
-    p.add_argument("--method", choices=("auto", "oracle", "bounds"), default="auto")
-    _add_oracle_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_mult)
-
-    p = sub.add_parser("closure", help="is the integral closure a power of the maximal ideal")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_closure)
+    _datum_command(sub, "validate", _cmd_validate, "check the family axioms on a datum file")
+    _datum_command(sub, "info", _cmd_info, "all invariants of one datum")
+    _datum_command(
+        sub, "lct", _cmd_lct, "log canonical threshold", ("recursion", "lp", "both"), "both"
+    )
+    _datum_command(
+        sub, "mult", _cmd_mult, "multiplicity (structural rules, bounds, or oracle)",
+        ("auto", "oracle", "bounds"), "auto", oracle=True,
+    )
+    _datum_command(
+        sub, "closure", _cmd_closure, "is the integral closure a power of the maximal ideal"
+    )
 
     p = sub.add_parser("dot", help="Graphviz rendering of the member forest")
     p.add_argument("file")
@@ -366,10 +334,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if "json" not in args:
+            code = args.fn(args)  # dot, enumerate and verify print as they go
+        else:
+            code, payload, lines = args.fn(args)
+            if args.json:
+                print(json.dumps(payload, sort_keys=True, indent=2))
+            else:
+                for line in lines:
+                    print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
     except _CliError as exc:
         print(f"aqci: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

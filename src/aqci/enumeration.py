@@ -10,13 +10,12 @@ tuples of trees, so the output order is deterministic and duplicate-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from . import datum
 from .datum import SpecialDatum, class_datum
-from .multiplicity import OracleBudget
 
 __all__ = ["EnumerationBudget", "enumerate_data"]
 
@@ -29,7 +28,6 @@ class EnumerationBudget:
 
     n_max: int
     max_ratio: int = 3
-    oracle: OracleBudget = field(default_factory=OracleBudget)
 
 
 @lru_cache(maxsize=None)

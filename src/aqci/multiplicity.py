@@ -310,15 +310,15 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     never carries between fields.
 
     Points are visited in order of degree (coordinate sum), one bucket per
-    degree, kept in a dict so that memory follows the points, not the
-    degree bound.  Every generator has positive degree, so each predecessor
-    p - g of a point p that is itself a point has lower degree, and has
-    relaxed p before p's bucket comes up: a point's longest-decomposition
-    length is final when it is visited, and it then relaxes each successor
-    p + g within the bound.  The DP runs
-    in the same pass as the closure, with no sort.  One dict is both the
-    visited set and the DP table.  `point_ceiling` is checked on every
-    insertion.
+    degree, kept in a dict and taken lowest degree first, so that both
+    memory and time follow the points, not the degree bound.  Every
+    generator has positive degree, so each predecessor p - g of a point p
+    that is itself a point has lower degree, and has relaxed p before p's
+    bucket comes up: a point's longest-decomposition length is final when
+    it is visited, and it then relaxes each successor p + g within the
+    bound.  The DP runs in the same pass as the closure, with no sort.  One
+    dict is both the visited set and the DP table.  `point_ceiling` is
+    checked on every insertion.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
@@ -336,8 +336,9 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     # generator), so it keeps all k_max entries.
     histogram = [0] * min(k_max, ceiling + 1)
     buckets: dict[int, list[int]] = {0: [0]}
-    for degree in range(bound + 1):
-        bucket = buckets.pop(degree, ())
+    while buckets:
+        degree = min(buckets)
+        bucket = buckets.pop(degree)
         if not bucket:
             continue
         above = [

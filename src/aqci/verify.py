@@ -434,8 +434,11 @@ def _tally(records) -> dict:
     return out
 
 
-def run_suite(budget: EnumerationBudget, jobs: int = 1) -> VerificationReport:
-    """Enumerate every class in budget, run all checks, and assemble a report.
+def run_suite(
+    budget: EnumerationBudget, oracle: OracleBudget = OracleBudget(), jobs: int = 1
+) -> VerificationReport:
+    """Enumerate every class in budget, run all checks (the colength oracle
+    within `oracle`), and assemble a report.
 
     The report is deterministic: records appear in enumeration order and all
     JSON is emitted with sorted keys, so identical budgets produce
@@ -451,9 +454,9 @@ def run_suite(budget: EnumerationBudget, jobs: int = 1) -> VerificationReport:
     workers = min(jobs, len(data), usable)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(partial(check_datum, oracle_budget=budget.oracle), data))
+            records = list(pool.map(partial(check_datum, oracle_budget=oracle), data))
     else:
-        records = [check_datum(d, budget.oracle) for d in data]
+        records = [check_datum(d, oracle) for d in data]
     for i, rec in enumerate(records):
         rec["index"] = i
 
@@ -468,8 +471,8 @@ def run_suite(budget: EnumerationBudget, jobs: int = 1) -> VerificationReport:
         "budget": {
             "n_max": budget.n_max,
             "max_ratio": budget.max_ratio,
-            "oracle_k_max": budget.oracle.k_max,
-            "oracle_point_ceiling": budget.oracle.point_ceiling,
+            "oracle_k_max": oracle.k_max,
+            "oracle_point_ceiling": oracle.point_ceiling,
         },
         "datum_count": len(records),
         "failed_records": failed_records,

@@ -5,8 +5,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,9 @@ from hypothesis import strategies as st
 from aqci import EnumerationBudget, enumerate_data, to_json, to_payload
 from aqci.cli import main
 
-from helpers import star, two_stars
+from helpers import INTERVAL_FIXTURE, star, two_stars
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -29,6 +35,13 @@ def star_file(tmp_path):
 def pair_file(tmp_path):
     path = tmp_path / "pair22.json"
     path.write_text(to_json(two_stars(2, 2)) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def interval_file(tmp_path):
+    path = tmp_path / "interval.json"
+    path.write_text(to_json(INTERVAL_FIXTURE) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -193,6 +206,20 @@ def test_info_json(star_file, capsys):
     assert payload["closure_power"] == 2
 
 
+def test_info_prints_an_interval(interval_file, capsys):
+    assert main(["info", interval_file]) == 0
+    out = capsys.readouterr().out
+    assert "multiplicity:         within [5, 6]\n" in out
+    assert "bound envelope:       [5, 6]\n" in out
+    assert "closure power:        none\n" in out
+    assert main(["info", "--json", interval_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    interval = {"status": "interval", "value": None, "lower": "5", "upper": "6"}
+    assert payload["multiplicity"] == interval
+    assert (payload["lower_bound"], payload["upper_bound"]) == ("5", "6")
+    assert payload["closure_power"] is None
+
+
 def test_info_rejects_invalid_datum(invalid_file, capsys):
     assert main(["info", invalid_file]) == 1
     assert "missing-singleton" in capsys.readouterr().err
@@ -217,6 +244,18 @@ def test_lct_single_route_and_json(pair_file, capsys):
     assert payload == {"recursion": "2", "lp": "2", "agree": True}
 
 
+def test_lct_route_mismatch(star_file, capsys, monkeypatch):
+    monkeypatch.setattr("aqci.cli.lct_lp", lambda ideal: Fraction(7, 5))
+    assert main(["lct", star_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "recursion: 3/2\nlp: 7/5\n"
+    assert captured.err == "MISMATCH between the two routes\n"
+    assert main(["lct", "--json", star_file]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"recursion": "3/2", "lp": "7/5", "agree": False}
+    assert captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # mult
 
@@ -227,6 +266,22 @@ def test_mult_auto(star_file, capsys):
     assert "multiplicity: 2 (exact)" in out
     assert "bound envelope: [2, 2]" in out
     assert "reduce-equality" in out
+
+
+def test_mult_prints_an_interval(interval_file, capsys):
+    assert main(["mult", interval_file]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["multiplicity: within [5, 6]", "bound envelope: [5, 6]"]
+    assert lines[2].startswith("trace: interval-bounds, ")
+    assert len(lines) == 3
+    assert main(["mult", "--json", interval_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["lower_bound"], payload["upper_bound"]) == ("5", "6")
+    result = payload["multiplicity"]
+    assert (result["status"], result["value"], result["lower"], result["upper"]) == (
+        "interval", None, "5", "6"
+    )
+    assert result["trace"][0]["rule"] == "interval-bounds"
 
 
 def test_mult_oracle(star_file, capsys):
@@ -323,15 +378,28 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "datum.json"
 
 
+def _run_quietly(argv):
+    """main's exit code and stdout, with stderr swallowed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(payload=_payloads)
 def test_single_datum_commands_exit_cleanly_on_any_payload(fuzz_file, payload):
     # An exception out of main would be a traceback on the command line.
     fuzz_file.write_text(json.dumps(payload), encoding="utf-8")
     for command in ("validate", "info", "lct", "mult", "closure", "dot"):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(fuzz_file)])
+        code, _ = _run_quietly([command, str(fuzz_file)])
         assert code in (0, 1, 2), (command, payload)
+        if command == "dot":
+            continue
+        json_code, out = _run_quietly([command, "--json", str(fuzz_file)])
+        assert json_code == code, (command, payload)
+        if out:
+            json.loads(out)  # exactly one JSON document, or an error
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +424,48 @@ def test_enumerate_jsonl_round_trips(capsys):
 
     for line in lines:
         assert validate(from_json(line)).ok
+
+
+def _aqci_process(*argv):
+    # Block-buffered stdout, as on a pipe by default.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "aqci", *argv],
+        env={**env, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _close_stdout_and_wait(proc):
+    """Close the reader's end of proc's stdout; return (exit code, stderr)."""
+    try:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), err
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # n <= 7 gives 3,859 lines, more than a pipe buffer holds, so the writer
+    # meets the closed pipe while it prints.
+    proc = _aqci_process("enumerate", "--n", "7")
+    assert proc.stdout.readline() == "n=1  {1}:1\n"
+    code, err = _close_stdout_and_wait(proc)
+    assert code == 1
+    assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_stdout_closed_before_any_output_exits_one_without_an_error():
+    # Four lines sit in the output buffer until the final flush, long after
+    # the reader has gone.
+    code, err = _close_stdout_and_wait(_aqci_process("enumerate", "--n", "2"))
+    assert code == 1
+    assert "Error" not in err, err
+    assert err == "total: 4 classes\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -134,6 +135,18 @@ def test_invalid_data_are_keyed_by_their_own_labels():
     assert tb == reference_table(b, budget)
     assert ta != tb
 
+
+
+def test_time_follows_the_points_not_the_degree_bound():
+    # One generator of degree 10^8: 5 points under a degree bound of
+    # 4 * 10^8, so a walk over every degree up to the bound would take minutes.
+    d = make_datum(1, [((1,), 10**8)])
+    budget = OracleBudget(k_max=4)
+    start = time.perf_counter()
+    t = hilbert_samuel_table(d, budget)
+    assert time.perf_counter() - start < 1
+    assert t == reference_table(d, budget)
+    assert t.points == 5
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())

@@ -4,9 +4,9 @@ The objects of study are presented by weighted laminar families on {1..n};
 see `aqci.datum` for the axioms.  The package computes log canonical
 thresholds (two independent routes), the order of the acting group (two
 independent routes), Hilbert-Samuel multiplicities (structural rules with
-certified intervals, plus a direct colength oracle), integral-closure power
-tests, and runs an exhaustive verification suite over all isomorphism
-classes within a size budget.
+certified intervals, plus a direct colength oracle), the integral-closure
+power (read off the member degrees, with no LP), and runs an exhaustive
+verification suite over all isomorphism classes within a size budget.
 """
 
 from .datum import (
@@ -52,7 +52,6 @@ from .invariants import (
 )
 from .lct import (
     LpCertificate,
-    closure_is_power,
     find_closure_power,
     lct_datum,
     lct_lp,

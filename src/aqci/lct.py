@@ -1,6 +1,6 @@
 """Log canonical thresholds of the monomial ideals attached to data.
 
-Every query here reduces to exact membership in the Newton polyhedron
+The queries here are about the Newton polyhedron
 Newt(a) = conv(generator exponents) + nonnegative orthant:
 
   * `newton_contains` decides p in Newt(a) by an exact feasibility LP and
@@ -11,11 +11,11 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
     additive over the components of a disconnected datum, and
     max{1, lct(reduced)/r} for a connected datum whose top member has
     children of weight r, once per isomorphism class of subtree;
-  * `closure_is_power` checks whether the integral closure of the ideal is
-    exactly the q-th power of the maximal ideal.  The closure of a monomial
-    ideal is given by the lattice points of its Newton polyhedron, and
-    Newt(m^q) = conv(q*e_1, .., q*e_n) + orthant, so it suffices that every
-    generator has degree >= q and that the n vertices q*e_i lie in Newt(a).
+  * `find_closure_power` decides whether the integral closure of the ideal
+    is a power m^q of the maximal ideal from the member degrees alone: the
+    closure of a monomial ideal is given by the lattice points of its Newton
+    polyhedron, and the n vertices q*e_i of Newt(m^q) are the datum's own
+    singleton generators, so no LP is needed.
 
 Both LPs come from `_newton_lp`: minimize a cost on extra variables y
 subject to target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
@@ -38,7 +38,6 @@ from .datum import (
     MonomialIdeal,
     SpecialDatum,
     member_forest,
-    monomial_ideal,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "newton_contains",
     "lct_lp",
     "lct_datum",
-    "closure_is_power",
     "find_closure_power",
 ]
 
@@ -130,34 +128,20 @@ def lct_datum(d: SpecialDatum) -> Fraction:
     return sum((class_lct[x] for x in member_forest(d).root_nodes), Fraction(0))
 
 
-def closure_is_power(a: MonomialIdeal, q: int) -> bool:
-    """Does the integral closure of `a` equal the q-th power of (x_1,..,x_n)?
-
-    Containment in the power holds iff every generator has degree >= q; the
-    reverse containment holds iff Newt(a) contains Newt(m^q), that is, its n
-    vertices q*e_i.
-    """
-    if q < 1:
-        raise ValueError(f"power must be >= 1, got {q}")
-    if any(sum(g) < q for g in a.generators):
-        return False
-    return all(
-        newton_contains(a, [q * (j == i) for j in range(a.n)])[0] for i in range(a.n)
-    )
-
-
 def find_closure_power(d: SpecialDatum) -> int | None:
     """The q with closure(a_d) = (x_1,..,x_n)^q, if one exists.
 
-    Only a common singleton weight can be such a q (the closure meets the
-    i-th axis exactly at multiples of the singleton weight of {i} at or above
-    it), so nothing else needs testing.
+    The closure meets the i-th axis in the powers of x_i from the weight of
+    {i} on, so q must be the common singleton weight.  For that q,
+    closure(a_d) is in m^q iff every generator x_J^{w_J} has degree
+    |J|*w_J >= q (m^q is integrally closed), and m^q is in closure(a_d)
+    always, as the vertices q*e_i of Newt(m^q) are the generators x_i^q.
     """
     singles = [m.weight for m in d.members if len(m.elements) == 1]
     q = singles[0]
     if any(w != q for w in singles):
         return None
-    if not closure_is_power(monomial_ideal(d), q):
+    if any(len(m.elements) * m.weight < q for m in d.members):
         return None
     lct = lct_datum(d)
     if q * lct != d.n:

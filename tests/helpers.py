@@ -2,14 +2,15 @@
 
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
-membership for the closure sweep, `lp.solve_min` for the multiplier
-membership LP, and `format_fraction` for the grid witnesses: the point is
-to recompute expected values
-by a different route (exact linear-system enumeration, a simplex on a
-`Fraction` tableau, breadth-first group closure on integer numerators,
-exhaustive labeled generation, colength tabulation on coordinate tuples,
-the structural recursions on relabeled sub-data, the cubic containment
-tests of the axioms, a membership sweep over a whole degree slice, the
+membership for the two closure-power references, `lp.solve_min` for the
+multiplier membership LP, and `format_fraction` for the grid witnesses:
+the point is to recompute expected values by a different route (exact
+linear-system enumeration, a simplex on a `Fraction` tableau,
+breadth-first group closure on integer numerators, exhaustive labeled
+generation, colength tabulation on coordinate tuples, the structural
+recursions on relabeled sub-data, the cubic containment tests of the
+axioms, one membership LP per vertex of Newt(m^q) and a membership sweep
+over a whole degree slice where the package reads member degrees, the
 inequality grids on `Fraction` powers) and freeze or compare.
 """
 
@@ -310,12 +311,30 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def vertex_closure_is_power(a, q: int) -> bool:
+    """Closure of a general monomial ideal `a` equal to m^q, by the n vertices.
+
+    Containment in the power holds iff every generator has degree >= q; the
+    reverse containment holds iff Newt(a) contains Newt(m^q), that is, its n
+    vertices q*e_i: one membership LP each.  On the ideal of a datum those
+    vertices are its own singleton generators, so the package decides by
+    degrees alone (`find_closure_power`).
+    """
+    if q < 1:
+        raise ValueError(f"power must be >= 1, got {q}")
+    if any(sum(g) < q for g in a.generators):
+        return False
+    return all(
+        newton_contains(a, [q * (j == i) for j in range(a.n)])[0] for i in range(a.n)
+    )
+
+
 def reference_closure_is_power(a, q: int) -> bool:
     """Closure of `a` equal to m^q, by sweeping every degree-q exponent vector.
 
     Every generator must have degree >= q, and every degree-q point must lie
-    in Newt(a): C(q+n-1, n-1) membership LPs where the package tests the n
-    vertices of Newt(m^q).
+    in Newt(a): C(q+n-1, n-1) membership LPs where `vertex_closure_is_power`
+    tests the n vertices of Newt(m^q).
     """
     if any(sum(g) < q for g in a.generators):
         return False

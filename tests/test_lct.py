@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from aqci import (
     EnumerationBudget,
     MonomialIdeal,
-    closure_is_power,
     enumerate_data,
     find_closure_power,
     lct_datum,
@@ -34,6 +33,7 @@ from helpers import (
     reference_closure_is_power,
     star,
     two_stars,
+    vertex_closure_is_power,
 )
 
 
@@ -218,23 +218,25 @@ def test_membership_rejects_nonpositive_scaling():
 
 
 def test_closure_power_known_cases():
-    assert closure_is_power(monomial_ideal(star(3, 2)), 2)
-    assert not closure_is_power(monomial_ideal(star(3, 2)), 3)
-    assert closure_is_power(monomial_ideal(star(3, 3)), 3)
-    assert not closure_is_power(monomial_ideal(star(3, 4)), 4)
-    assert closure_is_power(monomial_ideal(two_stars(2, 2)), 2)
+    assert vertex_closure_is_power(monomial_ideal(star(3, 2)), 2)
+    assert not vertex_closure_is_power(monomial_ideal(star(3, 2)), 3)
+    assert vertex_closure_is_power(monomial_ideal(star(3, 3)), 3)
+    assert not vertex_closure_is_power(monomial_ideal(star(3, 4)), 4)
+    assert vertex_closure_is_power(monomial_ideal(two_stars(2, 2)), 2)
 
 
 def test_closure_power_rejects_bad_power():
     with pytest.raises(ValueError):
-        closure_is_power(monomial_ideal(star(2, 2)), 0)
+        vertex_closure_is_power(monomial_ideal(star(2, 2)), 0)
 
 
 def test_closure_power_matches_the_degree_sweep():
     for d in enumerate_data(EnumerationBudget(n_max=5, max_ratio=3)):
         a = monomial_ideal(d)
         for q in range(1, 5):
-            assert closure_is_power(a, q) == reference_closure_is_power(a, q), (d, q)
+            expected = reference_closure_is_power(a, q)
+            assert vertex_closure_is_power(a, q) == expected, (d, q)
+            assert expected == (find_closure_power(d) == q), (d, q)
 
 
 @st.composite
@@ -256,7 +258,7 @@ def test_closure_power_matches_the_degree_sweep_on_random_ideals():
     @given(case=_ideals_with_pure_powers())
     def agrees(case):
         a, q = case
-        got = closure_is_power(a, q)
+        got = vertex_closure_is_power(a, q)
         assert got == reference_closure_is_power(a, q)
         outcomes.add(got)
 
@@ -271,8 +273,28 @@ def test_find_closure_power_fixture_values():
     assert find_closure_power(star(3, 5)) is None
     assert find_closure_power(two_stars(2, 2)) == 2
     assert find_closure_power(chain(2, 2)) is None
-    # C(23, 11) = 1352078 degree-12 exponent vectors, but only 12 vertices.
+    # C(23, 11) = 1352078 degree-12 exponent vectors, and 13 member degrees.
     assert find_closure_power(star(12, 12)) == 12
+
+
+def test_find_closure_power_runs_no_lp(monkeypatch):
+    # Expected values from one vertex LP per axis, at the weight of {1}:
+    # only a common singleton weight can be the power.
+    expected = []
+    for d in enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)):
+        q = next(m.weight for m in d.members if m.elements == (1,))
+        expected.append((d, q if vertex_closure_is_power(monomial_ideal(d), q) else None))
+    assert {q for _, q in expected} > {None}
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("find_closure_power ran an LP")
+
+    monkeypatch.setattr("aqci.lp.solve_min", no_lp)
+    assert find_closure_power(star(200, 2)) == 2
+    assert find_closure_power(star(200, 200)) == 200
+    assert find_closure_power(star(200, 201)) is None
+    for d, q in expected:
+        assert find_closure_power(d) == q, d
 
 
 def test_find_closure_power_needs_equal_singleton_weights():

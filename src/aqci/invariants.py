@@ -7,8 +7,9 @@ finite abelian group acting diagonally.  This module computes:
   * `branching_product`: the product of the child counts of the
     non-singleton members, which bounds the multiplicity from above;
   * `group_order` via structural recursion, and `group_order_lattice` via an
-    independent lattice-index computation from `group_generators`, which
-    gives |J| - 1 label-level vectors per non-singleton member J;
+    independent integer lattice-index computation from `group_generators`,
+    which gives |J| - 1 label-level triples (i, r, w), each standing for
+    the vector (e_i - e_r)/w, per non-singleton member J;
   * the floor factor min(threshold of the reduced datum, top child weight)
     of every member (1 for a singleton), in `summarize` next to the child
     weight factor, and `floor_factor_product`, their product over all
@@ -79,27 +80,24 @@ def edge_count_identity(d: SpecialDatum) -> tuple[int, int]:
     return lhs, d.n - len(f.roots)
 
 
-def group_generators(d: SpecialDatum) -> list[tuple[Fraction, ...]]:
-    """Generators of the acting group as vectors in (Q/Z)^n.
+def group_generators(d: SpecialDatum) -> list[tuple[int, int, int]]:
+    """Generators of the acting group, as integer triples (i, r, w).
 
-    For every member J whose children have common weight w, the group
-    contains (e_i - e_j)/w for i and j in distinct children.  With r = min J,
-    the |J| - 1 vectors (e_i - e_r)/w, i in J - {r}, span the same subgroup:
+    A triple (i, r, w) stands for the vector (e_i - e_r)/w in (Q/Z)^n.  For
+    every member J whose children have common weight w, the group contains
+    (e_i - e_j)/w for i and j in distinct children.  With r = min J, the
+    |J| - 1 vectors (e_i - e_r)/w, i in J - {r}, span the same subgroup:
     if i and r lie in one child, take s in another child, and then
     (e_i - e_r)/w = (e_i - e_s)/w - (e_r - e_s)/w; conversely
     (e_i - e_j)/w = (e_i - e_r)/w - (e_j - e_r)/w.
     """
-    gens: list[tuple[Fraction, ...]] = []
+    gens: list[tuple[int, int, int]] = []
     for jdx, kids in enumerate(member_forest(d).kids):
         if len(kids) < 2:
             continue
-        step = Fraction(1, d.weight_of(kids[0]))
+        w = d.weight_of(kids[0])
         r, *rest = d.elements_of(jdx)
-        for i in rest:
-            v = [Fraction(0)] * d.n
-            v[i - 1] = step
-            v[r - 1] = -step
-            gens.append(tuple(v))
+        gens.extend((i, r, w) for i in rest)
     return gens
 
 
@@ -156,15 +154,16 @@ def group_order_lattice(d: SpecialDatum) -> int:
     """Order of the acting group as a lattice index, from explicit generators.
 
     The dual description: the group is L/Z^n where L is generated by Z^n and
-    the vectors from `group_generators`.  Clearing denominators by M gives an
-    integer row lattice containing M*Z^n, and |L/Z^n| = M^n / [Z^n : M*L].
+    the vectors (e_i - e_r)/w of the triples from `group_generators`.
+    Clearing denominators by M = lcm of the w's gives an integer row lattice
+    M*L containing M*Z^n, and |L/Z^n| = M^n / [Z^n : M*L].
     """
     gens = group_generators(d)
     if not gens:
         return 1
-    m = math.lcm(*[x.denominator for g in gens for x in g])
+    m = math.lcm(*[w for _, _, w in gens])
     rows = [[m * int(i == j) for j in range(d.n)] for i in range(d.n)]
-    rows += [[int(x * m) for x in g] for g in gens]
+    rows += [[m // w * ((j == i) - (j == r)) for j in range(1, d.n + 1)] for i, r, w in gens]
     det = math.prod(_row_lattice_diagonal(rows, d.n))
     q, rem = divmod(m**d.n, det)
     if rem:

@@ -258,13 +258,17 @@ def reference_solve_min(c, A, b) -> LpSolution:
 
 
 def subgroup_order(gens, n: int) -> int:
-    """Order of the subgroup of (Q/Z)^n generated by the given vectors.
+    """Order of the subgroup of (Q/Z)^n generated by triples (i, r, w).
 
-    Breadth-first closure on integer numerators mod M, over one common
-    denominator M: the lcm of the generators' denominators.
+    A triple stands for (e_i - e_r)/w.  Breadth-first closure on integer
+    numerators mod M, over one common denominator M: the lcm of the w's.
     """
-    m = math.lcm(*(Fraction(x).denominator for g in gens for x in g))
-    steps = [tuple(int(x * m) % m for x in g) for g in gens]
+    m = math.lcm(*(w for _, _, w in gens))
+    steps = []
+    for i, r, w in gens:
+        g = [0] * n
+        g[i - 1], g[r - 1] = m // w, -(m // w) % m
+        steps.append(tuple(g))
     zero = (0,) * n
     seen = {zero}
     frontier = [zero]
@@ -280,8 +284,8 @@ def subgroup_order(gens, n: int) -> int:
     return len(seen)
 
 
-def reference_group_generators(d) -> list[tuple[Fraction, ...]]:
-    """The generators of `group_generators`, children found by pairwise containment."""
+def reference_group_generators(d) -> list[tuple[int, int, int]]:
+    """All-pairs generators (i, j, w) for (e_i - e_j)/w, children found by pairwise containment."""
     gens = []
     for jdx in range(len(d.members)):
         kids = reference_children(d, jdx)
@@ -294,10 +298,7 @@ def reference_group_generators(d) -> list[tuple[Fraction, ...]]:
                     continue
                 for i in d.elements_of(k1):
                     for j in d.elements_of(k2):
-                        v = [Fraction(0)] * d.n
-                        v[i - 1] = Fraction(1, w)
-                        v[j - 1] = Fraction(-1, w)
-                        gens.append(tuple(v))
+                        gens.append((i, j, w))
     return gens
 
 

@@ -150,6 +150,18 @@ def _row_lattice_diagonal(rows: list[list[int]], n: int) -> list[int]:
     return diag
 
 
+def _lattice_rows(d: SpecialDatum) -> tuple[int, list[list[int]]]:
+    """(M, rows): M = lcm of the w's of `group_generators`, and integer rows
+    spanning M*L, where L is generated by Z^n and the vectors (e_i - e_r)/w:
+    n rows M*e_i, then per triple M/w at i and -M/w at r.
+    """
+    gens = group_generators(d)
+    m = math.lcm(*[w for _, _, w in gens])
+    rows = [[m * int(i == j) for j in range(d.n)] for i in range(d.n)]
+    rows += [[m // w * ((j == i) - (j == r)) for j in range(1, d.n + 1)] for i, r, w in gens]
+    return m, rows
+
+
 def group_order_lattice(d: SpecialDatum) -> int:
     """Order of the acting group as a lattice index, from explicit generators.
 
@@ -158,12 +170,10 @@ def group_order_lattice(d: SpecialDatum) -> int:
     Clearing denominators by M = lcm of the w's gives an integer row lattice
     M*L containing M*Z^n, and |L/Z^n| = M^n / [Z^n : M*L].
     """
-    gens = group_generators(d)
-    if not gens:
+    m, rows = _lattice_rows(d)
+    if m == 1:
+        # No generator, or only integral ones: L = Z^n.
         return 1
-    m = math.lcm(*[w for _, _, w in gens])
-    rows = [[m * int(i == j) for j in range(d.n)] for i in range(d.n)]
-    rows += [[m // w * ((j == i) - (j == r)) for j in range(1, d.n + 1)] for i, r, w in gens]
     det = math.prod(_row_lattice_diagonal(rows, d.n))
     q, rem = divmod(m**d.n, det)
     if rem:

@@ -14,11 +14,11 @@ Two routes are provided and never mixed:
     stabilized finite differences.  It is the ground truth the verification
     suite compares everything against, and it reports honestly when its
     budget was too small to stabilize (never a wrong value).  Its points are
-    packed into single integers (one field per coordinate, so a generator
-    step is one add), its longest-decomposition DP is one forward pass in
-    degree order, each visited point relaxing its successors in the same
-    pass as the closure, and its tables are cached per isomorphism class and
-    budget.
+    packed into single integers (one field per coordinate and the degree on
+    top, so a generator step is one add), its longest-decomposition DP is an
+    unbounded knapsack, one pass per generator that walks each ray of that
+    generator once, in place in the same dict as the closure, and its
+    tables are cached per isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` expose the full
 bound family on their own: the floor-factor product and the group-order
@@ -272,11 +272,12 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     exactly when its exponent vector is a sum of at least k generator
     vectors, so the colength of the k-th power counts semigroup points whose
     longest decomposition into generators has fewer than k parts.  The
-    longest-decomposition length satisfies a DAG recurrence over the
-    semigroup ordered by coordinate sum.  Only reachable semigroup points
-    are generated (closure under adding generators, up to the degree bound
-    k_max times the largest generator degree), which keeps the visited set
-    a |G|-th of the ambient simplex.
+    longest-decomposition length is an unbounded knapsack over the
+    generators, taken in the order of `monomial_ideal(d).generators`.  Only
+    semigroup points are generated (sums of generators up to the degree
+    bound k_max times the largest generator degree), which keeps the
+    visited set a |G|-th of the ambient simplex.  A datum without members
+    has no generators and raises `ValueError`.
 
     The table depends only on the isomorphism class and the budget, so it is
     cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
@@ -302,63 +303,71 @@ def _pack(v: tuple[int, ...], width: int) -> int:
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
-    """The colength table of `d`, in one forward pass over packed points.
+    """The colength table of `d`, by one knapsack pass per generator.
 
-    A point is one int with a field of w = bound.bit_length() bits per
-    coordinate.  Every point made has degree at most `bound`, so no
-    coordinate exceeds it and adding a generator is one integer add that
-    never carries between fields.
+    A point is one int: a field of w = bound.bit_length() bits per
+    coordinate, with its degree (coordinate sum) as the top field.  Every
+    point made has degree at most `bound`, so no field exceeds it, adding a
+    generator (packed the same way) is one integer add that never carries
+    between fields, and sorting points sorts them by degree.
 
-    Points are visited in order of degree (coordinate sum), one bucket per
-    degree, kept in a dict and taken lowest degree first, so that both
-    memory and time follow the points, not the degree bound.  Every
-    generator has positive degree, so each predecessor p - g of a point p
-    that is itself a point has lower degree, and has relaxed p before p's
-    bucket comes up: a point's longest-decomposition length is final when
-    it is visited, and it then relaxes each successor p + g within the
-    bound.  The DP runs in the same pass as the closure, with no sort.  One
-    dict is both the visited set and the DP table.  `point_ceiling` is
-    checked on every insertion.
+    With l_j(q) the longest decomposition of q into the first j generators
+    (none if q is not their sum), l_j(q) = max(l_{j-1}(q), l_j(q - g_j) + 1).
+    Pass j visits the points of the first j - 1 generators in degree order
+    and walks each g_j-ray upward once, to the degree bound: a point whose
+    predecessor q - g_j is a point was reached by the walk through that
+    predecessor, which has lower degree, so each ray is walked from its
+    lowest point, and along it the recurrence is a running maximum.  One
+    dict is both the point set and the DP table, updated in place.  A value
+    is 2 * length + the parity of the pass that wrote it: every point is
+    either the lowest of its ray or on a walk, so each pass rewrites every
+    value, and a point that already holds this pass's parity was walked and
+    is skipped.  Pass j touches each point of the semigroup of the first j
+    generators once, far fewer steps in all than (points) x (generators).
+    `point_ceiling` is checked on every insertion.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
+    if not gens:
+        raise ValueError("the datum has no generators (no members)")
     bound = k_max * max(sum(g) for g in gens)
     width = bound.bit_length()
+    shift = n * width
     # A generator above the degree bound reaches no point within it.
-    packed = [(sum(g), _pack(g, width)) for g in gens if sum(g) <= bound]
+    packed = [(sum(g), sum(g) << shift | _pack(g, width)) for g in gens if sum(g) <= bound]
 
     longest = {0: 0}
     if len(longest) > ceiling:
         return HilbertSamuelTable(n, (), False, None, len(longest), True)
-    # A point of longest length L tops a chain of L + 1 visited points, so no
-    # index past the ceiling is reached before the abort; a table that
-    # finishes has visited more than k_max points (the multiples of one
-    # generator), so it keeps all k_max entries.
-    histogram = [0] * min(k_max, ceiling + 1)
-    buckets: dict[int, list[int]] = {0: [0]}
-    while buckets:
-        degree = min(buckets)
-        bucket = buckets.pop(degree)
-        if not bucket:
-            continue
-        above = [
-            (g, buckets.setdefault(degree + dg, [])) for dg, g in packed if degree + dg <= bound
-        ]
-        for p in bucket:
-            best = longest[p]
-            if best < k_max:
-                histogram[best] += 1
-            best += 1
-            for g, out in above:
-                q = p + g
-                lq = longest.get(q)
-                if lq is None:
-                    longest[q] = best
+    for j, (dg, g) in enumerate(packed, 1):
+        parity = j & 1
+        for p in sorted(longest):
+            v = longest[p]
+            if v & 1 == parity:
+                continue
+            v ^= 1
+            longest[p] = v
+            for _ in range((bound - (p >> shift)) // dg):
+                p += g
+                v += 2
+                old = longest.get(p)
+                if old is None:
+                    longest[p] = v
                     if len(longest) > ceiling:
                         return HilbertSamuelTable(n, (), False, None, len(longest), True)
-                    out.append(q)
-                elif lq < best:
-                    longest[q] = best
+                else:
+                    old ^= 1
+                    if old > v:
+                        v = old
+                    longest[p] = v
+
+    # A finished table has more than k_max points (the multiples of one
+    # generator), so the histogram is no larger than the point set.
+    histogram = [0] * k_max
+    for v in longest.values():
+        v >>= 1
+        if v < k_max:
+            histogram[v] += 1
 
     values = []
     total = 0

@@ -258,7 +258,12 @@ def reference_solve_min(c, A, b) -> LpSolution:
 
 
 def subgroup_order(gens, n: int) -> int:
-    """Order of the subgroup of (Q/Z)^n generated by triples (i, r, w).
+    """Order of the subgroup of (Q/Z)^n generated by triples (i, r, w)."""
+    return len(subgroup_closure(gens, n)[1])
+
+
+def subgroup_closure(gens, n: int) -> tuple[int, set[tuple[int, ...]]]:
+    """(M, elements) of the subgroup of (Q/Z)^n generated by triples (i, r, w).
 
     A triple stands for (e_i - e_r)/w.  Breadth-first closure on integer
     numerators mod M, over one common denominator M: the lcm of the w's.
@@ -267,8 +272,14 @@ def subgroup_order(gens, n: int) -> int:
     steps = []
     for i, r, w in gens:
         g = [0] * n
-        g[i - 1], g[r - 1] = m // w, -(m // w) % m
-        steps.append(tuple(g))
+        g[i - 1], g[r - 1] = m // w, -(m // w)
+        steps.append(g)
+    return m, closure_mod(steps, m, n)
+
+
+def closure_mod(steps, m: int, n: int) -> set[tuple[int, ...]]:
+    """The subgroup of (Z/m)^n generated by integer vectors `steps`, breadth first."""
+    steps = [tuple(a % m for a in g) for g in steps]
     zero = (0,) * n
     seen = {zero}
     frontier = [zero]
@@ -281,7 +292,7 @@ def subgroup_order(gens, n: int) -> int:
                     seen.add(q)
                     new.append(q)
         frontier = new
-    return len(seen)
+    return seen
 
 
 def reference_group_generators(d) -> list[tuple[int, int, int]]:

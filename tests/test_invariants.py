@@ -25,8 +25,17 @@ from aqci import (
     scale,
     summarize,
 )
+from aqci.invariants import _lattice_rows
 
-from helpers import chain, star, subgroup_order, two_stars
+from helpers import (
+    chain,
+    closure_mod,
+    reference_group_generators,
+    star,
+    subgroup_closure,
+    subgroup_order,
+    two_stars,
+)
 
 
 def loose_points(n):
@@ -127,6 +136,16 @@ def test_group_order_matches_subgroup_closure():
         expected = subgroup_order(group_generators(d), d.n)
         assert group_order(d) == expected
         assert group_order_lattice(d) == expected
+
+
+def test_lattice_rows_reduce_mod_m_to_the_subgroup_closure():
+    # The rows themselves, not only their index: Z^n and the e_i/w alone (the
+    # -M/w at r dropped) span a lattice of the same index on these data.
+    for d in enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)):
+        m, rows = _lattice_rows(d)
+        expected_m, expected = subgroup_closure(reference_group_generators(d), d.n)
+        assert m == expected_m, d
+        assert closure_mod(rows, m, d.n) == expected, d
 
 
 def test_group_order_scaling_law():

@@ -53,6 +53,33 @@ def test_packed_table_matches_reference_in_dimension_four(name):
     assert hilbert_samuel_table(d) == reference_table(d)
 
 
+def test_packed_table_matches_reference_on_every_class_up_to_dimension_four():
+    # k_max = 7 = n + 3 is the least budget that can stabilize at n = 4.
+    budget = OracleBudget(k_max=7)
+    data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=2)))
+    assert len(data) == 17
+    for d in data:
+        assert hilbert_samuel_table(d, budget) == reference_table(d, budget), d
+
+
+def test_datum_without_members_is_refused():
+    with pytest.raises(ValueError, match="no generators"):
+        hilbert_samuel_table(make_datum(2, []))
+
+
+def test_finished_table_memory_per_point():
+    # One dict of packed points, updated in place, peaks at about 125 bytes
+    # a point here.  A budget of its own keeps the table out of the cache.
+    tracemalloc.start()
+    try:
+        t = hilbert_samuel_table(chain(3, 2, 2), OracleBudget(k_max=12, point_ceiling=89_901))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not t.aborted and t.points == 89_901 and t.e == 8
+    assert peak < 160 * t.points
+
+
 def test_two_stars_table_has_its_known_size():
     assert hilbert_samuel_table(two_stars(2, 2)).points == 5551
 

@@ -23,6 +23,11 @@ subtree below each member as a *class node*, a small int: `LEAF`, or the
 node of (ratio, sorted child nodes).  Equal nodes are isomorphic subtrees,
 so the structural invariants live in `ClassMemo`s, computed once per class
 node by an explicit post-order loop: no recursion, however deep the tree.
+The forest is built once per datum value and shared by every invariant.
+
+`validate` reads the same parent index: one pass proves a valid datum valid,
+and only a candidate it cannot prove goes through the pairwise scan that
+reports every violation.
 """
 
 from __future__ import annotations
@@ -161,7 +166,52 @@ SIBLING_WEIGHTS = "sibling-weights-differ"
 
 
 def validate(d: SpecialDatum) -> ValidationReport:
-    """Check every axiom and report all violations at once (never raises)."""
+    """Check every axiom and report all violations at once (never raises).
+
+    A valid datum is proved valid in one pass over the parent index
+    (`_proves_valid`), in time linear in the total size of the members.
+    Any candidate that pass cannot prove valid goes through the full scan,
+    which lists every violation in a fixed order.
+    """
+    if _proves_valid(d):
+        return ValidationReport(())
+    return _scan(d)
+
+
+def _proves_valid(d: SpecialDatum) -> bool:
+    """True only for a valid datum: the five axioms from parent-child pairs.
+
+    `_parents` proves the family laminar without repeated members, and then
+    the parent of each member is its immediate superset and the roots are the
+    maximal members.  Strict increase and divisibility are transitive along
+    the chain of supersets, so checking each member against its parent
+    covers axiom 4, and siblings are the members with one parent.
+    """
+    n, members = d.n, d.members
+    if n < 1 or not all(
+        m.elements and 1 <= m.elements[0] and m.elements[-1] <= n and m.weight >= 1
+        for m in members
+    ):
+        return False
+    parent, nested = _parents(d)
+    if not nested:
+        return False
+    if sorted(m.elements[0] for m in members if len(m.elements) == 1) != list(range(1, n + 1)):
+        return False
+    kid_weight: dict[int, int] = {}
+    for m, p in zip(members, parent):
+        if p < 0:
+            if m.weight != 1:
+                return False
+            continue
+        outer = members[p].weight
+        if m.weight <= outer or m.weight % outer or kid_weight.setdefault(p, m.weight) != m.weight:
+            return False
+    return True
+
+
+def _scan(d: SpecialDatum) -> ValidationReport:
+    """Every violation of every axiom, by a pairwise scan of the members."""
     out: list[Violation] = []
     if d.n < 1:
         out.append(Violation(BAD_DIMENSION, f"ground set size must be >= 1, got {d.n}"))
@@ -377,31 +427,61 @@ class MemberForest:
         return [self.node[j] for j in self.roots]
 
 
-def _links(d: SpecialDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(maximal members, children of each member), from one parent index.
+def _parents(d: SpecialDatum) -> tuple[list[int], bool]:
+    """The parent of every member from one owner map, and whether it is nested.
 
     Members are visited largest first, and owner[e] is the last one seen
     that contains e.  In a laminar family without repeated members that is
-    the immediate superset of every later member containing e.
+    the immediate superset of every later member containing e, and the
+    parent of a member is the owner of its elements (-1 for none).
+
+    `nested` is True when, at its visit, every member's elements all had one
+    owner (or none) and that owner was larger.  That proves the family
+    laminar without repeats: if a member B met an earlier A in e and left it
+    at f, the first member after A holding both e and f would find e owned by
+    an earlier member after A, which must hold f too.
     """
     members = d.members
     parent = [-1] * len(members)
     owner: dict[int, int] = {}
+    nested = True
     for j in sorted(range(len(members)), key=lambda j: -len(members[j].elements)):
         elems = members[j].elements
         if elems:
-            parent[j] = owner.get(elems[0], -1)
+            p = parent[j] = owner.get(elems[0], -1)
+            if nested and (
+                any(owner.get(e, -1) != p for e in elems)
+                or (p >= 0 and len(members[p].elements) == len(elems))
+            ):
+                nested = False
         for e in elems:
             owner[e] = j
+    return parent, nested
+
+
+def _links(d: SpecialDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(maximal members, children of each member), from the parent index."""
     roots: list[int] = []
-    kids: list[list[int]] = [[] for _ in members]
-    for j, p in enumerate(parent):
+    kids: list[list[int]] = [[] for _ in d.members]
+    for j, p in enumerate(_parents(d)[0]):
         (kids[p] if p >= 0 else roots).append(j)
     return tuple(roots), tuple(map(tuple, kids))
 
 
+# Built forests, by datum value (least recently used).  The cache lives here,
+# not on the datum: a pickled datum carries no class nodes into a process
+# whose node ids differ.
+_FOREST_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_FOREST_CACHE_SIZE)
 def member_forest(d: SpecialDatum) -> MemberForest:
-    """The member forest with the class node of every member (valid data)."""
+    """The member forest with the class node of every member (valid data).
+
+    Built once per datum value and cached (`_FOREST_CACHE_SIZE` entries), so
+    the structural invariants of one datum share one forest; the
+    `MemberForest` is frozen and holds only tuples.
+    """
     roots, kids = _links(d)
     node = [LEAF] * len(kids)
     for j in sorted(range(len(kids)), key=lambda j: len(d.elements_of(j))):

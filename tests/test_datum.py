@@ -45,6 +45,7 @@ from aqci.datum import (
     SIBLING_WEIGHTS,
     WEIGHT_DIVISIBILITY,
     WEIGHT_ORDER,
+    _scan,
 )
 
 from helpers import chain, star, two_stars
@@ -217,6 +218,11 @@ def test_single_point_datum_is_valid():
 # Validation never crashes, via exhaustive mutations and random candidates
 
 
+def _validates_as_the_scan(d: SpecialDatum) -> None:
+    """The one-pass proof of validity never changes a report."""
+    assert validate(d) == _scan(d), d
+
+
 def test_single_field_mutations_never_crash():
     base = chain(2, 3)
     n = base.n
@@ -224,16 +230,17 @@ def test_single_field_mutations_never_crash():
         for w in range(-1, 9):
             members = list(base.members)
             members[idx] = Member(members[idx].elements, w)
-            validate(SpecialDatum(n, tuple(members)))
+            _validates_as_the_scan(SpecialDatum(n, tuple(members)))
         # drop the member entirely
-        validate(SpecialDatum(n, tuple(m for i, m in enumerate(base.members) if i != idx)))
+        dropped = tuple(m for i, m in enumerate(base.members) if i != idx)
+        _validates_as_the_scan(SpecialDatum(n, dropped))
         # swap in an arbitrary element set
         for elems in itertools.chain.from_iterable(
             itertools.combinations(range(1, n + 1), k) for k in range(1, n + 1)
         ):
             members = list(base.members)
             members[idx] = Member(elems, members[idx].weight)
-            validate(SpecialDatum(n, tuple(members)))
+            _validates_as_the_scan(SpecialDatum(n, tuple(members)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -255,6 +262,7 @@ def test_validate_handles_arbitrary_candidates(n, raw_sets):
     for v in report.violations:
         assert v.kind
         assert v.message
+    _validates_as_the_scan(d)
 
 
 # ---------------------------------------------------------------------------

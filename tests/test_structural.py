@@ -7,6 +7,7 @@ the recursions that rebuild the restricted and reduced data at every step.
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
 
@@ -44,7 +45,8 @@ from aqci import (
     summarize,
     validate,
 )
-from aqci.datum import class_datum, class_order, member_forest
+from aqci import datum
+from aqci.datum import _scan, class_datum, class_order, member_forest
 
 from helpers import (
     chain,
@@ -230,11 +232,12 @@ def test_deep_inputs_run_without_recursion(name):
     d = DEEP[name]()
     times = {}
     values = {}
-    for fn in INVARIANTS + (canonical_form, multiplicity):
+    for fn in INVARIANTS + (canonical_form, multiplicity, validate):
         start = time.perf_counter()
         values[fn.__name__] = fn(d)
         times[fn.__name__] = time.perf_counter() - start
     n = DEEP_N
+    assert values["validate"].ok
     if name == "chain":
         # Every level splits off one singleton with ratio 2.
         assert values["group_order"] == 2 ** (n * (n - 1) // 2)
@@ -263,6 +266,44 @@ def test_deep_inputs_run_without_recursion(name):
     canon, _ = values["canonical_form"]
     assert canonical_form(canon)[0] == canon
     print(name, {k: round(v, 3) for k, v in times.items()})
+
+
+def test_one_datum_builds_one_forest(monkeypatch):
+    # Every structural function of the benchmark sweep, on one relabeled datum.
+    builds = []
+    links = datum._links
+    monkeypatch.setattr(datum, "_links", lambda d: builds.append(d) or links(d))
+    member_forest.cache_clear()
+    d = apply_permutation(chain(3, 2, 2), (3, 1, 4, 2))
+    for fn in INVARIANTS + (
+        canonical_form,
+        multiplicity,
+        validate,
+        group_order_lattice,
+        find_closure_power,
+    ):
+        fn(d)
+    lct_lp(monomial_ideal(d))
+    assert builds == [d]
+
+
+def test_the_forest_cache_does_not_travel_with_the_datum():
+    d = apply_permutation(chain(2, 3, 2), (2, 4, 1, 3))
+    before = pickle.dumps(d)
+    member_forest(d)
+    assert pickle.dumps(d) == before
+
+
+def test_validate_proves_every_class_valid_as_the_scan_does():
+    rng = random.Random(1)
+    classes = list(enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)))
+    assert len(classes) == 844
+    for d in classes:
+        perm = list(range(1, d.n + 1))
+        rng.shuffle(perm)
+        for x in (d, apply_permutation(d, tuple(perm))):
+            assert validate(x) == _scan(x), x
+            assert validate(x).ok, x
 
 
 def _candidates():
@@ -295,6 +336,21 @@ def test_validate_matches_the_reference_on_perturbed_classes(index, data):
     members[j] = Member(tuple(elems), data.draw(st.integers(1, 12)))
     candidate = SpecialDatum(d.n, tuple(members))
     assert validate(candidate) == reference_validate(candidate)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # {3, 4} meets {1, 2, 3} without nesting, yet every weight is a proper
+        # multiple of its owner's: only the one-owner test of the proof sees it.
+        make_datum(4, [((1, 2, 3), 1), ((3, 4), 2), ((1,), 2), ((2,), 2), ((3,), 4), ((4,), 4)]),
+        # Element 0 has no singleton, yet the singletons cover 1..n.
+        make_datum(1, [((0, 1), 1), ((1,), 2)]),
+    ],
+)
+def test_validate_refuses_what_one_step_of_the_proof_sees(d):
+    assert not validate(d).ok
+    assert validate(d) == _scan(d) == reference_validate(d)
 
 
 def test_validate_sees_non_laminar_overlaps_in_order():

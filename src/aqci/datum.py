@@ -110,6 +110,11 @@ class SpecialDatum:
 
     Members are stored sorted by (smallest element, size), which is also the
     serialization order, so structural equality is label-for-label equality.
+    The hash is the dataclass's hash of (n, members), computed on first use
+    and kept: the caches keyed by datum (`member_forest`, the oracle's
+    tables) would otherwise hash every member on every lookup.  It is not a
+    field, so equality ignores it, and a pickle carries only n and the
+    members.
     """
 
     n: int
@@ -117,6 +122,16 @@ class SpecialDatum:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members, key=_member_key)))
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.n, self.members))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return SpecialDatum, (self.n, self.members)
 
     def elements_of(self, j: int) -> tuple[int, ...]:
         return self.members[j].elements
@@ -196,7 +211,8 @@ def _proves_valid(d: SpecialDatum) -> bool:
     parent, nested = _parents(d)
     if not nested:
         return False
-    if sorted(m.elements[0] for m in members if len(m.elements) == 1) != list(range(1, n + 1)):
+    singles = sorted(m.elements[0] for m in members if len(m.elements) == 1)
+    if len(singles) != n or singles != list(range(1, n + 1)):
         return False
     kid_weight: dict[int, int] = {}
     for m, p in zip(members, parent):
@@ -247,11 +263,21 @@ def _scan(d: SpecialDatum) -> ValidationReport:
                 Violation(DUPLICATE_MEMBER, f"member {list(elems)} appears {count} times", (elems,))
             )
 
-    # Axiom 1: all singletons present.
-    singletons = {m.elements[0] for m in d.members if len(m.elements) == 1}
-    for i in range(1, d.n + 1):
-        if i not in singletons:
-            out.append(Violation(MISSING_SINGLETON, f"singleton {{{i}}} is missing", ((i,),)))
+    # Axiom 1: all singletons present.  Missing labels are reported per
+    # maximal run, found between consecutive present singletons, so a huge
+    # n costs no more than the members; a longer run names its two ends.
+    present = sorted(
+        {m.elements[0] for m in d.members if len(m.elements) == 1 and 1 <= m.elements[0] <= d.n}
+    )
+    for lo, hi in zip([0, *present], [*present, d.n + 1]):
+        first, last = lo + 1, hi - 1
+        if first == last:
+            message, ends = f"singleton {{{first}}} is missing", ((first,),)
+        elif first < last:
+            message, ends = f"singletons {{{first}}} to {{{last}}} are missing", ((first,), (last,))
+        else:
+            continue
+        out.append(Violation(MISSING_SINGLETON, message, ends))
 
     # Axiom 2: pairwise nested or disjoint.  The same pass lists the strict
     # supersets of every member, in member order, for axioms 3 to 5.

@@ -18,7 +18,11 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
     singleton generators, so no LP is needed.
 
 Both LPs come from `_newton_lp`: minimize a cost on extra variables y
-subject to target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
+subject to target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).  It gives
+each generator g the primitive column g/gcd(g), which changes no value
+and no pivot, and keeps the integer tableau small: with the columns
+w_J*1_J of a datum as given, the tableau's minors are products of weights,
+which grow with the depth of the datum.
 
 The two lct routes are deliberately independent and are cross-checked over
 whole enumeration budgets by the verification suite.
@@ -26,6 +30,7 @@ whole enumeration budgets by the verification suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,28 +77,50 @@ def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:
     return q
 
 
+def _primitive(g) -> int:
+    """The gcd c_g of a generator's exponents (1 for the zero vector)."""
+    return math.gcd(*g) or 1
+
+
 def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()) -> lp.LpSolution:
     """min cost.y over y >= 0 with target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
 
-    Variables: convex weights (one per generator), y, slacks (n); one row per
-    coordinate and a last row making the weights sum to 1.
+    Variables: one weight per generator, y, slacks (n); one row per
+    coordinate and a last row for convexity.  The weight of generator g is
+    lam'_g = c_g*lam_g with c_g = gcd(g), so its column is the primitive
+    vector g/c_g and its convexity entry is 1/c_g (the convex weight is
+    lam'_g/c_g).  This bijection of the feasible sets keeps y, so every
+    optimum is the same.  It also keeps every pivot: Bland's rule reads the
+    signs of reduced costs, which positive column scaling keeps, and a ratio
+    test compares entries of one column, all scaled alike.  On a datum the
+    columns w_J*1_J become 0/1 vectors, so the integer tableau's entries stay
+    small where the weights would multiply up in every minor.
     """
     gens = a.generators
     n = a.n
+    scale = [_primitive(g) for g in gens]
     rows = [
-        [g[j] for g in gens] + list(diagonal) + [int(j == k) for k in range(n)]
+        [g[j] // c for g, c in zip(gens, scale)] + list(diagonal) + [int(j == k) for k in range(n)]
         for j in range(n)
     ]
-    rows.append([1] * len(gens) + [0] * (len(diagonal) + n))
+    rows.append([Fraction(1, c) for c in scale] + [0] * (len(diagonal) + n))
     return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
 
 
 def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
-    """Decide p in conv(generators) + orthant, with certificate when true."""
+    """Decide p in conv(generators) + orthant, with certificate when true.
+
+    The LP's generator weights are lam'_g = gcd(g)*lam_g (see `_newton_lp`);
+    the certificate maps them back to the convex weights lam_g.
+    """
     sol = _newton_lp(a, _check_point(a, p))
     if sol.status != lp.OPTIMAL:
         return False, None
-    coeffs = {i: x for i, x in enumerate(sol.x[: len(a.generators)]) if x != 0}
+    coeffs = {
+        i: x / _primitive(g)
+        for i, (g, x) in enumerate(zip(a.generators, sol.x))
+        if x != 0
+    }
     return True, LpCertificate(Fraction(1), coeffs)
 
 

@@ -1,9 +1,8 @@
 """Exact linear programming over the rationals, on integers.
 
-A dense two-phase primal simplex with Bland's rule for anti-cycling.  Every
-problem solved in this package has a handful of rows and columns, so there
-is no point in sparsity, revised updates, or floating point: exactness is
-the whole point.
+A two-phase primal simplex with Bland's rule for anti-cycling, on a dense
+tableau of Python integers: no revised updates and no floating point, as
+exactness is the whole point.
 
 The tableau is fraction-free (Bareiss's integer-preserving elimination, as
 in Avis's `lrs`).  Each input row is scaled by the lcm of its denominators,
@@ -15,6 +14,12 @@ of p).  By Cramer's rule every entry of the new tableau is a minor of M, so
 that division is always exact.  Every decision of the simplex compares
 signs or cross-multiplied ratios, which the positive d does not change, so
 the pivots are the ones a rational tableau would make.
+
+When p == d, an entry whose pivot-row entry is 0 keeps its value,
+(a * p - f * 0) / d = a, so the update touches only the pivot row's nonzero
+columns.  On the Newton LPs of `lct` (0/1 generator columns after
+`_newton_lp` divides each by its gcd) that is nearly every pivot, and a
+pivot row is mostly zeros.  Otherwise every entry is updated.
 
 Before an optimum is returned its point is certified against the scaled
 input: M x = b, x >= 0 and c.x = value are checked exactly in integers, and
@@ -40,11 +45,22 @@ class LpSolution:
     x: tuple[Fraction, ...] | None
 
 
-def _eliminate(v, row, p, d, s):
-    """v with column s cleared against the pivot row (pivot p, old denominator d)."""
+def _eliminate(v, row, nz, p, d, s):
+    """v with column s cleared against the pivot row (pivot p, old denominator d).
+
+    `nz` lists the pivot row's nonzero columns.  When p == d an entry whose
+    pivot-row entry b is 0 keeps its value, (a*p - f*0)/d = a, so only the
+    columns in `nz` change, in place: a - f*b/d, exact because the new entry
+    is an integer.  Otherwise every entry changes and a new list is made.
+    """
     f = v[s]
+    if p == d:
+        if f:
+            for j in nz:
+                v[j] -= f * row[j] // d
+        return v
     if f == 0:
-        return v if p == d else [a * p // d for a in v]
+        return [a * p // d for a in v]
     return [(a * p - f * b) // d for a, b in zip(v, row)]
 
 
@@ -55,11 +71,12 @@ def _pivot(tab, basis, obj, d, r, s):
     if p < 0:
         row = tab[r] = [-v for v in row]
         p = -p
+    nz = [j for j, b in enumerate(row) if b] if p == d else None
     for k in range(len(tab)):
         if k != r:
-            tab[k] = _eliminate(tab[k], row, p, d, s)
+            tab[k] = _eliminate(tab[k], row, nz, p, d, s)
     if obj is not None:
-        obj[:] = _eliminate(obj, row, p, d, s)
+        obj[:] = _eliminate(obj, row, nz, p, d, s)
     basis[r] = s
     return p
 

@@ -3,7 +3,8 @@
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
 membership for the two closure-power references, `lp.solve_min` for the
-multiplier membership LP, and `format_fraction` for the grid witnesses:
+multiplier membership LP and the unscaled Newton LP, and `format_fraction`
+for the grid witnesses:
 the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
@@ -353,6 +354,22 @@ def reference_closure_is_power(a, q: int) -> bool:
     return all(newton_contains(a, p)[0] for p in compositions(q, a.n))
 
 
+def reference_newton_lp(a, target, diagonal=(), cost=()) -> LpSolution:
+    """The Newton LP of `lct._newton_lp` on the generators as given.
+
+    One convex weight per generator column g (not g/gcd(g)), and a
+    convexity row of ones: the formulation before primitive columns, kept
+    to show that rescaling the columns changes neither values nor pivots.
+    """
+    gens, n = a.generators, a.n
+    rows = [
+        [g[j] for g in gens] + list(diagonal) + [int(j == k) for k in range(n)]
+        for j in range(n)
+    ]
+    rows.append([1] * len(gens) + [0] * (len(diagonal) + n))
+    return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
+
+
 def multiplier_membership(a, t, m) -> bool:
     """Is m + (1,..,1) in the interior of t*Newt(a)?
 
@@ -689,10 +706,22 @@ def reference_validate(d) -> ValidationReport:
                 )
             )
 
+    # Missing singletons, one violation per maximal run of missing labels.
     singletons = {m.elements[0] for m in d.members if len(m.elements) == 1}
+    runs: list[list[int]] = []
     for i in range(1, d.n + 1):
         if i not in singletons:
-            out.append(Violation(_datum.MISSING_SINGLETON, f"singleton {{{i}}} is missing", ((i,),)))
+            if runs and runs[-1][-1] == i - 1:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+    for run in runs:
+        if len(run) == 1:
+            message, ends = f"singleton {{{run[0]}}} is missing", ((run[0],),)
+        else:
+            message = f"singletons {{{run[0]}}} to {{{run[-1]}}} are missing"
+            ends = ((run[0],), (run[-1],))
+        out.append(Violation(_datum.MISSING_SINGLETON, message, ends))
 
     sets = [frozenset(m.elements) for m in d.members]
     for a in range(len(sets)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,41 @@ def test_duplicate_member_different_weight():
 def test_missing_singleton():
     report = validate(make_datum(2, [((1, 2), 1), ((1,), 2)]))
     assert MISSING_SINGLETON in report.kinds()
+
+
+def _missing(report):
+    return [(v.message, v.members) for v in report.violations if v.kind == MISSING_SINGLETON]
+
+
+def test_isolated_missing_singletons_are_reported_one_by_one():
+    report = validate(make_datum(5, [((1,), 1), ((3,), 1), ((5,), 1)]))
+    assert report.kinds() == (MISSING_SINGLETON, MISSING_SINGLETON)
+    assert _missing(report) == [
+        ("singleton {2} is missing", ((2,),)),
+        ("singleton {4} is missing", ((4,),)),
+    ]
+
+
+def test_missing_singletons_are_reported_per_maximal_run():
+    # Labels 0 and 12 leave the ground set and end no run.
+    d = make_datum(10, [((1,), 1), ((4,), 1), ((8,), 1), ((0,), 1), ((12,), 1)])
+    assert _missing(validate(d)) == [
+        ("singletons {2} to {3} are missing", ((2,), (3,))),
+        ("singletons {5} to {7} are missing", ((5,), (7,))),
+        ("singletons {9} to {10} are missing", ((9,), (10,))),
+    ]
+    assert _missing(validate(make_datum(3, [((1, 2, 3), 1)]))) == [
+        ("singletons {1} to {3} are missing", ((1,), (3,))),
+    ]
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9])
+def test_validate_time_follows_the_members_not_n(n):
+    start = time.perf_counter()
+    report = validate(make_datum(n, [((1,), 1)]))
+    assert time.perf_counter() - start < 0.5
+    assert _missing(report) == [(f"singletons {{2}} to {{{n}}} are missing", ((2,), (n,)))]
+    assert report.kinds() == (MISSING_SINGLETON,)
 
 
 def test_not_laminar():

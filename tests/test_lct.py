@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from aqci import (
     EnumerationBudget,
     MonomialIdeal,
+    apply_permutation,
     enumerate_data,
     find_closure_power,
     lct_datum,
     lct_lp,
+    lp,
     maximal_elements,
     monomial_ideal,
     newton_contains,
@@ -31,6 +33,7 @@ from helpers import (
     chain,
     multiplier_membership,
     reference_closure_is_power,
+    reference_newton_lp,
     star,
     two_stars,
     vertex_closure_is_power,
@@ -115,6 +118,59 @@ def test_lct_lp_matches_brute_enumeration():
         u = brute_min_max(a.generators, [0] * a.n)
         assert u > 0
         assert lct_lp(a) == 1 / u
+
+
+def test_primitive_columns_keep_the_value_and_every_pivot(monkeypatch):
+    # lct_lp weighs generator g by gcd(g)*lam_g on the column g/gcd(g): a
+    # positive rescaling of columns, so Bland's rule pivots on the same
+    # (row, column) pairs as the LP on the generators as given.
+    pivots = []
+    pivot = lp._pivot
+
+    def recording(tab, basis, obj, d, r, s):
+        pivots.append((r, s))
+        return pivot(tab, basis, obj, d, r, s)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    rng = random.Random(5)
+    classes = list(enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)))
+    assert len(classes) == 844
+    for d in classes:
+        perm = list(range(1, d.n + 1))
+        rng.shuffle(perm)
+        for x in (d, apply_permutation(d, tuple(perm))):
+            a = monomial_ideal(x)
+            pivots.clear()
+            got = lct_lp(a)
+            scaled = list(pivots)
+            pivots.clear()
+            want = reference_newton_lp(a, [0] * a.n, diagonal=[-1], cost=[1])
+            assert got == 1 / want.value == lct_datum(x), x
+            assert scaled == pivots, x
+
+
+def _assert_certificate(a, p, cert):
+    assert all(lam > 0 for lam in cert.coefficients.values())
+    assert sum(cert.coefficients.values()) == 1
+    for j in range(a.n):
+        assert sum(lam * a.generators[i][j] for i, lam in cert.coefficients.items()) <= p[j]
+
+
+def test_newton_certificates_hold_on_a_deep_chain():
+    # chain(3, ..., 3) with n = 12: weights up to 3^11, so gcd(g) is far
+    # from 1 and the weights the LP returns must be divided back by it.
+    a = monomial_ideal(chain(*[3] * 11))
+    u = 1 / lct_lp(a)
+    inside = [(u,) * a.n, a.generators[0], a.generators[-1], (u + 1,) + (u,) * (a.n - 1)]
+    inside.append(tuple((x + y) / 2 for x, y in zip(a.generators[0], a.generators[1])))
+    for p in inside:
+        p = tuple(Fraction(x) for x in p)
+        ok, cert = newton_contains(a, p)
+        assert ok, p
+        _assert_certificate(a, p, cert)
+        want = reference_newton_lp(a, p).x[: len(a.generators)]
+        assert cert.coefficients == {i: x for i, x in enumerate(want) if x != 0}
+    assert newton_contains(a, (u * Fraction(99, 100),) * a.n) == (False, None)
 
 
 # ---------------------------------------------------------------------------

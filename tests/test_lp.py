@@ -210,6 +210,68 @@ def test_solutions_and_pivots_equal_the_reference_solver(instance):
     assert got == want
 
 
+def _dense_bareiss(tab, obj, d, r, s):
+    """One dense Bareiss pivot on (r, s): every entry of every other row.
+
+    Each division is checked exact: a tableau reached from an integer matrix
+    by such pivots holds minors of it (Sylvester's identity).
+    """
+    row = tab[r]
+    p = row[s]
+    if p < 0:
+        row, p = [-v for v in row], -p
+
+    def step(v):
+        out = []
+        for a, b in zip(v, row):
+            q, rem = divmod(a * p - v[s] * b, d)
+            assert rem == 0
+            out.append(q)
+        return out
+
+    tab = [row if k == r else step(v) for k, v in enumerate(tab)]
+    return tab, None if obj is None else step(obj), p
+
+
+@st.composite
+def _pivot_runs(draw):
+    """An integer tableau, an objective row or None, and pivot positions."""
+    entry = st.integers(-2, 2)
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    tab = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    obj = draw(st.one_of(st.none(), st.lists(entry, min_size=n, max_size=n)))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    return tab, obj, draw(st.lists(cells, max_size=8))
+
+
+def test_sparse_pivot_equals_a_dense_bareiss_step():
+    # With p == d only the pivot row's nonzero columns change; both cases
+    # must give the dense step's tableau, objective and denominator.
+    cases = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_pivot_runs())
+    def agrees(run):
+        tab, obj, cells = run
+        d = 1
+        for r, s in cells:
+            if tab[r][s] == 0:
+                continue
+            cases.add(abs(tab[r][s]) == d)
+            want = _dense_bareiss(tab, obj, d, r, s)
+            got_tab = [list(v) for v in tab]
+            got_obj = None if obj is None else list(obj)
+            basis = list(range(len(tab)))
+            got_d = lp._pivot(got_tab, basis, got_obj, d, r, s)
+            assert (got_tab, got_obj, got_d) == want
+            assert basis[r] == s
+            tab, obj, d = want
+
+    agrees()
+    assert cases == {True, False}
+
+
 def test_redundant_rational_row_is_dropped_exactly(monkeypatch):
     # The second row is twice the first: phase 1 leaves its artificial basic
     # on a row that is zero on every real column, and the row is dropped

@@ -294,6 +294,29 @@ def test_the_forest_cache_does_not_travel_with_the_datum():
     assert pickle.dumps(d) == before
 
 
+def test_a_datum_hashes_its_members_once(monkeypatch):
+    # The caches keyed by datum hash it on every lookup.
+    d = apply_permutation(chain(2, 3, 2), (2, 4, 1, 3))
+    first = hash(d)
+    hashed = []
+    member_hash = Member.__hash__
+
+    def counting(m):
+        hashed.append(m)
+        return member_hash(m)
+
+    monkeypatch.setattr(Member, "__hash__", counting)
+    assert hash(d) == first
+    member_forest(d)
+    assert hashed == []
+    assert hash(d) == hash((d.n, d.members))
+    monkeypatch.undo()
+    same = SpecialDatum(d.n, tuple(reversed(d.members)))
+    assert same == d and hash(same) == hash(d)
+    assert pickle.loads(pickle.dumps(d)) == d and hash(pickle.loads(pickle.dumps(d))) == hash(d)
+    assert SpecialDatum(d.n, d.members[1:]) != d
+
+
 def test_validate_proves_every_class_valid_as_the_scan_does():
     rng = random.Random(1)
     classes = list(enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)))

@@ -14,11 +14,18 @@ Two routes are provided and never mixed:
     stabilized finite differences.  It is the ground truth the verification
     suite compares everything against, and it reports honestly when its
     budget was too small to stabilize (never a wrong value).  Its points are
-    packed into single integers (one field per coordinate and the degree on
-    top, so a generator step is one add), its longest-decomposition DP is an
-    unbounded knapsack, one pass per generator that walks each ray of that
-    generator once, in place in the same dict as the closure, and its
-    tables are cached per isomorphism class and budget.
+    packed into single integers (one field per coordinate, then the degree
+    and a second positive functional phi on top, so a generator step is
+    one add), and its longest-decomposition DP is an unbounded knapsack,
+    one pass per generator that walks each ray of that generator once, in
+    place in one dict.  The walk covers only the points that can reach the
+    histogram, a set closed under subtracting generators, so the knapsack
+    is exact on it.  The size of the semigroup up to the degree bound is
+    counted, not stored: a run-time certificate shows the semigroup is its
+    residues mod the pure powers a_i*e_i plus the multiples of those powers,
+    and the count is then a sum of lattice-point counts of simplices.  Data
+    without the certificate walk the whole semigroup up to the bound.
+    Tables are cached per isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` expose the full
 bound family on their own: the floor-factor product and the group-order
@@ -30,6 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,9 +260,11 @@ class HilbertSamuelTable:
 
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
     table is `stabilized` when the last `STABLE_RUN` (three) n-th finite
-    differences agree; `e` is then that common value.  `aborted` means the
-    point budget ran out before the tabulation finished: then values is
-    empty, e is None and points is the count at which the closure stopped,
+    differences agree; `e` is then that common value.  `points` is the
+    number of semigroup points of degree at most k_max times the largest
+    generator degree; valid data have it counted in closed form, not
+    stored (see `_tabulate`).  `aborted` means that number exceeds the
+    point ceiling: then values is empty, e is None and points is
     point_ceiling + 1 for any ceiling >= 0.
     """
 
@@ -274,17 +285,18 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     longest decomposition into generators has fewer than k parts.  The
     longest-decomposition length is an unbounded knapsack over the
     generators, taken in the order of `monomial_ideal(d).generators`.  Only
-    semigroup points are generated (sums of generators up to the degree
-    bound k_max times the largest generator degree), which keeps the
-    visited set a |G|-th of the ambient simplex.  A datum without members
-    has no generators and raises `ValueError`.
+    semigroup points are generated, and only those that can have fewer
+    than k_max parts; the other points up to the degree bound (k_max times
+    the largest generator degree) are counted under a certificate that
+    `_tabulate` checks at run time.  A datum without members has no
+    generators and raises `ValueError`.
 
     The table depends only on the isomorphism class and the budget, so it is
     cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
     (canonical form, budget).  Relabelings of one valid datum share an
     entry.  A datum that fails validation has no trustworthy canonical form
-    and is keyed by its own labels instead.  See `_tabulate` for the packed
-    encoding of the points.
+    and is keyed by its own labels instead.  See `_tabulate` for the
+    certificate and `_longest` for the packed encoding of the points.
     """
     key = canonical_form(d)[0] if validate(d).ok else d
     return _tabulate(key, budget)
@@ -301,45 +313,156 @@ def _pack(v: tuple[int, ...], width: int) -> int:
     return packed
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
-    """The colength table of `d`, by one knapsack pass per generator.
+def _pure_powers(gens) -> list[int] | None:
+    """a_i, the least a with a generator a*e_i, per coordinate; None if one lacks it."""
+    a = [0] * len(gens[0])
+    for g in gens:
+        if len(g) - g.count(0) == 1:
+            i = next(i for i, x in enumerate(g) if x)
+            if not a[i] or g[i] < a[i]:
+                a[i] = g[i]
+    return a if all(a) else None
 
-    A point is one int: a field of w = bound.bit_length() bits per
-    coordinate, with its degree (coordinate sum) as the top field.  Every
-    point made has degree at most `bound`, so no field exceeds it, adding a
-    generator (packed the same way) is one integer add that never carries
-    between fields, and sorting points sorts them by degree.
+
+def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) -> dict | None:
+    """R = S ∩ Π[0, a_i) ∩ {deg <= bound}, if it certifies S = R + Σ a_i·N·e_i.
+
+    R is closed from 0 under adding a generator while the sum stays in the
+    box; every point of S in the box is reached, as its partial sums stay
+    below it.  A point is keyed by its packed coordinates, `rw` bits each
+    (one more than the largest a_i needs), and maps to its (degree, phi),
+    phi the functional of `weights`.  With guard offsets
+    C_i = 2^(rw-1) - a_i, a field s_i < 2*a_i holds s_i >= a_i exactly when
+    s_i + C_i sets its top bit, so both the box test and the reduction mod
+    a are a few integer operations.
+
+    R is returned as soon as it holds more than `ceiling` points (all of
+    them points of S within the bound, so the caller aborts).  Otherwise R
+    is returned when (r + g) mod a lies in R for every r in R and every
+    generator g, and None when not.  That certificate gives S = R + Σ a_i·N·e_i
+    with disjoint translates: by induction on the number of generators,
+    s + g = ((r + g) mod a) + a∘(k + (r + g) div a) for s = r + a∘k.
+    """
+    rw = max(a).bit_length() + 1
+    guard = 1 << (rw - 1)
+    offsets = _pack([guard - x for x in a], rw)
+    guards = _pack([guard] * len(a), rw)
+    moduli = _pack(a, rw)
+    field = (1 << rw) - 1
+
+    steps = [
+        (_pack(g, rw), sum(g), sum(x * w for x, w in zip(g, weights)))
+        for g in gens
+        if all(x < m for x, m in zip(g, a))
+    ]
+    residues = {0: (0, 0)}
+    todo = [0]
+    while todo and len(residues) <= ceiling:
+        r = todo.pop()
+        dr, fr = residues[r]
+        for g, dg, fg in steps:
+            s = r + g
+            if (s + offsets) & guards or s in residues or dr + dg > bound:
+                continue
+            residues[s] = (dr + dg, fr + fg)
+            todo.append(s)
+    if len(residues) > ceiling:
+        return residues
+
+    shifts = {_pack([x % m for x, m in zip(g, a)], rw) for g in gens}
+    for r in residues:
+        for h in shifts:
+            s = r + h
+            s -= moduli & (((s + offsets) & guards) >> (rw - 1)) * field
+            if s not in residues:
+                return None
+    return residues
+
+
+def _count_points(a: list[int], bound: int, degrees, ceiling: int) -> int:
+    """Σ over the degrees t of R of #{k ∈ N^n : a·k <= bound - t}.
+
+    The sum is |S ∩ {deg <= bound}| once S = R + Σ a_i·N·e_i; past
+    `ceiling` it is ceiling + 1.  With a sorted from the largest, N(c, t)
+    counts k over coordinates c.. with a·k <= t, and
+    N(c, t) = N(c + 1, t) + N(c, t - a_c) (k_c = 0 or k_c >= 1).  A state
+    first skips the coordinates with a_c > t; once only the m coordinates
+    of the least a remain, it is a leaf, the binomial C(t // a + m, m).  So
+    every other state has two children, a tree of states has fewer of those
+    than leaves, and each leaf counts at least one point.  The states
+    are found top-down, each once (more than `ceiling` of them is an
+    abort, so the work follows the ceiling, not the degree bound or n),
+    then evaluated in one pass sorted by (remaining coordinates, t), which
+    puts every state after its children.
+    """
+    vals = sorted(a, reverse=True)
+    neg = [-x for x in vals]
+    n, least = len(vals), vals[-1]
+    m_least = n - vals.index(least)
+    span = bound + 1
+
+    def state(c, t):
+        return (n - bisect_left(neg, -t, c)) * span + t
+
+    def value(s):
+        m, t = divmod(s, span)
+        return counts[s] if m > m_least else math.comb(t // least + m, m)
+
+    roots = Counter(state(0, bound - t) for t in degrees)
+    todo = [s for s in roots if s // span > m_least]
+    counts = dict.fromkeys(todo, 0)
+    while todo and len(counts) <= ceiling:
+        m, t = divmod(todo.pop(), span)
+        for kid in state(n - m + 1, t), state(n - m, t - vals[n - m]):
+            if kid // span > m_least and kid not in counts:
+                counts[kid] = 0
+                todo.append(kid)
+    if len(counts) > ceiling:
+        return ceiling + 1
+    for s in sorted(counts):
+        m, t = divmod(s, span)
+        counts[s] = value(state(n - m + 1, t)) + value(state(n - m, t - vals[n - m]))
+    return min(sum(mult * value(s) for s, mult in roots.items()), ceiling + 1)
+
+
+def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | None:
+    """Longest decompositions on D = S ∩ {deg <= top} ∩ {phi <= cap}, or None.
+
+    phi is the functional of `weights`.  A point is one int: a field of
+    w = top.bit_length() bits per coordinate, then its degree, then phi on
+    top.  No field exceeds w bits within D, so adding a generator (packed
+    the same way) is one integer add that never carries between fields, and
+    sorting points sorts them by phi.  D is closed under subtracting a
+    generator (deg and phi are positive on each), so the knapsack below is
+    exact on it.
 
     With l_j(q) the longest decomposition of q into the first j generators
     (none if q is not their sum), l_j(q) = max(l_{j-1}(q), l_j(q - g_j) + 1).
-    Pass j visits the points of the first j - 1 generators in degree order
-    and walks each g_j-ray upward once, to the degree bound: a point whose
-    predecessor q - g_j is a point was reached by the walk through that
-    predecessor, which has lower degree, so each ray is walked from its
-    lowest point, and along it the recurrence is a running maximum.  One
-    dict is both the point set and the DP table, updated in place.  A value
-    is 2 * length + the parity of the pass that wrote it: every point is
-    either the lowest of its ray or on a walk, so each pass rewrites every
-    value, and a point that already holds this pass's parity was walked and
-    is skipped.  Pass j touches each point of the semigroup of the first j
-    generators once, far fewer steps in all than (points) x (generators).
-    `point_ceiling` is checked on every insertion.
+    Pass j visits the points of the first j - 1 generators in phi order and
+    walks each g_j-ray upward once, while it stays in D (one min of two
+    divisions): a point whose predecessor q - g_j is a point was reached by
+    the walk through that predecessor, which has lower phi, so each ray is
+    walked from its lowest point, and along it the recurrence is a running
+    maximum.  One dict is both the point set and the DP table, updated in
+    place.  A value is 2 * length + the parity of the pass that wrote it:
+    every point is either the lowest of its ray or on a walk, so each pass
+    rewrites every value, and a point that already holds this pass's parity
+    was walked and is skipped.  More than `ceiling` points returns None.
     """
-    n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
-    gens = monomial_ideal(d).generators
-    if not gens:
-        raise ValueError("the datum has no generators (no members)")
-    bound = k_max * max(sum(g) for g in gens)
-    width = bound.bit_length()
-    shift = n * width
-    # A generator above the degree bound reaches no point within it.
-    packed = [(sum(g), sum(g) << shift | _pack(g, width)) for g in gens if sum(g) <= bound]
+    w = top.bit_length()
+    dshift = n * w
+    pshift = dshift + w
+    dmask = (1 << w) - 1
+    packed = []
+    for g in gens:
+        dg, fg = sum(g), sum(x * y for x, y in zip(g, weights))
+        if dg <= top and fg <= cap:
+            packed.append((dg, fg, fg << pshift | dg << dshift | _pack(g, w)))
 
     longest = {0: 0}
     if len(longest) > ceiling:
-        return HilbertSamuelTable(n, (), False, None, len(longest), True)
-    for j, (dg, g) in enumerate(packed, 1):
+        return None
+    for j, (dg, fg, g) in enumerate(packed, 1):
         parity = j & 1
         for p in sorted(longest):
             v = longest[p]
@@ -347,19 +470,74 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
                 continue
             v ^= 1
             longest[p] = v
-            for _ in range((bound - (p >> shift)) // dg):
+            for _ in range(min((top - (p >> dshift & dmask)) // dg, (cap - (p >> pshift)) // fg)):
                 p += g
                 v += 2
                 old = longest.get(p)
                 if old is None:
                     longest[p] = v
                     if len(longest) > ceiling:
-                        return HilbertSamuelTable(n, (), False, None, len(longest), True)
+                        return None
                 else:
                     old ^= 1
                     if old > v:
                         v = old
                     longest[p] = v
+    return longest
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
+    """The colength table of `d`: a knapsack on the points that can count.
+
+    With bound = k_max * maxdeg, `points` is |S ∩ {deg <= bound}| and the
+    histogram counts the points of length l < k_max.  Such a point is a sum
+    of at most k_max - 1 generators, so it lies in
+    D = S ∩ {deg <= (k_max - 1)·maxdeg} ∩ {phi <= c}, where a_i is the least
+    pure power a_i·e_i among the generators, L = lcm(a),
+    phi(q) = Σ q_i·L/a_i and c = min((k_max - 1)·max phi(g),
+    (k_max - 1)·L + max phi(r) over r in R): on q = r + a∘k (see
+    `_residues`) l(q) >= |k|, so phi(q) = phi(r) + L·|k| <= c.  `_longest`
+    is exact on D, so only D is walked, and `points` is counted in closed
+    form by `_count_points`, not stored.  This route needs the certificate
+    of `_residues`; valid data pass it (their rings are normal semigroup
+    rings), but it is checked, not assumed.
+
+    Data without it (a coordinate with no pure power, or a generator set
+    whose residues mod a leave R) walk all of S ∩ {deg <= bound} instead,
+    with phi = deg, and `points` is the size of that table.  Either way
+    `point_ceiling` is exact: more than it aborts with points = ceiling + 1.
+    """
+    n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
+    gens = monomial_ideal(d).generators
+    if not gens:
+        raise ValueError("the datum has no generators (no members)")
+    aborted = HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
+    maxdeg = max(sum(g) for g in gens)
+    bound = k_max * maxdeg
+
+    a = _pure_powers(gens)
+    residues = None
+    if a is not None:
+        lcm = math.lcm(*a)
+        weights = [lcm // x for x in a]
+        residues = _residues(gens, a, weights, bound, ceiling)
+    if residues is None:
+        longest = _longest(n, gens, (1,) * n, bound, bound, ceiling)
+        if longest is None:
+            return aborted
+        points = len(longest)
+    else:
+        if len(residues) > ceiling:
+            return aborted
+        points = _count_points(a, bound, (t for t, _ in residues.values()), ceiling)
+        if points > ceiling:
+            return aborted
+        cap = min(
+            (k_max - 1) * max(sum(x * w for x, w in zip(g, weights)) for g in gens),
+            (k_max - 1) * lcm + max(f for _, f in residues.values()),
+        )
+        longest = _longest(n, gens, weights, (k_max - 1) * maxdeg, cap, ceiling)
 
     # A finished table has more than k_max points (the multiples of one
     # generator), so the histogram is no larger than the point set.
@@ -381,7 +559,7 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     run = diffs[-STABLE_RUN:]
     stabilized = len(run) == STABLE_RUN and len(set(run)) == 1
     e = diffs[-1] if stabilized else None
-    return HilbertSamuelTable(n, tuple(values), stabilized, e, len(longest), False)
+    return HilbertSamuelTable(n, tuple(values), stabilized, e, points, False)
 
 
 def table_payload(table: HilbertSamuelTable) -> dict:

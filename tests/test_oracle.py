@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from aqci import (
     to_json,
 )
 from aqci.cli import main
+from aqci.datum import NODE_KIDS, class_datum, member_forest
 
 from helpers import INTERVAL_FIXTURE, chain, loose_points, reference_table, star, two_stars
 
@@ -68,8 +70,9 @@ def test_datum_without_members_is_refused():
 
 
 def test_finished_table_memory_per_point():
-    # One dict of packed points, updated in place, peaks at about 125 bytes
-    # a point here.  A budget of its own keeps the table out of the cache.
+    # The walk stores only the points that can reach the histogram (9,043
+    # of the 89,901 here) and counts the rest, so it peaks at about 8 bytes
+    # a point.  A budget of its own keeps the table out of the cache.
     tracemalloc.start()
     try:
         t = hilbert_samuel_table(chain(3, 2, 2), OracleBudget(k_max=12, point_ceiling=89_901))
@@ -78,6 +81,87 @@ def test_finished_table_memory_per_point():
         tracemalloc.stop()
     assert not t.aborted and t.points == 89_901 and t.e == 8
     assert peak < 160 * t.points
+
+
+def test_table_memory_follows_the_histogram_not_the_semigroup():
+    tracemalloc.start()
+    try:
+        t = hilbert_samuel_table(chain(3, 2, 2), OracleBudget(k_max=12, point_ceiling=89_901))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not t.aborted and t.points == 89_901 and t.e == 8
+    assert peak < 20 * t.points
+
+
+def test_counted_points_abort_in_memory_bounded_by_the_residues():
+    # chain(3,3,3) has 655,384 points within the bound, but only 27 residues
+    # mod its pure powers, and the count stops at the ceiling.
+    tracemalloc.start()
+    try:
+        t = hilbert_samuel_table(chain(3, 3, 3), OracleBudget(k_max=12, point_ceiling=100_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.aborted and t.values == () and t.points == 100_001
+    assert peak < 1_000_000
+
+
+class _Certified(Exception):
+    pass
+
+
+class _Walked(Exception):
+    pass
+
+
+def _route(d, budget=OracleBudget()):
+    """The route `_tabulate` takes on `d`, stopped before it does the work."""
+    oracle = importlib.import_module("aqci.multiplicity")
+
+    def certified(*args):
+        raise _Certified
+
+    def walked(*args):
+        raise _Walked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_count_points", certified)
+        mp.setattr(oracle, "_longest", walked)
+        try:
+            oracle._tabulate.__wrapped__(d, budget)
+        except _Certified:
+            return "certified"
+        except _Walked:
+            return "walk"
+    raise AssertionError("the table finished without a route")
+
+
+def test_every_table_verify_needs_takes_the_certified_route():
+    # The class, its reduced datum (connected, n >= 2) and its components
+    # (disconnected), each as `hilbert_samuel_table` keys it.  The reduced
+    # data and components are smaller classes of the same budget.
+    keys = set()
+    for d in enumerate_data(EnumerationBudget(n_max=5, max_ratio=3)):
+        keys.add(canonical_form(d)[0])
+        comps = member_forest(d).root_nodes
+        if len(comps) > 1:
+            keys.update(canonical_form(class_datum([x]))[0] for x in comps)
+        elif d.n >= 2:
+            keys.add(canonical_form(class_datum(NODE_KIDS[comps[0]]))[0])
+    assert len(keys) == 193
+    assert {_route(k) for k in keys} == {"certified"}
+
+
+def test_generator_set_outside_the_certificate_takes_the_old_walk():
+    # Every singleton is there, but the top weight 3 does not divide the
+    # singleton weight 2: (3,3,3) mod (2,3,3) = (1,0,0) is not in the
+    # semigroup, so its residues mod the pure powers are not closed.
+    d = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
+    budget = OracleBudget(k_max=6)
+    assert _route(d, budget) == "walk"
+    assert _route(star(3, 2), budget) == "certified"
+    assert hilbert_samuel_table(d, budget) == reference_table(d, budget)
 
 
 def test_two_stars_table_has_its_known_size():
@@ -141,6 +225,22 @@ def test_huge_k_max_aborts_in_memory_bounded_by_the_ceiling():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert t.aborted and t.values == () and t.points == 1001
+    assert peak < 1_000_000
+
+
+def test_counted_points_abort_for_any_degree_bound():
+    # Pure powers 2 and 1: the count walks the states (t, t - 2, ...) of a
+    # degree bound of 2 * 10^7, but stops after ceiling + 1 of them.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        d = make_datum(2, [((1,), 2), ((2,), 1)])
+        t = hilbert_samuel_table(d, OracleBudget(k_max=10**7, point_ceiling=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
     assert t.aborted and t.values == () and t.points == 1001
     assert peak < 1_000_000
 

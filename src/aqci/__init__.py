@@ -38,7 +38,7 @@ from .datum import (
     to_payload,
     validate,
 )
-from .enumeration import EnumerationBudget, enumerate_data
+from .enumeration import EnumerationBudget, class_count, enumerate_data
 from .invariants import (
     InvariantSummary,
     branching_product,

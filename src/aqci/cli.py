@@ -11,12 +11,13 @@ Diagnostics go to stderr; with --json the primary stream carries only JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .datum import (
     DatumFormatError,
+    exact_decimal,
+    exact_json,
     format_fraction,
     from_json,
     is_connected,
@@ -25,7 +26,7 @@ from .datum import (
     to_json,
     validate,
 )
-from .enumeration import EnumerationBudget, enumerate_data
+from .enumeration import EnumerationBudget, class_count, enumerate_data
 from .invariants import summarize
 from .lct import find_closure_power, lct_datum, lct_lp
 from .multiplicity import (
@@ -85,10 +86,24 @@ def _oracle_budget(args, n: int) -> OracleBudget:
     return OracleBudget(k_max=args.k_max, point_ceiling=args.point_ceiling)
 
 
+CLASS_CEILING = 20_000
+
+
+def _enumeration_budget(args, n_max: int) -> EnumerationBudget:
+    """The budget of the flags, refused if it holds more than --class-ceiling classes."""
+    budget = EnumerationBudget(n_max, args.max_ratio)
+    if class_count(budget, args.class_ceiling) > args.class_ceiling:
+        raise _CliError(
+            2, f"the budget n <= {n_max}, ratio <= {args.max_ratio} holds more than "
+            f"{args.class_ceiling} classes (--class-ceiling)"
+        )
+    return budget
+
+
 def _structural_text(result) -> str:
     """The structural multiplicity as `info` and `mult` print it."""
     if result.is_exact:
-        return f"{result.value} (exact)"
+        return f"{exact_decimal(result.value)} (exact)"
     return f"within [{format_fraction(result.lower)}, {format_fraction(result.upper)}]"
 
 
@@ -147,8 +162,9 @@ def _cmd_info(args) -> tuple[int, dict, list[str]]:
         f"embedding dimension:  {s.emb}",
         f"connected:            {'yes' if connected else 'no'}",
         f"lct:                  {format_fraction(s.lct)}  (ceiling {s.ceil_lct})",
-        f"group order:          {s.group_order}  (lattice route: {s.group_order_lattice})",
-        f"branching product:    {s.branching_product}",
+        f"group order:          {exact_decimal(s.group_order)}"
+        f"  (lattice route: {exact_decimal(s.group_order_lattice)})",
+        f"branching product:    {exact_decimal(s.branching_product)}",
         f"multiplicity:         {_structural_text(result)}",
         f"bound envelope:       [{lower}, {upper}]",
         f"closure power:        {closure_q if closure_q is not None else 'none'}",
@@ -181,10 +197,10 @@ def _cmd_mult(args) -> tuple[int, dict, list[str]]:
         if table.aborted:
             return 0, payload, [f"oracle: aborted after {table.points} points (ceiling exceeded)"]
         if table.stabilized:
-            verdict = f"multiplicity: {table.e} (differences stabilized)"
+            verdict = f"multiplicity: {exact_decimal(table.e)} (differences stabilized)"
         else:
             verdict = "multiplicity: not stabilized within budget"
-        return 0, payload, ["colengths: " + " ".join(str(v) for v in table.values), verdict]
+        return 0, payload, ["colengths: " + " ".join(map(exact_decimal, table.values)), verdict]
     payload["lower_bound"] = lower = format_fraction(multiplicity_lower_bound(d))
     payload["upper_bound"] = upper = format_fraction(multiplicity_upper_bound(d))
     lines = [f"bound envelope: [{lower}, {upper}]"]
@@ -208,9 +224,8 @@ def _cmd_dot(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    budget = EnumerationBudget(n_max=args.n, max_ratio=args.max_ratio)
     count = 0
-    for d in enumerate_data(budget):
+    for d in enumerate_data(_enumeration_budget(args, args.n)):
         if args.jsonl:
             print(to_json(d))
         else:
@@ -226,6 +241,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     oracle = _oracle_budget(args, args.n_max)
+    budget = _enumeration_budget(args, args.n_max)
     if args.report:
         base = args.report
         jsonl = base[:-5] + ".jsonl" if base.endswith(".json") else base + ".jsonl"
@@ -236,7 +252,7 @@ def _cmd_verify(args) -> int:
                 open(path, "a", encoding="utf-8").close()
         except OSError as exc:
             raise _CliError(2, f"cannot write report: {exc}") from None
-    report = run_suite(EnumerationBudget(args.n_max, args.max_ratio), oracle, args.jobs)
+    report = run_suite(budget, oracle, args.jobs)
     summary = report.summary
     if args.report:
         with open(base, "w", encoding="utf-8") as fh:
@@ -270,6 +286,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-ratio", type=_positive_int, default=EnumerationBudget.max_ratio)
+    p.add_argument("--class-ceiling", type=_positive_int, default=CLASS_CEILING)
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
@@ -316,13 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all isomorphism classes within a budget")
     p.add_argument("--n", type=_positive_int, required=True, help="largest ground-set size")
-    p.add_argument("--max-ratio", type=_positive_int, default=EnumerationBudget.max_ratio)
+    _add_budget_flags(p)
     p.add_argument("--jsonl", action="store_true", help="one datum JSON per line")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run every check on every class within a budget")
     p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--max-ratio", type=_positive_int, default=EnumerationBudget.max_ratio)
+    _add_budget_flags(p)
     p.add_argument("--report", help="write summary JSON here (records go to a .jsonl sibling)")
     _add_oracle_flags(p)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -339,7 +360,7 @@ def main(argv=None) -> int:
         else:
             code, payload, lines = args.fn(args)
             if args.json:
-                print(json.dumps(payload, sort_keys=True, indent=2))
+                print(exact_json(payload, sort_keys=True, indent=2))
             else:
                 for line in lines:
                     print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)

@@ -65,15 +65,71 @@ __all__ = [
     "from_json",
     "to_dot",
     "format_fraction",
+    "exact_decimal",
+    "exact_json",
 ]
+
+
+# int -> str never meets the interpreter's digit limit up to 640 digits;
+# 1,990 bits stay under 600.
+_STR_SAFE_BITS = 1990
+
+
+def exact_decimal(x: int) -> str:
+    """The decimal digits of an int, exact at any size.
+
+    `str` refuses ints past the interpreter's digit limit (4,300 digits by
+    default, a guard that `from_json` relies on, so it stays in place).  A
+    larger int is split by a power of ten near half its digits, and each
+    half printed the same way.
+    """
+    if x.bit_length() <= _STR_SAFE_BITS:
+        return str(x)
+    if x < 0:
+        return "-" + exact_decimal(-x)
+    k = x.bit_length() * 3 // 20
+    hi, lo = divmod(x, 10**k)
+    return exact_decimal(hi) + exact_decimal(lo).zfill(k)
+
+
+def exact_json(obj, **kwargs) -> str:
+    """`json.dumps(obj, **kwargs)` with every int written by `exact_decimal`.
+
+    Output that `json.dumps` can write is its own, byte for byte; only when
+    it refuses an int is the payload walked (walking every payload took the
+    report of `verify --n-max 4 --max-ratio 2` from 1.2 to 3.3 ms).  Then
+    each int that `str` might refuse is swapped for a string token (NUL and
+    an index, which `json.dumps` escapes as \\u0000), and the token's JSON
+    text for the int's digits, so it stays a JSON number.
+    """
+    try:
+        return json.dumps(obj, **kwargs)
+    except ValueError:
+        pass
+    big: list[int] = []
+
+    def swap(x):
+        if type(x) is int and x.bit_length() > _STR_SAFE_BITS:
+            big.append(x)
+            return f"\0{len(big) - 1}"
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [swap(v) for v in x]
+        return x
+
+    text = json.dumps(swap(obj), **kwargs)
+    for k, x in enumerate(big):
+        text = text.replace(f'"\\u0000{k}"', exact_decimal(x), 1)
+    return text
 
 
 def format_fraction(x: Fraction) -> str:
     """Render an exact rational as "p/q", or just "p" for integers."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return exact_decimal(x.numerator)
+    return f"{exact_decimal(x.numerator)}/{exact_decimal(x.denominator)}"
 
 
 class DatumFormatError(ValueError):
@@ -736,7 +792,7 @@ def from_payload(obj) -> SpecialDatum:
 
 
 def to_json(d: SpecialDatum) -> str:
-    return json.dumps(to_payload(d), sort_keys=True)
+    return exact_json(to_payload(d), sort_keys=True)
 
 
 def from_json(text: str) -> SpecialDatum:

@@ -17,7 +17,7 @@ from typing import Iterator
 from . import datum
 from .datum import SpecialDatum, class_datum
 
-__all__ = ["EnumerationBudget", "enumerate_data"]
+__all__ = ["EnumerationBudget", "enumerate_data", "class_count"]
 
 LEAF = ("leaf",)
 
@@ -79,3 +79,34 @@ def enumerate_data(budget: EnumerationBudget) -> Iterator[SpecialDatum]:
     for n in range(1, budget.n_max + 1):
         for forest in _tree_tuples(n, 1, budget.max_ratio):
             yield class_datum([_class_node(tree) for tree in forest])
+
+
+def class_count(budget: EnumerationBudget, ceiling: int | None = None) -> int:
+    """The number of classes `enumerate_data(budget)` yields, without building one.
+
+    Let T(k) count the tree shapes and F(k) the forests (multisets of trees)
+    on k leaves.  The Euler transform gives k*F(k) = sum over j = 1..k of
+    c(j)*F(k - j), with c(j) the sum of d*T(d) over the divisors d of j.
+    Only the term j = k holds T(k), as k*T(k); the rest, divided by k, is
+    F(k) - T(k), the multisets of at least two smaller trees.  A tree of
+    k >= 2 leaves is a ratio in [2, max_ratio] over one of them, so
+    T(k) = (max_ratio - 1)*(F(k) - T(k)).  The count is F(1) + .. + F(n_max).
+
+    With a `ceiling`, the sum stops at the first total past it, which is
+    then returned (every later F(k) is at least 1, so the budget holds more).
+    """
+    labels = budget.max_ratio - 1
+    if labels < 1:
+        return budget.n_max  # no internal node: the loose points, one class per n
+    trees, forests, c = [0], [1], [0]
+    total = 0
+    for k in range(1, budget.n_max + 1):
+        divisor_sum = sum(d * trees[d] for d in range(1, k // 2 + 1) if k % d == 0)
+        several = (sum(c[j] * forests[k - j] for j in range(1, k)) + divisor_sum) // k
+        trees.append(labels * several if k > 1 else 1)
+        forests.append(several + trees[k])
+        c.append(divisor_sum + k * trees[k])
+        total += forests[k]
+        if ceiling is not None and total > ceiling:
+            break
+    return total

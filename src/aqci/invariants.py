@@ -118,48 +118,66 @@ def group_order(d: SpecialDatum) -> int:
     return math.prod(class_group_order[x] for x in member_forest(d).root_nodes)
 
 
-def _row_lattice_diagonal(rows: list[list[int]], n: int) -> list[int]:
-    """Pivot values of an integer row lattice after unimodular row reduction.
-
-    The rows must span a full-rank sublattice of Z^n; the product of the
-    returned pivots is the index of that sublattice.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    diag = []
-    top = 0
-    for col in range(n):
-        while True:
-            nz = [i for i in range(top, len(mat)) if mat[i][col] != 0]
-            if not nz:
-                raise ArithmeticError("row lattice is not full rank")
-            if len(nz) == 1:
-                break
-            best = min(nz, key=lambda i: abs(mat[i][col]))
-            for i in nz:
-                if i != best:
-                    f = mat[i][col] // mat[best][col]
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[best])]
-            # Exact multiples vanish; otherwise remainders shrink, so the
-            # loop terminates by infinite descent.
-        i = nz[0]
-        mat[top], mat[i] = mat[i], mat[top]
-        if mat[top][col] < 0:
-            mat[top] = [-a for a in mat[top]]
-        diag.append(mat[top][col])
-        top += 1
-    return diag
-
-
-def _lattice_rows(d: SpecialDatum) -> tuple[int, list[list[int]]]:
-    """(M, rows): M = lcm of the w's of `group_generators`, and integer rows
-    spanning M*L, where L is generated by Z^n and the vectors (e_i - e_r)/w:
-    n rows M*e_i, then per triple M/w at i and -M/w at r.
+def _lattice_rows(d: SpecialDatum) -> tuple[int, list[dict[int, int]]]:
+    """(M, rows): M = lcm of the w's of `group_generators`, and sparse integer
+    rows (column -> nonzero entry, columns 1..n) spanning M*L, where L is
+    generated by Z^n and the vectors (e_i - e_r)/w: n rows M*e_i, then per
+    triple M/w at i and -M/w at r.
     """
     gens = group_generators(d)
     m = math.lcm(*[w for _, _, w in gens])
-    rows = [[m * int(i == j) for j in range(d.n)] for i in range(d.n)]
-    rows += [[m // w * ((j == i) - (j == r)) for j in range(1, d.n + 1)] for i, r, w in gens]
+    rows = [{i: m} for i in range(1, d.n + 1)]
+    rows += [{i: m // w, r: -(m // w)} for i, r, w in gens]
     return m, rows
+
+
+def _row_lattice_index(rows: list[dict[int, int]], n: int) -> int:
+    """Index in Z^n of the lattice spanned by sparse integer rows over columns 1..n.
+
+    Unimodular row reduction, one column at a time from the last: the row
+    with the least |entry| in the column reduces every other row with a
+    nonzero there, until it is alone; it then leaves with that entry as a
+    pivot of a triangular basis, so the index is the product of the pivots.
+    A column -> rows index keeps each step on nonzeros, and a row that
+    reaches zero drops out of the index.  The rows are reduced in place.
+    The last column goes first because the r of a triple is the least label
+    of its member: the columns most rows share come last, so a step adds
+    entries only there (20-200 times faster than first column first on
+    `chain(2,...,2)` with n = 200 and on `star(1000, 2)`).
+    Raises ArithmeticError if they do not span a full-rank sublattice.
+    """
+    holding: dict[int, set[int]] = {c: set() for c in range(1, n + 1)}
+    for k, row in enumerate(rows):
+        for c in row:
+            holding[c].add(k)
+    index = 1
+    for col in range(n, 0, -1):
+        ids = holding.pop(col)
+        if not ids:
+            raise ArithmeticError("row lattice is not full rank")
+        while len(ids) > 1:
+            pivot = rows[min(ids, key=lambda k: abs(rows[k][col]))]
+            for k in list(ids):
+                row = rows[k]
+                if row is pivot:
+                    continue
+                f = row[col] // pivot[col]
+                for c, v in pivot.items():
+                    x = row.get(c, 0) - f * v
+                    if x:
+                        if c not in row:
+                            holding[c].add(k)
+                        row[c] = x
+                    else:
+                        del row[c]
+                        (ids if c == col else holding[c]).discard(k)
+            # Remainders are smaller than the pivot, so the loop terminates
+            # by infinite descent.
+        (p,) = ids
+        index *= abs(rows[p].pop(col))
+        for c in rows[p]:
+            holding[c].discard(p)
+    return index
 
 
 def group_order_lattice(d: SpecialDatum) -> int:
@@ -174,7 +192,7 @@ def group_order_lattice(d: SpecialDatum) -> int:
     if m == 1:
         # No generator, or only integral ones: L = Z^n.
         return 1
-    det = math.prod(_row_lattice_diagonal(rows, d.n))
+    det = _row_lattice_index(rows, d.n)
     q, rem = divmod(m**d.n, det)
     if rem:
         raise ArithmeticError(

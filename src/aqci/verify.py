@@ -54,7 +54,6 @@ arguments, on x and c in half-units.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -69,6 +68,7 @@ from .datum import (
     SpecialDatum,
     canonical_form,
     class_datum,
+    exact_json,
     format_fraction,
     member_forest,
     monomial_ideal,
@@ -420,10 +420,10 @@ class VerificationReport:
         return bool(self.summary["all_passed"])
 
     def summary_json(self) -> str:
-        return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
+        return exact_json(self.summary, sort_keys=True, indent=2) + "\n"
 
     def records_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        return "".join(exact_json(r, sort_keys=True) + "\n" for r in self.records)
 
 
 def _tally(records) -> dict:

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqci import EnumerationBudget, enumerate_data, to_json, to_payload
+from aqci import EnumerationBudget, OracleBudget, check_datum, enumerate_data, to_json, to_payload
 from aqci.cli import main
+from aqci.datum import exact_decimal, exact_json, format_fraction
 
-from helpers import INTERVAL_FIXTURE, star, two_stars
+from helpers import INTERVAL_FIXTURE, chain, star, two_stars
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,6 +124,46 @@ def test_validate_overlong_integer_is_one_message(tmp_path, capsys, default_int_
     _assert_unparsable(tmp_path, capsys, '{"n": ' + "9" * 5000 + ', "sets": []}')
 
 
+def test_exact_decimal_matches_unlimited_str():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    values = [0, 7, -7, 2**1990, 2**1991, -(3**5000)]
+    values += [10**k + e for k in (599, 600, 601, 4299, 4300, 4301, 9000) for e in (-1, 0, 1)]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(x) for x in values]
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [exact_decimal(x) for x in values] == expected
+
+
+def test_big_exact_numbers_print_past_the_digit_limit(tmp_path, capsys, default_int_digit_limit):
+    # Weights of 771 digits parse; |G| = 10^4620 and the power lower bound's
+    # denominator are past the limit, and print exactly.
+    d = chain(*[10**70] * 11)
+    path = tmp_path / "chain-12.json"
+    path.write_text(to_json(d) + "\n", encoding="utf-8")
+    group = "1" + "0" * 4620
+    assert format_fraction(10**4620) == group
+    assert format_fraction(Fraction(-1, 10**4620)) == "-1/" + group
+    assert main(["info", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"group order:          {group}  (lattice route: {group})" in out
+    assert main(["info", "--json", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert f'"group_order": {group},' in text
+    assert f'"group_order_lattice": {group},' in text
+    record = check_datum(d, OracleBudget(k_max=15, point_ceiling=1_000))
+    bound = record["power_lower_bound"]
+    assert f'"power_lower_bound": "{bound}"' in exact_json(record, sort_keys=True)
+    sys.set_int_max_str_digits(0)  # the fixture restores the limit
+    payload = json.loads(text)
+    assert payload["group_order"] == payload["group_order_lattice"] == 10**4620
+    power_lower = Fraction(12) ** 12 / (10**4620 * Fraction(payload["lct"]) ** 12)
+    assert Fraction(bound) == power_lower
+
+
 def test_validate_huge_n_is_one_quick_message(tmp_path, capsys):
     # Validation would list a missing singleton per element: 10^9 lines.
     path = tmp_path / "huge.json"
@@ -159,6 +200,32 @@ def test_non_positive_budget_is_a_usage_error(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "9", "--max-ratio", "3"],
+        ["enumerate", "--n", "9"],
+        ["enumerate", "--n", "1000000000"],
+        ["enumerate", "--n", "1000000000", "--max-ratio", "1"],
+        ["enumerate", "--n", "5", "--class-ceiling", "192"],
+    ],
+    ids=["verify-n9", "enumerate-n9", "enumerate-huge-n", "ratio-1-huge-n", "one-past"],
+)
+def test_oversized_enumeration_budget_is_refused_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "(--class-ceiling)" in captured.err
+
+
+def test_class_ceiling_admits_a_budget_at_its_count(capsys):
+    assert main(["enumerate", "--n", "5", "--class-ceiling", "193"]) == 0
+    assert capsys.readouterr().err == "total: 193 classes\n"
 
 
 def test_mult_oracle_refuses_a_budget_that_cannot_stabilize(star_file, capsys):

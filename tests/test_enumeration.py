@@ -7,6 +7,7 @@ import pytest
 from aqci import (
     EnumerationBudget,
     canonical_form,
+    class_count,
     enumerate_data,
     signature,
     validate,
@@ -74,3 +75,23 @@ def test_budget_is_monotone():
     small = {signature(d) for d in classes(3, 2)}
     big = {signature(d) for d in classes(4, 3)}
     assert small <= big
+
+
+@pytest.mark.parametrize("n_max,max_ratio", [(n, r) for n in range(1, 7) for r in (1, 2, 3)] + [(7, 2)])
+def test_class_count_equals_the_enumeration(n_max, max_ratio):
+    assert class_count(EnumerationBudget(n_max, max_ratio)) == len(classes(n_max, max_ratio))
+
+
+def test_class_count_past_the_enumerated_budgets():
+    assert [class_count(EnumerationBudget(n, 3)) for n in range(4, 10)] == [
+        49, 193, 844, 3_859, 18_493, 91_147,
+    ]
+    assert [class_count(EnumerationBudget(n, 2)) for n in (4, 5)] == [17, 41]
+
+
+def test_class_count_with_a_ceiling_stops_past_it():
+    assert class_count(EnumerationBudget(9, 3), ceiling=91_147) == 91_147
+    assert class_count(EnumerationBudget(9, 3), ceiling=20_000) == 91_147
+    assert class_count(EnumerationBudget(8, 3), ceiling=1_000) == 3_859
+    assert class_count(EnumerationBudget(10**9, 3), ceiling=20_000) == 91_147
+    assert class_count(EnumerationBudget(10**9, 1), ceiling=20_000) == 10**9

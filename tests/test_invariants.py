@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+
 from aqci import (
     EnumerationBudget,
     branching_product,
@@ -25,7 +27,7 @@ from aqci import (
     scale,
     summarize,
 )
-from aqci.invariants import _lattice_rows
+from aqci.invariants import _lattice_rows, _row_lattice_index
 
 from helpers import (
     chain,
@@ -124,11 +126,29 @@ def test_group_order_recursion_matches_lattice_route():
         assert group_order(d) == group_order_lattice(d)
 
 
+def test_group_order_routes_agree_on_every_class_to_dimension_six():
+    count = 0
+    for d in enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)):
+        assert group_order(d) == group_order_lattice(d), d
+        count += 1
+    assert count == 844
+
+
 def test_group_order_lattice_closed_forms_at_scale():
     # |G| = r^(n-1) for a star; a chain of ratio 2 gives 2^(1 + 2 + .. + (n-1)).
     assert group_order_lattice(star(200, 2)) == 2**199
     assert group_order_lattice(chain(*[2] * 39)) == 2**780
     assert group_order_lattice(chain(*[2] * 79)) == 2**3160
+    assert group_order_lattice(chain(*[3] * 79)) == 3**3160
+    assert group_order_lattice(star(1000, 2)) == 2**999
+
+
+def test_rank_deficient_rows_raise():
+    # Column 2 holds no entry; a plain raise, so it holds under python -O too.
+    with pytest.raises(ArithmeticError):
+        _row_lattice_index([{1: 2}, {1: 3}], 2)
+    with pytest.raises(ArithmeticError):
+        _row_lattice_index([{1: 2, 2: -2}, {1: 1, 2: -1}], 2)
 
 
 def test_group_order_matches_subgroup_closure():
@@ -143,6 +163,7 @@ def test_lattice_rows_reduce_mod_m_to_the_subgroup_closure():
     # -M/w at r dropped) span a lattice of the same index on these data.
     for d in enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)):
         m, rows = _lattice_rows(d)
+        rows = [[row.get(j, 0) for j in range(1, d.n + 1)] for row in rows]
         expected_m, expected = subgroup_closure(reference_group_generators(d), d.n)
         assert m == expected_m, d
         assert closure_mod(rows, m, d.n) == expected, d

@@ -34,8 +34,6 @@ from .multiplicity import (
     OracleBudget,
     hilbert_samuel_table,
     multiplicity,
-    multiplicity_lower_bound,
-    multiplicity_upper_bound,
     result_payload,
     table_payload,
 )
@@ -104,7 +102,7 @@ def _structural_text(result) -> str:
     """The structural multiplicity as `info` and `mult` print it."""
     if result.is_exact:
         return f"{exact_decimal(result.value)} (exact)"
-    return f"within [{format_fraction(result.lower)}, {format_fraction(result.upper)}]"
+    return f"within [{exact_decimal(result.lower)}, {exact_decimal(result.upper)}]"
 
 
 def _member_values(pairs) -> list[dict]:
@@ -137,8 +135,7 @@ def _cmd_info(args) -> tuple[int, dict, list[str]]:
     s = summarize(d)
     connected = is_connected(d)
     result = multiplicity(d)
-    lower = format_fraction(multiplicity_lower_bound(d))
-    upper = format_fraction(multiplicity_upper_bound(d))
+    lower, upper = exact_decimal(result.lower), exact_decimal(result.upper)
     closure_q = find_closure_power(d)
     payload = {
         "n": s.n,
@@ -201,11 +198,11 @@ def _cmd_mult(args) -> tuple[int, dict, list[str]]:
         else:
             verdict = "multiplicity: not stabilized within budget"
         return 0, payload, ["colengths: " + " ".join(map(exact_decimal, table.values)), verdict]
-    payload["lower_bound"] = lower = format_fraction(multiplicity_lower_bound(d))
-    payload["upper_bound"] = upper = format_fraction(multiplicity_upper_bound(d))
+    result = multiplicity(d)
+    payload["lower_bound"] = lower = exact_decimal(result.lower)
+    payload["upper_bound"] = upper = exact_decimal(result.upper)
     lines = [f"bound envelope: [{lower}, {upper}]"]
     if args.method == "auto":
-        result = multiplicity(d)
         payload["multiplicity"] = result_payload(result)
         trace = "trace: " + ", ".join(s.rule for s in result.trace)
         lines = [f"multiplicity: {_structural_text(result)}", *lines, trace]

@@ -2,12 +2,15 @@
 
 Two routes are provided and never mixed:
 
-  * `multiplicity` applies the structural rules.  It returns an exact value
-    when the rule chain pins one down (dimension one; products over
-    components; the reduce step when the reduced threshold is at least the
-    child weight; tops whose children are all singletons) and otherwise a
-    certified integer interval assembled from the known lower and upper
-    bounds.  Each step is recorded in a trace.
+  * `multiplicity` reads the structural bound envelope: one integer
+    interval [lower, upper] per class node (`_envelope`), from the floor
+    factor product, the group-order power bound, the branching product,
+    the power-of-two bound and the reduce and component rules.  The value
+    is exact when the interval is one point, which the rule chain forces
+    in dimension one, in the reduce step when the reduced threshold is at
+    least the child weight, and at tops whose children are all
+    singletons; otherwise it is the certified interval.  The rule of each
+    member is recorded in a trace.
 
   * `hilbert_samuel_table` measures colengths of powers of the maximal ideal
     directly on the semigroup of the ring and extracts the multiplicity from
@@ -27,10 +30,8 @@ Two routes are provided and never mixed:
     without the certificate walk the whole semigroup up to the bound.
     Tables are cached per isomorphism class and budget.
 
-`multiplicity_lower_bound` / `multiplicity_upper_bound` expose the full
-bound family on their own: the floor-factor product and the group-order
-power bound from below, the branching product and the power-of-two bound
-2^(n - ceil(lct)) from above, plus the recursive reduce and component rules.
+`multiplicity_lower_bound` / `multiplicity_upper_bound` return the two
+ends of that same envelope on their own.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .datum import (
     ClassMemo,
     SpecialDatum,
     canonical_form,
-    format_fraction,
+    exact_decimal,
     member_forest,
     monomial_ideal,
     validate,
@@ -98,8 +99,8 @@ class TraceStep:
 class MultiplicityResult:
     status: str
     value: int | None
-    lower: Fraction
-    upper: Fraction
+    lower: int
+    upper: int
     trace: tuple[TraceStep, ...]
 
     @property
@@ -107,92 +108,47 @@ class MultiplicityResult:
         return self.status == EXACT
 
 
-def _exact(value: int, trace=()) -> MultiplicityResult:
-    v = Fraction(value)
-    return MultiplicityResult(EXACT, value, v, v, tuple(trace))
+def _envelope(x: int) -> tuple[int, int]:
+    """(lower, upper): the integer bounds on the multiplicity of the tree x.
 
+    From below, the greatest of 1, the floor-factor product, (n/lct)^n/|G|
+    and min(r, reduced lct) times the product of the children's lower ends,
+    ceiled; from above, the least of the branching product, 2^(n - ceil lct)
+    and r times the product of the children's upper ends.  Each candidate
+    is a bound of the rule chain: the reduced datum of x is the forest of
+    its children, whose multiplicity is the product of theirs, and the
+    reduce rule gives e = r * e(reduced) when the reduced threshold is at
+    least r and e >= reduced lct * e(reduced) otherwise.  e is an integer,
+    so the ceiling keeps the lower end sound.
 
-def _interval(lower: Fraction, upper: Fraction, trace=()) -> MultiplicityResult:
-    if lower == upper:
-        return _exact(int(lower), tuple(trace) + (TraceStep("interval-pinned"),))
-    return MultiplicityResult(INTERVAL, None, lower, upper, tuple(trace))
-
-
-# The structural rules per class node and per forest of class nodes.  A
-# result's own trace holds only the steps that follow its sub-traces (an
-# "interval-pinned"); `multiplicity` splices the sub-traces in label order.
-
-
-def _forest(nodes) -> MultiplicityResult:
-    """The component-product rule over the trees `nodes`."""
-    parts = [_class_rule[x][0] for x in nodes]
-    if all(p.is_exact for p in parts):
-        return _exact(math.prod(p.value for p in parts))
-    lower = math.prod((p.lower for p in parts), start=Fraction(1))
-    upper = math.prod((p.upper for p in parts), start=Fraction(1))
-    return _interval(lower, upper)
-
-
-def _rule(x: int) -> tuple[MultiplicityResult, str]:
-    """(result, rule) of the tree x; its reduced datum is its children."""
-    n, r, kids = NODE_LEAVES[x], NODE_RATIO[x], NODE_KIDS[x]
-    if x == LEAF:
-        return _exact(1), "dimension-one"
-    reduced, sub = reduced_lct(x), _forest(kids)
-    if reduced >= r:
-        # The threshold of the tree equals reduced_lct / r here, which is the
-        # exact equality case of the reduce rule.
-        if sub.is_exact:
-            return _exact(r * sub.value), "reduce-equality"
-        return _interval(r * sub.lower, r * sub.upper), "reduce-equality"
-
-    if all(k == LEAF for k in kids):
-        # One binomial relation: the ring is a hypersurface.
-        return _exact(min(r, n)), "hypersurface"
-
-    # Open case (threshold is 1, some child is composite): certified interval.
-    lower = max(
-        class_floor_product[x],
-        reduced * sub.lower,
-        Fraction(n**n, class_group_order[x]),
-    )
-    upper = min(Fraction(r) * sub.upper, Fraction(class_branching[x]), Fraction(2 ** (n - 1)))
-    return _interval(Fraction(math.ceil(lower)), upper), "interval-bounds"
-
-
-_class_rule = ClassMemo(_rule)
-
-
-def multiplicity(d: SpecialDatum) -> MultiplicityResult:
-    """Structural multiplicity: exact where the rules decide, else an interval.
-
-    The value depends only on the class; the trace walks the member forest
-    in label order.  A tree records its rule on its top member (relabeled
-    to 1..size, as `restrict` would) and, after "reduce-equality" or
-    "interval-bounds", the trace of its reduced datum; a forest of two or
-    more trees records "component-product" and then each tree's trace.
+    By induction over class nodes, the envelope is never looser than the
+    interval that the rule of x (`_rule`) gives from its children's, nor
+    than the same candidates taken over rational children's bounds with no
+    ceiling.  A leaf gets [1, 1] (branching 1).  Under "reduce-equality"
+    the rule gives r times the children's interval, one candidate on each
+    side.  Under "hypersurface" (n leaf children, reduced lct n < r) the
+    lower end is at least n and the branching product is n, so the
+    envelope pins e = min(r, n).  Under "interval-bounds" the threshold is
+    1, and the rule's ceil(max(floor product, reduced lct * children's
+    lower, n^n/|G|)) and min(r * children's upper, branching, 2^(n-1)) take
+    candidates of this envelope.  Ceiling a child's lower end only raises
+    the parent's candidate.  So the rules decide e exactly iff
+    lower == upper.
     """
-    f = member_forest(d)
-    result = _forest(f.root_nodes)
-    trace: list[TraceStep] = []
-    stack: list = [f.roots]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, TraceStep):
-            trace.append(item)
-        elif len(item) > 1:
-            stack.extend(reversed(_forest(f.node[j] for j in item).trace))
-            stack.extend((j,) for j in reversed(item))
-            trace.append(TraceStep("component-product"))
-        else:
-            x = f.node[item[0]]
-            sub, rule = _class_rule[x]
-            stack.extend(reversed(sub.trace))
-            if rule in ("reduce-equality", "interval-bounds"):
-                stack.append(f.kids[item[0]])
-            top = tuple(range(1, NODE_LEAVES[x] + 1)) if x != LEAF else None
-            trace.append(TraceStep(rule, top))
-    return MultiplicityResult(result.status, result.value, result.lower, result.upper, tuple(trace))
+    n, lct = NODE_LEAVES[x], class_lct[x]
+    # (n/lct)^n/|G| counts only above 1; testing that first skips reducing a
+    # huge fraction (|G| of a deep chain has about n^2/2 bits).
+    power, group = (Fraction(n) / lct) ** n, class_group_order[x]
+    lower = max(1, class_floor_product[x], power / group if power > group else 1)
+    upper = min(class_branching[x], 2 ** (n - math.ceil(lct)))
+    if x != LEAF:
+        r, (kids_lower, kids_upper) = NODE_RATIO[x], _product(NODE_KIDS[x])
+        lower = max(lower, min(r, reduced_lct(x)) * kids_lower)
+        upper = min(upper, r * kids_upper)
+    return math.ceil(lower), upper
+
+
+_class_envelope = ClassMemo(_envelope)
 
 
 # Over components the bounds are the products of the components' bounds.
@@ -202,43 +158,75 @@ def multiplicity(d: SpecialDatum) -> MultiplicityResult:
 # inequality of `verify.product_concavity_grid`).
 
 
-def _upper(x: int) -> Fraction:
-    n = NODE_LEAVES[x]
-    cands = [Fraction(class_branching[x]), Fraction(2 ** (n - math.ceil(class_lct[x])))]
-    if x != LEAF:
-        cands.append(NODE_RATIO[x] * _product(_class_upper, NODE_KIDS[x]))
-    return min(cands)
+def _product(nodes) -> tuple[int, int]:
+    """The envelope of the forest of the trees `nodes`."""
+    ends = [_class_envelope[x] for x in nodes]
+    return math.prod(lo for lo, _ in ends), math.prod(hi for _, hi in ends)
 
 
-def _lower(x: int) -> Fraction:
-    n = NODE_LEAVES[x]
-    # (n/lct)^n/|G| counts only above 1; testing that first skips reducing a
-    # huge fraction (|G| of a deep chain has about n^2/2 bits).
-    power, group = (Fraction(n) / class_lct[x]) ** n, class_group_order[x]
-    cands = [Fraction(1), class_floor_product[x], power / group if power > group else Fraction(1)]
-    if x != LEAF:
-        r, reduced = NODE_RATIO[x], reduced_lct(x)
-        factor = Fraction(r) if reduced >= r else reduced
-        cands.append(factor * _product(_class_lower, NODE_KIDS[x]))
-    return max(cands)
+def _rule(x: int) -> str:
+    """The structural rule that the trace records for the tree x."""
+    if x == LEAF:
+        return "dimension-one"
+    if reduced_lct(x) >= NODE_RATIO[x]:
+        # The threshold of the tree equals reduced_lct / r here, which is the
+        # exact equality case of the reduce rule.
+        return "reduce-equality"
+    if all(k == LEAF for k in NODE_KIDS[x]):
+        # One binomial relation: the ring is a hypersurface.
+        return "hypersurface"
+    # Open case (threshold is 1, some child is composite).
+    return "interval-bounds"
 
 
-_class_upper = ClassMemo(_upper)
-_class_lower = ClassMemo(_lower)
+def multiplicity(d: SpecialDatum) -> MultiplicityResult:
+    """Structural multiplicity: exact where the envelope pins it, else an interval.
+
+    The value depends only on the class; the trace walks the member forest
+    in label order.  A tree records its rule on its top member (relabeled
+    to 1..size, as `restrict` would) and, after "reduce-equality" or
+    "interval-bounds", the trace of its reduced datum, then
+    "interval-pinned" if its rule leaves it open (an open child, or
+    "interval-bounds") but its envelope is one value; a forest of two or
+    more trees records "component-product" and then each tree's trace.
+    """
+    f = member_forest(d)
+    lower, upper = _product(f.root_nodes)
+    trace: list[TraceStep] = []
+    stack: list = [f.roots]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, TraceStep):
+            trace.append(item)
+        elif len(item) > 1:
+            stack.extend((j,) for j in reversed(item))
+            trace.append(TraceStep("component-product"))
+        else:
+            x = f.node[item[0]]
+            rule, (lo, hi) = _rule(x), _class_envelope[x]
+            kids = (_class_envelope[k] for k in NODE_KIDS[x])
+            if lo == hi and (rule == "interval-bounds" or any(a != b for a, b in kids)):
+                stack.append(TraceStep("interval-pinned"))
+            if rule in ("reduce-equality", "interval-bounds"):
+                stack.append(f.kids[item[0]])
+            top = tuple(range(1, NODE_LEAVES[x] + 1)) if x != LEAF else None
+            trace.append(TraceStep(rule, top))
+    if lower == upper:
+        return MultiplicityResult(EXACT, lower, lower, upper, tuple(trace))
+    return MultiplicityResult(INTERVAL, None, lower, upper, tuple(trace))
 
 
-def _product(memo: ClassMemo, nodes) -> Fraction:
-    return math.prod((memo[x] for x in nodes), start=Fraction(1))
+def multiplicity_upper_bound(d: SpecialDatum) -> int:
+    """Least available upper bound for the multiplicity: the envelope's upper end."""
+    return _product(member_forest(d).root_nodes)[1]
 
 
-def multiplicity_upper_bound(d: SpecialDatum) -> Fraction:
-    """Least available upper bound for the multiplicity, as an exact rational."""
-    return _product(_class_upper, member_forest(d).root_nodes)
+def multiplicity_lower_bound(d: SpecialDatum) -> int:
+    """Greatest available lower bound for the multiplicity: the envelope's lower end.
 
-
-def multiplicity_lower_bound(d: SpecialDatum) -> Fraction:
-    """Greatest available lower bound for the multiplicity, as an exact rational."""
-    return _product(_class_lower, member_forest(d).root_nodes)
+    An integer: the greatest rational candidate, ceiled, at every node.
+    """
+    return _product(member_forest(d).root_nodes)[0]
 
 
 def result_payload(result: MultiplicityResult) -> dict:
@@ -246,8 +234,8 @@ def result_payload(result: MultiplicityResult) -> dict:
     return {
         "status": result.status,
         "value": result.value,
-        "lower": format_fraction(result.lower),
-        "upper": format_fraction(result.upper),
+        "lower": exact_decimal(result.lower),
+        "upper": exact_decimal(result.upper),
         "trace": [
             {"rule": s.rule, "member": list(s.member) if s.member else None} for s in result.trace
         ],

@@ -41,9 +41,9 @@ factors are not all equal to the child-weight factors.
   C11 reduce-lower-strict      when lct = 1 strictly exceeds lct(reduced)/r,
                                e >= lct(reduced) * e(reduced)
   C12 component-product        e is multiplicative over components
-  C13 oracle-vs-structural     the oracle e lies within every structural
-                               bound and equals the structural value when
-                               that is exact
+  C13 oracle-vs-structural     the oracle e lies within the structural
+                               bound envelope (so it equals the structural
+                               value when that is exact)
 
 Two closed-form inequality grids are checked alongside, exactly and in
 integers: the ceiling power inequality a <= 2^(ceil(b) - ceil(b/a)) with its
@@ -68,6 +68,7 @@ from .datum import (
     SpecialDatum,
     canonical_form,
     class_datum,
+    exact_decimal,
     exact_json,
     format_fraction,
     member_forest,
@@ -89,8 +90,6 @@ from .multiplicity import (
     OracleBudget,
     hilbert_samuel_table,
     multiplicity,
-    multiplicity_lower_bound,
-    multiplicity_upper_bound,
     result_payload,
     table_payload,
 )
@@ -164,8 +163,6 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     power_lower = (Fraction(n) / lct) ** n / gorder
     closure_q = find_closure_power(d)
     result = multiplicity(d)
-    lower = multiplicity_lower_bound(d)
-    upper = multiplicity_upper_bound(d)
 
     # The oracle values the checks read: the datum's own e, the reduced
     # datum's e (connected data with a composite top) and the components' es
@@ -312,17 +309,18 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
             e == math.prod(comp_es), {"e": e, "component_es": comp_es}
         )))
 
-    # An exact structural result has lower == upper == value.
+    # The structural result is the bound envelope: exact when lower == upper.
+    lower, upper = exact_decimal(result.lower), exact_decimal(result.upper)
     checks.append(_gate("C13", own, lambda: (
-        lower <= e <= upper and result.lower <= e <= result.upper,
+        result.lower <= e <= result.upper,
         {
             "e": e,
-            "lower": format_fraction(lower),
-            "upper": format_fraction(upper),
+            "lower": lower,
+            "upper": upper,
             "structural_status": result.status,
             "structural_value": result.value,
-            "structural_lower": format_fraction(result.lower),
-            "structural_upper": format_fraction(result.upper),
+            "structural_lower": lower,
+            "structural_upper": upper,
         },
     )))
 
@@ -343,8 +341,8 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         "child_weight_factors": [format_fraction(x) for x in weights_factors],
         "floor_factor_product": ffp_text,
         "power_lower_bound": power_lower_text,
-        "lower_bound": format_fraction(lower),
-        "upper_bound": format_fraction(upper),
+        "lower_bound": lower,
+        "upper_bound": upper,
         "closure_power": closure_q,
         "multiplicity": result_payload(result),
         "oracle": table_payload(table),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from aqci import (
     INTERVAL,
     EnumerationBudget,
     OracleBudget,
+    check_datum,
     enumerate_data,
     hilbert_samuel_table,
     make_datum,
@@ -17,6 +19,7 @@ from aqci import (
     multiplicity_lower_bound,
     multiplicity_upper_bound,
 )
+from aqci.datum import ClassMemo, member_forest
 
 from helpers import INTERVAL_FIXTURE, chain, loose_points, star, two_stars
 
@@ -92,13 +95,36 @@ def test_bound_aggregator_fixture_values():
 
 
 def test_bounds_bracket_the_structural_result():
-    for d in enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)):
+    # The structural result and the bound functions read one envelope.
+    count = 0
+    for d in enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)):
         lo = multiplicity_lower_bound(d)
         hi = multiplicity_upper_bound(d)
         res = multiplicity(d)
         assert lo <= hi
         assert lo <= res.upper and res.lower <= hi
         assert hi <= 2 ** (d.n - 1)
+        assert (res.lower, res.upper) == (lo, hi), d
+        assert res.is_exact == (res.lower == res.upper), d
+        assert type(lo) is int and type(hi) is int, d
+        count += 1
+    assert count == 844
+
+
+def test_an_empty_envelope_stays_an_honest_interval(monkeypatch):
+    structural = importlib.import_module("aqci.multiplicity")
+    memo = ClassMemo(structural._envelope)
+    memo[member_forest(INTERVAL_FIXTURE).root_nodes[0]] = (7, 6)
+    monkeypatch.setattr(structural, "_class_envelope", memo)
+    res = multiplicity(INTERVAL_FIXTURE)
+    assert res.status == INTERVAL and res.value is None
+    assert (res.lower, res.upper) == (7, 6)
+    rec = check_datum(INTERVAL_FIXTURE)
+    assert rec["multiplicity"]["status"] == INTERVAL
+    assert rec["multiplicity"]["value"] is None
+    (c13,) = [c for c in rec["checks"] if c["id"] == "C13"]
+    assert c13["outcome"] == "fail"
+    assert (c13["witness"]["lower"], c13["witness"]["upper"]) == ("7", "6")
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from aqci import (
     canonical_form,
     ceiling_power_grid,
     check_datum,
+    multiplicity,
     product_concavity_grid,
     run_suite,
 )
 from aqci import verify
 
 from helpers import (
+    INTERVAL_FIXTURE,
     reference_ceiling_power_grid,
     reference_product_concavity_grid,
     star,
@@ -161,6 +163,35 @@ def test_unstabilized_component_oracle_skips_the_component_product(monkeypatch):
     assert verdicts(rec) == passing_but(
         {"C3": NOT_CONNECTED, "C10": NO_TOP, "C11": NO_TOP, "C12": COMPONENT}
     )
+
+
+def test_an_oracle_value_outside_the_envelope_fails_the_containment(monkeypatch):
+    real = verify.hilbert_samuel_table
+    own = canonical_form(INTERVAL_FIXTURE)[0]
+    result = multiplicity(INTERVAL_FIXTURE)
+    assert (result.lower, result.upper) == (5, 6)
+    for e in (result.upper + 1, result.lower - 1):
+
+        def oracle(x, budget=OracleBudget(), e=e):
+            table = real(x, budget)
+            if canonical_form(x)[0] != own:
+                return table
+            return dataclasses.replace(table, stabilized=True, e=e)
+
+        monkeypatch.setattr(verify, "hilbert_samuel_table", oracle)
+        (c13,) = [c for c in check_datum(INTERVAL_FIXTURE)["checks"] if c["id"] == "C13"]
+        assert c13["outcome"] == "fail"
+        witness = c13["witness"]
+        assert set(witness) == {
+            "e", "lower", "upper", "structural_status", "structural_value",
+            "structural_lower", "structural_upper",
+        }
+        assert witness["e"] == e
+        assert (witness["lower"], witness["upper"]) == ("5", "6")
+        assert witness["structural_lower"] == witness["lower"]
+        assert witness["structural_upper"] == witness["upper"]
+        assert witness["structural_status"] == "interval"
+        assert witness["structural_value"] is None
 
 
 def test_record_has_documented_keys():

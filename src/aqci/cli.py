@@ -4,7 +4,8 @@ One datum file (the documented JSON shape) is the single input format.
 Subcommands either inspect one datum (validate, info, lct, mult, closure,
 dot) or sweep an enumeration budget (enumerate, verify).  Exit codes:
 0 success / all checks passed, 1 validation failure or any check failure
-(or a closed stdout), 2 usage errors (including unreadable files).
+(or a closed or unwritable stdout), 2 usage errors (including unreadable
+files and unwritable reports).
 Diagnostics go to stderr; with --json the primary stream carries only JSON.
 """
 
@@ -252,10 +253,13 @@ def _cmd_verify(args) -> int:
     report = run_suite(budget, oracle, args.jobs)
     summary = report.summary
     if args.report:
-        with open(base, "w", encoding="utf-8") as fh:
-            fh.write(report.summary_json())
-        with open(jsonl, "w", encoding="utf-8") as fh:
-            fh.write(report.records_jsonl())
+        try:
+            with open(base, "w", encoding="utf-8") as fh:
+                fh.write(report.summary_json())
+            with open(jsonl, "w", encoding="utf-8") as fh:
+                fh.write(report.records_jsonl())
+        except OSError as exc:
+            raise _CliError(2, f"cannot write report: {exc}") from None
         print(f"report written to {base} and {jsonl}", file=sys.stderr)
     print(f"datum classes: {summary['datum_count']}")
     for cid, tally in summary["checks"].items():
@@ -366,9 +370,13 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"aqci: {exc}", file=sys.stderr)
         return exc.code
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so that the flush at
-        # interpreter exit does not raise again.
+    except OSError as exc:
+        # The commands turn their own file errors into _CliError, so this is
+        # stdout: closed by the reader, or a write that failed (a full disk).
+        # Point it at devnull so that the flush at interpreter exit does not
+        # raise again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"aqci: cannot write output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

@@ -49,7 +49,9 @@ Two closed-form inequality grids are checked alongside, exactly and in
 integers: the ceiling power inequality a <= 2^(ceil(b) - ceil(b/a)) with its
 equality characterization, on b in quarter-units, and concavity of
 x -> x log(x/c) in product form with equality only at proportional
-arguments, on x and c in half-units.
+arguments, on x and c in half-units.  Both sides of the concavity check are
+symmetric in its terms, so that grid is walked once per multiset of terms
+and each multiset counts for all its orderings.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 
 from .datum import (
     NODE_KIDS,
@@ -372,6 +374,28 @@ def ceiling_power_grid() -> dict:
     return {"points": points, "equality_points": equality_points, "failures": failures}
 
 
+# The grid's pairs (x, c) in half-units, in product order, and the two
+# powers x^x and c^x of each pair.
+_PAIRS = tuple(product((1, 2, 3, 4, 6), repeat=2))
+_POWERS = {(x, c): (x**x, c**x) for x, c in _PAIRS}
+
+
+def _orbits(terms: int):
+    """Each multiset of `terms` grid pairs once, with its orbit size
+    terms!/prod(m_k!) under permutations of the term positions."""
+    for pairs in combinations_with_replacement(_PAIRS, terms):
+        size = math.factorial(terms)
+        for p in set(pairs):
+            size //= math.factorial(pairs.count(p))
+        yield pairs, size
+
+
+def _orderings(pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The distinct orderings of a multiset of pairs as (xs, cs), sorted as
+    a walk over xs and then cs in product order meets them."""
+    return sorted({tuple(zip(*p)) for p in permutations(pairs)})
+
+
 def product_concavity_grid() -> dict:
     """Exhaustive exact check of the weighted power inequality on small grids.
 
@@ -382,29 +406,47 @@ def product_concavity_grid() -> dict:
     The grid is walked in half-units {1, 2, 3, 4, 6}: doubling every x and c
     keeps each ratio and squares both sides.  With X = sum x and C = sum c
     the inequality is then prod(x_i^x_i) * C^X >= X^X * prod(c_i^x_i) in
-    integers.
+    integers, and the ratios agree iff x_i * C == X * c_i for every i.
+
+    Both integers and the proportionality test are symmetric functions of
+    the pairs (x_i, c_i): permuting the term positions permutes the factors
+    of each product and the summands of each sum, and nothing else.  So
+    every ordering of one multiset of pairs gives the same comparison, and
+    the walk decides each multiset once (325 for 2 terms, 2,925 for 3) and
+    counts it with its orbit size toward `points` and `equality_points`,
+    which still count the 16,250 ordered points.  A failing multiset lists
+    all its distinct orderings, sorted as the ordered walk over xs and then
+    cs would meet them.
     """
-    halves = (1, 2, 3, 4, 6)
-    failures: list[dict] = []
+    failing: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     points = 0
     equality_points = 0
     for terms in (2, 3):
-        for xs in product(halves, repeat=terms):
-            total_x = sum(xs)
-            x_powers = math.prod(x**x for x in xs)
-            for cs in product(halves, repeat=terms):
-                lhs = x_powers * sum(cs) ** total_x
-                rhs = total_x**total_x * math.prod(c**x for x, c in zip(xs, cs))
-                proportional = all(x * cs[0] == xs[0] * c for x, c in zip(xs, cs))
-                if lhs < rhs or (lhs == rhs) != proportional:
-                    failures.append(
-                        {
-                            "xs": [format_fraction(Fraction(x, 2)) for x in xs],
-                            "cs": [format_fraction(Fraction(c, 2)) for c in cs],
-                        }
-                    )
-                points += 1
-                equality_points += int(lhs == rhs)
+        found = []
+        for pairs, size in _orbits(terms):
+            total_x = total_c = 0
+            x_powers = c_powers = 1
+            for p in pairs:
+                x_power, c_power = _POWERS[p]
+                total_x += p[0]
+                total_c += p[1]
+                x_powers *= x_power
+                c_powers *= c_power
+            lhs = x_powers * total_c**total_x
+            rhs = total_x**total_x * c_powers
+            proportional = all([x * total_c == total_x * c for x, c in pairs])
+            if lhs < rhs or (lhs == rhs) != proportional:
+                found.extend(_orderings(pairs))
+            points += size
+            equality_points += size * (lhs == rhs)
+        failing.extend(sorted(found))
+    failures = [
+        {
+            "xs": [format_fraction(Fraction(x, 2)) for x in xs],
+            "cs": [format_fraction(Fraction(c, 2)) for c in cs],
+        }
+        for xs, cs in failing
+    ]
     return {"points": points, "equality_points": equality_points, "failures": failures}
 
 

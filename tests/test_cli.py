@@ -535,6 +535,32 @@ def test_stdout_closed_before_any_output_exits_one_without_an_error():
     assert err == "total: 4 classes\n"
 
 
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full, a device every write to fails"
+)
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "--n", "2"), ("verify", "--n-max", "2", "--max-ratio", "2")]
+)
+def test_unwritable_stdout_exits_one_with_one_line(argv):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aqci", *argv],
+            env={**env, "PYTHONPATH": str(SRC)},
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("aqci:")]
+    assert lines == ["aqci: cannot write output: [Errno 28] No space left on device"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -570,6 +596,19 @@ def test_verify_unwritable_report_fails_before_the_run(tmp_path, capsys, monkeyp
     captured = capsys.readouterr()
     assert "cannot write report" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@needs_dev_full
+@pytest.mark.parametrize("full", ["r.json", "r.jsonl"])
+def test_verify_failed_report_write_is_a_usage_error(tmp_path, capsys, full):
+    # Opening /dev/full succeeds, so the check before the run passes; the
+    # write after it fails.
+    (tmp_path / full).symlink_to("/dev/full")
+    report = tmp_path / "r.json"
+    assert main(["verify", "--n-max", "2", "--max-ratio", "2", "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "aqci: cannot write report: [Errno 28] No space left on device\n"
     assert captured.out == ""
 
 

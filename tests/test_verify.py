@@ -6,8 +6,9 @@ import dataclasses
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from aqci import (
     CHECKS,
@@ -245,6 +246,38 @@ def test_product_concavity_grid_is_exhaustive_and_clean():
 def test_integer_grids_match_the_fraction_reference():
     assert ceiling_power_grid() == reference_ceiling_power_grid()
     assert product_concavity_grid() == reference_product_concavity_grid()
+
+
+HALVES = (1, 2, 3, 4, 6)
+
+
+def test_orbit_walk_meets_every_ordered_point_once():
+    # Coverage apart from the inequality: the multisets, expanded into their
+    # distinct orderings, are exactly the ordered points, and each orbit
+    # size is its number of orderings.
+    for terms, multisets in ((2, 325), (3, 2925)):
+        seen = Counter()
+        orbits = list(verify._orbits(terms))
+        for pairs, size in orbits:
+            orderings = set(permutations(pairs))
+            assert size == len(orderings)
+            seen.update(orderings)
+        assert len(orbits) == multisets
+        assert set(seen) == set(product(product(HALVES, repeat=2), repeat=terms))
+        assert set(seen.values()) == {1}
+        assert sum(size for _, size in orbits) == 25**terms
+
+
+def test_failing_orbit_lists_its_orderings_in_the_ordered_walk_order():
+    for pairs, count in ((((1, 2), (1, 2), (3, 1)), 3), (((1, 2), (3, 1), (6, 4)), 6)):
+        expected = [
+            (xs, cs)
+            for xs in product(HALVES, repeat=3)
+            for cs in product(HALVES, repeat=3)
+            if sorted(zip(xs, cs)) == sorted(pairs)
+        ]
+        assert len(expected) == count
+        assert verify._orderings(pairs) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Diagnostics go to stderr; with --json the primary stream carries only JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -21,7 +22,6 @@ from .datum import (
     exact_json,
     format_fraction,
     from_json,
-    is_connected,
     monomial_ideal,
     to_dot,
     to_json,
@@ -38,7 +38,7 @@ from .multiplicity import (
     result_payload,
     table_payload,
 )
-from .verify import run_suite
+from .verify import invariant_fields, run_suite
 
 __all__ = ["main"]
 
@@ -134,32 +134,21 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
 def _cmd_info(args) -> tuple[int, dict, list[str]]:
     d = _load_valid(args.file)
     s = summarize(d)
-    connected = is_connected(d)
     result = multiplicity(d)
-    lower, upper = exact_decimal(result.lower), exact_decimal(result.upper)
     closure_q = find_closure_power(d)
     payload = {
-        "n": s.n,
-        "emb": s.emb,
-        "connected": connected,
-        "lct": format_fraction(s.lct),
-        "ceil_lct": s.ceil_lct,
-        "group_order": s.group_order,
-        "group_order_lattice": s.group_order_lattice,
-        "branching_product": s.branching_product,
+        **invariant_fields(d, s, result, closure_q),
         "child_counts": [{"member": list(j), "count": c} for j, c in s.child_counts],
         "floor_factors": _member_values(s.floor_factors),
         "child_weight_factors": _member_values(s.child_weight_factors),
         "multiplicity": {k: v for k, v in result_payload(result).items() if k != "trace"},
-        "lower_bound": lower,
-        "upper_bound": upper,
-        "closure_power": closure_q,
     }
+    lower, upper = payload["lower_bound"], payload["upper_bound"]
     lines = [
         f"n:                    {s.n}",
         f"embedding dimension:  {s.emb}",
-        f"connected:            {'yes' if connected else 'no'}",
-        f"lct:                  {format_fraction(s.lct)}  (ceiling {s.ceil_lct})",
+        f"connected:            {'yes' if payload['connected'] else 'no'}",
+        f"lct:                  {payload['lct']}  (ceiling {s.ceil_lct})",
         f"group order:          {exact_decimal(s.group_order)}"
         f"  (lattice route: {exact_decimal(s.group_order_lattice)})",
         f"branching product:    {exact_decimal(s.branching_product)}",
@@ -237,30 +226,39 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _write_report(paths, texts, mode: str) -> None:
+    try:
+        for path, text in zip(paths, texts):
+            with open(path, mode, encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise _CliError(2, f"cannot write report: {exc}") from None
+
+
 def _cmd_verify(args) -> int:
     oracle = _oracle_budget(args, args.n_max)
     budget = _enumeration_budget(args, args.n_max)
+    paths: tuple[str, ...] = ()
     if args.report:
         base = args.report
-        jsonl = base[:-5] + ".jsonl" if base.endswith(".json") else base + ".jsonl"
-        # Opening to append checks both paths before the run, so a bad path
-        # fails at once and a report already there survives a failed run.
-        try:
-            for path in (base, jsonl):
-                open(path, "a", encoding="utf-8").close()
-        except OSError as exc:
-            raise _CliError(2, f"cannot write report: {exc}") from None
-    report = run_suite(budget, oracle, args.jobs)
+        paths = (base, base[:-5] + ".jsonl" if base.endswith(".json") else base + ".jsonl")
+    # Opening to append checks both paths before the run, so a bad path
+    # fails at once.  If the check, the run or a write fails, the paths that
+    # did not exist before are removed again; a report already there is
+    # never removed, and a failed check or run leaves it as it was.
+    created = [path for path in paths if not os.path.lexists(path)]
+    try:
+        _write_report(paths, ("", ""), "a")
+        report = run_suite(budget, oracle, args.jobs)
+        _write_report(paths, (report.summary_json(), report.records_jsonl()), "w")
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+    if paths:
+        print(f"report written to {paths[0]} and {paths[1]}", file=sys.stderr)
     summary = report.summary
-    if args.report:
-        try:
-            with open(base, "w", encoding="utf-8") as fh:
-                fh.write(report.summary_json())
-            with open(jsonl, "w", encoding="utf-8") as fh:
-                fh.write(report.records_jsonl())
-        except OSError as exc:
-            raise _CliError(2, f"cannot write report: {exc}") from None
-        print(f"report written to {base} and {jsonl}", file=sys.stderr)
     print(f"datum classes: {summary['datum_count']}")
     for cid, tally in summary["checks"].items():
         print(

@@ -4,8 +4,22 @@ An isomorphism class of valid data is the same thing as a multiset of rooted
 trees whose leaves are the ground elements, where every internal node has at
 least two children and carries an integer ratio label in [2, max_ratio] (the
 factor between its weight and its children's weight; roots have weight 1).
-Trees are generated in a fixed structural order and forests as nondecreasing
-tuples of trees, so the output order is deterministic and duplicate-free.
+Trees are the interned class nodes of `datum` that `signature` reads.  The
+trees of one leaf count are generated child multiset by child multiset, and
+each multiset over its ratios; a multiset of trees (the children of a node,
+or a forest) is generated as a tuple nondecreasing by (leaves, class order).
+So the output order is deterministic and duplicate-free, and
+`enumerate_data` yields `class_datum` of each forest, smallest n first.
+
+This is the order of the tuple trees ("node", ratio, kids) the package once
+built (nondecreasing by leaves, then as the tuples compare), as long as no
+forest or child multiset holds two trees of one leaf count that the two
+orders sort differently.  The first such pairs have 8 leaves at max_ratio 2,
+6 at max_ratio 3 and 5 at max_ratio 4 to 8, so the output can differ only
+from n = 16, 12 or 10 on.  That is past every budget the CLI accepts under
+its default class ceiling (n <= 10 at ratio 2, n <= 8 at ratio 3, n <= 6 at
+ratios 4-5, n <= 5 at ratios 6-8); past it the order is (leaves, class
+order).
 """
 
 from __future__ import annotations
@@ -15,11 +29,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import datum
-from .datum import SpecialDatum, class_datum
+from .datum import SpecialDatum, class_datum, class_order
 
 __all__ = ["EnumerationBudget", "enumerate_data", "class_count"]
-
-LEAF = ("leaf",)
 
 
 @dataclass(frozen=True)
@@ -31,20 +43,21 @@ class EnumerationBudget:
 
 
 @lru_cache(maxsize=None)
-def _trees(leaves: int, max_ratio: int) -> tuple:
-    """All tree shapes with the given leaf count, in structural order."""
+def _trees(leaves: int, max_ratio: int) -> tuple[int, ...]:
+    """The class node of every tree with the given leaf count."""
     if leaves == 1:
-        return (LEAF,)
-    out = []
-    for kids in _tree_tuples(leaves, 2, max_ratio):
-        for ratio in range(2, max_ratio + 1):
-            out.append(("node", ratio, kids))
-    return tuple(out)
+        return (datum.LEAF,)
+    return tuple(
+        datum.intern_class(ratio, kids)
+        for kids in _tree_tuples(leaves, 2, max_ratio)
+        for ratio in range(2, max_ratio + 1)
+    )
 
 
-def _tree_tuples(total: int, min_parts: int, max_ratio: int) -> list[tuple]:
-    """Nondecreasing tuples of trees with `total` leaves and >= min_parts parts."""
-    results: list[tuple] = []
+def _tree_tuples(total: int, min_parts: int, max_ratio: int) -> list[tuple[int, ...]]:
+    """Tuples of class nodes with `total` leaves and >= min_parts parts,
+    nondecreasing by (leaves, class order)."""
+    results: list[tuple[int, ...]] = []
 
     def grow(remaining: int, lowest, acc: list) -> None:
         if remaining == 0:
@@ -55,22 +68,15 @@ def _tree_tuples(total: int, min_parts: int, max_ratio: int) -> list[tuple]:
         largest = remaining - max(0, min_parts - len(acc) - 1)
         for leaves in range(1, largest + 1):
             for tree in _trees(leaves, max_ratio):
-                key = (leaves, tree)
+                key = (leaves, class_order(tree))
                 if key < lowest:
                     continue
                 acc.append(tree)
                 grow(remaining - leaves, key, acc)
                 acc.pop()
 
-    grow(total, (0, ()), [])
+    grow(total, (0,), [])
     return results
-
-
-def _class_node(tree) -> int:
-    if tree == LEAF:
-        return datum.LEAF
-    _, ratio, kids = tree
-    return datum.intern_class(ratio, [_class_node(k) for k in kids])
 
 
 def enumerate_data(budget: EnumerationBudget) -> Iterator[SpecialDatum]:
@@ -78,7 +84,7 @@ def enumerate_data(budget: EnumerationBudget) -> Iterator[SpecialDatum]:
     dimension first, in a deterministic order."""
     for n in range(1, budget.n_max + 1):
         for forest in _tree_tuples(n, 1, budget.max_ratio):
-            yield class_datum([_class_node(tree) for tree in forest])
+            yield class_datum(forest)
 
 
 def class_count(budget: EnumerationBudget, ceiling: int | None = None) -> int:

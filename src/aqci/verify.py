@@ -52,6 +52,9 @@ x -> x log(x/c) in product form with equality only at proportional
 arguments, on x and c in half-units.  Both sides of the concavity check are
 symmetric in its terms, so that grid is walked once per multiset of terms
 and each multiset counts for all its orderings.
+
+Each record starts from `invariant_fields`, the eleven invariant fields it
+shares with the payload of `aqci info`, so the two never drift apart.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ __all__ = [
     "CHECKS",
     "VerificationReport",
     "check_datum",
+    "invariant_fields",
     "run_suite",
     "ceiling_power_grid",
     "product_concavity_grid",
@@ -151,20 +155,43 @@ def _gate(cid: str, reads, settle) -> dict:
     return _cond(cid, *settle())
 
 
+def invariant_fields(d: SpecialDatum, summary, result, closure_q) -> dict:
+    """The JSON fields that `aqci info` and every verify record share.
+
+    `summary` is `summarize(d)`, `result` is `multiplicity(d)` (its bound
+    envelope gives `lower_bound` and `upper_bound`) and `closure_q` is
+    `find_closure_power(d)`.
+    """
+    return {
+        "n": summary.n,
+        "emb": summary.emb,
+        "connected": len(member_forest(d).root_nodes) == 1,
+        "lct": format_fraction(summary.lct),
+        "ceil_lct": summary.ceil_lct,
+        "group_order": summary.group_order,
+        "group_order_lattice": summary.group_order_lattice,
+        "branching_product": summary.branching_product,
+        "lower_bound": exact_decimal(result.lower),
+        "upper_bound": exact_decimal(result.upper),
+        "closure_power": closure_q,
+    }
+
+
 def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -> dict:
     """Evaluate every check on one datum; returns a JSON-ready record."""
     summary = summarize(d)
     n, emb, lct, ceil_lct = summary.n, summary.emb, summary.lct, summary.ceil_lct
     gorder, glattice = summary.group_order, summary.group_order_lattice
     bprod = summary.branching_product
+    closure_q = find_closure_power(d)
+    result = multiplicity(d)
+    fields = invariant_fields(d, summary, result, closure_q)
     comps = member_forest(d).root_nodes
-    conn = len(comps) == 1
+    conn = fields["connected"]
     composite = conn and n >= 2
     edge_lhs, edge_rhs = edge_count_identity(d)
     ffp = floor_factor_product(d)
     power_lower = (Fraction(n) / lct) ** n / gorder
-    closure_q = find_closure_power(d)
-    result = multiplicity(d)
 
     # The oracle values the checks read: the datum's own e, the reduced
     # datum's e (connected data with a composite top) and the components' es
@@ -312,7 +339,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
         )))
 
     # The structural result is the bound envelope: exact when lower == upper.
-    lower, upper = exact_decimal(result.lower), exact_decimal(result.upper)
+    lower, upper = fields["lower_bound"], fields["upper_bound"]
     checks.append(_gate("C13", own, lambda: (
         result.lower <= e <= result.upper,
         {
@@ -329,23 +356,13 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     pinned_without_uniform = e is not None and e == ffp and not uniform
 
     return {
+        **fields,
         "datum": to_payload(d),
-        "n": n,
-        "emb": emb,
-        "connected": conn,
-        "lct": format_fraction(lct),
-        "ceil_lct": ceil_lct,
-        "group_order": gorder,
-        "group_order_lattice": glattice,
-        "branching_product": bprod,
         "edge_identity": [edge_lhs, edge_rhs],
         "floor_factors": [format_fraction(x) for x in floors],
         "child_weight_factors": [format_fraction(x) for x in weights_factors],
         "floor_factor_product": ffp_text,
         "power_lower_bound": power_lower_text,
-        "lower_bound": lower,
-        "upper_bound": upper,
-        "closure_power": closure_q,
         "multiplicity": result_payload(result),
         "oracle": table_payload(table),
         "pinned_without_uniform_factors": pinned_without_uniform,

@@ -3,12 +3,13 @@
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
 membership for the two closure-power references, `lp.solve_min` for the
-multiplier membership LP and the unscaled Newton LP, and `format_fraction`
-for the grid witnesses:
+multiplier membership LP and the unscaled Newton LP, `format_fraction`
+for the grid witnesses, and `intern_class` and `class_datum` to turn the
+reference enumeration's tuple trees into data:
 the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
-generation, colength tabulation on coordinate tuples, the structural
+generation, the tuple-tree enumeration order, colength tabulation on coordinate tuples, the structural
 recursions on relabeled sub-data, the cubic containment tests of the
 axioms, one membership LP per vertex of Newt(m^q) and a membership sweep
 over a whole degree slice where the package reads member degrees, the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from aqci import (
@@ -428,6 +430,64 @@ def labeled_data(n: int, max_ratio: int):
             sets += [((i,), weight_of(frozenset((i,)))) for i in range(1, n + 1)]
             out.append(make_datum(n, sets))
     return out
+
+
+# The tuple-tree enumeration that the package used before it built class
+# nodes directly: a tree is ("leaf",) or ("node", ratio, kids), and trees of
+# one leaf count sort as these tuples compare.  `reference_enumerate` is the
+# order the package's enumeration must keep.
+LEAF = ("leaf",)
+
+
+@lru_cache(maxsize=None)
+def reference_trees(leaves: int, max_ratio: int) -> tuple:
+    """All tree shapes with the given leaf count, in structural order."""
+    if leaves == 1:
+        return (LEAF,)
+    out = []
+    for kids in _reference_tree_tuples(leaves, 2, max_ratio):
+        for ratio in range(2, max_ratio + 1):
+            out.append(("node", ratio, kids))
+    return tuple(out)
+
+
+def _reference_tree_tuples(total: int, min_parts: int, max_ratio: int) -> list[tuple]:
+    """Nondecreasing tuples of trees with `total` leaves and >= min_parts parts."""
+    results: list[tuple] = []
+
+    def grow(remaining: int, lowest, acc: list) -> None:
+        if remaining == 0:
+            if len(acc) >= min_parts:
+                results.append(tuple(acc))
+            return
+        # Every later part takes at least one leaf.
+        largest = remaining - max(0, min_parts - len(acc) - 1)
+        for leaves in range(1, largest + 1):
+            for tree in reference_trees(leaves, max_ratio):
+                key = (leaves, tree)
+                if key < lowest:
+                    continue
+                acc.append(tree)
+                grow(remaining - leaves, key, acc)
+                acc.pop()
+
+    grow(total, (0, ()), [])
+    return results
+
+
+def reference_class_node(tree) -> int:
+    if tree == LEAF:
+        return _datum.LEAF
+    _, ratio, kids = tree
+    return _datum.intern_class(ratio, [reference_class_node(k) for k in kids])
+
+
+def reference_enumerate(budget):
+    """Yield one canonical representative per isomorphism class, smallest
+    dimension first, in a deterministic order."""
+    for n in range(1, budget.n_max + 1):
+        for forest in _reference_tree_tuples(n, 1, budget.max_ratio):
+            yield _datum.class_datum([reference_class_node(tree) for tree in forest])
 
 
 def reference_table(d, budget=OracleBudget()):

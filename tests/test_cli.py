@@ -253,6 +253,25 @@ def test_verify_refuses_a_budget_that_cannot_stabilize(tmp_path, capsys):
 # info
 
 
+SHARED_FIELDS = (
+    "n", "emb", "connected", "lct", "ceil_lct", "group_order", "group_order_lattice",
+    "branching_product", "lower_bound", "upper_bound", "closure_power",
+)
+
+
+def test_info_and_the_verify_record_share_their_fields(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    oracle = OracleBudget(k_max=7, point_ceiling=1_000)  # the shared fields never read it
+    data = list(enumerate_data(EnumerationBudget(4, 3)))
+    assert len(data) == 49
+    for d in data:
+        path.write_text(to_json(d) + "\n", encoding="utf-8")
+        assert main(["info", "--json", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        record = json.loads(exact_json(check_datum(d, oracle)))
+        assert {k: payload[k] for k in SHARED_FIELDS} == {k: record[k] for k in SHARED_FIELDS}
+
+
 def test_info_human_readable(star_file, capsys):
     assert main(["info", star_file]) == 0
     out = capsys.readouterr().out
@@ -610,6 +629,9 @@ def test_verify_failed_report_write_is_a_usage_error(tmp_path, capsys, full):
     captured = capsys.readouterr()
     assert captured.err == "aqci: cannot write report: [Errno 28] No space left on device\n"
     assert captured.out == ""
+    # The other report file did not exist before, so it is removed again.
+    assert [p.name for p in tmp_path.iterdir()] == [full]
+    assert os.readlink(tmp_path / full) == "/dev/full"
 
 
 def test_verify_failed_run_keeps_the_previous_report(tmp_path, capsys, monkeypatch):
@@ -624,6 +646,32 @@ def test_verify_failed_run_keeps_the_previous_report(tmp_path, capsys, monkeypat
         main(["verify", "--n-max", "2", "--report", str(report)])
     assert report.read_text(encoding="utf-8") == "old summary"
     assert (tmp_path / "r.jsonl").read_text(encoding="utf-8") == "old records"
+
+
+def test_verify_failed_check_removes_the_summary_it_created(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the suite ran before the report path was checked")
+
+    monkeypatch.setattr("aqci.cli.run_suite", no_run)
+    (tmp_path / "r.jsonl").mkdir()  # the append-open of the records path fails
+    assert main(["verify", "--n-max", "2", "--report", str(tmp_path / "r.json")]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+
+@pytest.mark.parametrize("old", [(), ("r.json",), ("r.jsonl",)], ids=["none", "summary", "records"])
+def test_verify_failed_run_removes_only_the_files_it_created(tmp_path, monkeypatch, old):
+    def failing_run(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("aqci.cli.run_suite", failing_run)
+    for name in old:
+        (tmp_path / name).write_text("old", encoding="utf-8")
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--n-max", "2", "--report", str(tmp_path / "r.json")])
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir()} == {
+        name: "old" for name in old
+    }
 
 
 def test_verify_report_files_are_reproducible(tmp_path, capsys):

@@ -13,7 +13,9 @@ from aqci import (
     validate,
 )
 
-from helpers import labeled_data
+from aqci.datum import class_order
+
+from helpers import labeled_data, reference_class_node, reference_enumerate, reference_trees
 
 
 def classes(n_max, max_ratio):
@@ -69,6 +71,33 @@ def test_enumeration_order_is_deterministic():
     first = classes(4, 3)
     second = classes(4, 3)
     assert first == second
+
+
+@pytest.mark.parametrize("n_max,max_ratio", [(7, 3), (9, 2), (6, 4), (5, 5), (5, 8)])
+def test_enumeration_keeps_the_tuple_tree_order(n_max, max_ratio):
+    budget = EnumerationBudget(n_max, max_ratio)
+    assert list(enumerate_data(budget)) == list(reference_enumerate(budget))
+
+
+def _same_leaf_orders(leaves, max_ratio):
+    """The class nodes of one leaf count's trees, in tuple order and in class order."""
+    by_tuple = [reference_class_node(t) for t in sorted(reference_trees(leaves, max_ratio))]
+    return by_tuple, sorted(by_tuple, key=class_order)
+
+
+# The first leaf count at which the tuple order and the class order sort two
+# trees of one max_ratio differently; the enumeration module's docstring
+# reads its budgets off these.
+FIRST_DISAGREEMENT = {2: 8, 3: 6, 4: 5, 5: 5, 6: 5, 7: 5, 8: 5}
+
+
+@pytest.mark.parametrize("max_ratio,leaves", sorted(FIRST_DISAGREEMENT.items()))
+def test_tree_orders_first_disagree_at_the_documented_leaf_count(max_ratio, leaves):
+    for below in range(1, leaves):
+        by_tuple, by_class = _same_leaf_orders(below, max_ratio)
+        assert by_tuple == by_class, below
+    by_tuple, by_class = _same_leaf_orders(leaves, max_ratio)
+    assert by_tuple != by_class
 
 
 def test_budget_is_monotone():

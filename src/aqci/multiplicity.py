@@ -23,12 +23,12 @@ Two routes are provided and never mixed:
     one pass per generator that walks each ray of that generator once, in
     place in one dict.  The walk covers only the points that can reach the
     histogram, a set closed under subtracting generators, so the knapsack
-    is exact on it.  The size of the semigroup up to the degree bound is
-    counted, not stored: a run-time certificate shows the semigroup is its
-    residues mod the pure powers a_i*e_i plus the multiples of those powers,
-    and the count is then a sum of lattice-point counts of simplices.  Data
-    without the certificate walk the whole semigroup up to the bound.
-    Tables are cached per isomorphism class and budget.
+    is exact on it; a run-time certificate (the semigroup is its residues
+    mod the pure powers a_i*e_i plus the multiples of those powers) bounds
+    that set.  Data without the certificate walk the whole semigroup up to
+    the bound.  The point ceiling bounds the entries of every table stored,
+    a wide entry counting once per started 256 bits.  Tables are cached per
+    isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` return the two
 ends of that same envelope on their own.
@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -249,10 +247,9 @@ class HilbertSamuelTable:
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
     table is `stabilized` when the last `STABLE_RUN` (three) n-th finite
     differences agree; `e` is then that common value.  `points` is the
-    number of semigroup points of degree at most k_max times the largest
-    generator degree; valid data have it counted in closed form, not
-    stored (see `_tabulate`).  `aborted` means that number exceeds the
-    point ceiling: then values is empty, e is None and points is
+    number of entries of the knapsack table, the semigroup points that
+    were stored (see `_tabulate`).  `aborted` means a table would exceed
+    the point ceiling: then values is empty, e is None and points is
     point_ceiling + 1 for any ceiling >= 0.
     """
 
@@ -273,11 +270,10 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     longest decomposition into generators has fewer than k parts.  The
     longest-decomposition length is an unbounded knapsack over the
     generators, taken in the order of `monomial_ideal(d).generators`.  Only
-    semigroup points are generated, and only those that can have fewer
-    than k_max parts; the other points up to the degree bound (k_max times
-    the largest generator degree) are counted under a certificate that
-    `_tabulate` checks at run time.  A datum without members has no
-    generators and raises `ValueError`.
+    semigroup points are generated, and, under a certificate that
+    `_tabulate` checks at run time, only those that can have fewer than
+    k_max parts.  A datum without members has no generators and raises
+    `ValueError`.
 
     The table depends only on the isomorphism class and the budget, so it is
     cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
@@ -291,6 +287,15 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
 
 
 _TABLE_CACHE_SIZE = 1024
+
+# The point ceiling counts entries of up to this many bits; a wider entry
+# counts once per started _ENTRY_BITS, so the ceiling bounds bytes too.
+_ENTRY_BITS = 256
+
+
+def _entry_limit(ceiling: int, bits: int) -> int:
+    """How many entries of `bits` packed bits the point ceiling admits."""
+    return ceiling // max(1, -(-bits // _ENTRY_BITS))
 
 
 def _pack(v: tuple[int, ...], width: int) -> int:
@@ -324,12 +329,13 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
     s_i + C_i sets its top bit, so both the box test and the reduction mod
     a are a few integer operations.
 
-    R is returned as soon as it holds more than `ceiling` points (all of
-    them points of S within the bound, so the caller aborts).  Otherwise R
-    is returned when (r + g) mod a lies in R for every r in R and every
-    generator g, and None when not.  That certificate gives S = R + Σ a_i·N·e_i
-    with disjoint translates: by induction on the number of generators,
-    s + g = ((r + g) mod a) + a∘(k + (r + g) div a) for s = r + a∘k.
+    An empty dict is returned as soon as R holds more points than the
+    ceiling admits at n·rw bits a point (R holds 0, so empty means abort).
+    Otherwise R is returned when (r + g) mod a lies in R for every r in R
+    and every generator g, and None when not.  That certificate gives
+    S = R + Σ a_i·N·e_i with disjoint translates: by induction on the
+    number of generators, s + g = ((r + g) mod a) + a∘(k + (r + g) div a)
+    for s = r + a∘k.
     """
     rw = max(a).bit_length() + 1
     guard = 1 << (rw - 1)
@@ -337,6 +343,7 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
     guards = _pack([guard] * len(a), rw)
     moduli = _pack(a, rw)
     field = (1 << rw) - 1
+    limit = _entry_limit(ceiling, len(a) * rw)
 
     steps = [
         (_pack(g, rw), sum(g), sum(x * w for x, w in zip(g, weights)))
@@ -345,7 +352,7 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
     ]
     residues = {0: (0, 0)}
     todo = [0]
-    while todo and len(residues) <= ceiling:
+    while todo and len(residues) <= limit:
         r = todo.pop()
         dr, fr = residues[r]
         for g, dg, fg in steps:
@@ -354,8 +361,8 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
                 continue
             residues[s] = (dr + dg, fr + fg)
             todo.append(s)
-    if len(residues) > ceiling:
-        return residues
+    if len(residues) > limit:
+        return {}
 
     shifts = {_pack([x % m for x, m in zip(g, a)], rw) for g in gens}
     for r in residues:
@@ -365,52 +372,6 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
             if s not in residues:
                 return None
     return residues
-
-
-def _count_points(a: list[int], bound: int, degrees, ceiling: int) -> int:
-    """Σ over the degrees t of R of #{k ∈ N^n : a·k <= bound - t}.
-
-    The sum is |S ∩ {deg <= bound}| once S = R + Σ a_i·N·e_i; past
-    `ceiling` it is ceiling + 1.  With a sorted from the largest, N(c, t)
-    counts k over coordinates c.. with a·k <= t, and
-    N(c, t) = N(c + 1, t) + N(c, t - a_c) (k_c = 0 or k_c >= 1).  A state
-    first skips the coordinates with a_c > t; once only the m coordinates
-    of the least a remain, it is a leaf, the binomial C(t // a + m, m).  So
-    every other state has two children, a tree of states has fewer of those
-    than leaves, and each leaf counts at least one point.  The states
-    are found top-down, each once (more than `ceiling` of them is an
-    abort, so the work follows the ceiling, not the degree bound or n),
-    then evaluated in one pass sorted by (remaining coordinates, t), which
-    puts every state after its children.
-    """
-    vals = sorted(a, reverse=True)
-    neg = [-x for x in vals]
-    n, least = len(vals), vals[-1]
-    m_least = n - vals.index(least)
-    span = bound + 1
-
-    def state(c, t):
-        return (n - bisect_left(neg, -t, c)) * span + t
-
-    def value(s):
-        m, t = divmod(s, span)
-        return counts[s] if m > m_least else math.comb(t // least + m, m)
-
-    roots = Counter(state(0, bound - t) for t in degrees)
-    todo = [s for s in roots if s // span > m_least]
-    counts = dict.fromkeys(todo, 0)
-    while todo and len(counts) <= ceiling:
-        m, t = divmod(todo.pop(), span)
-        for kid in state(n - m + 1, t), state(n - m, t - vals[n - m]):
-            if kid // span > m_least and kid not in counts:
-                counts[kid] = 0
-                todo.append(kid)
-    if len(counts) > ceiling:
-        return ceiling + 1
-    for s in sorted(counts):
-        m, t = divmod(s, span)
-        counts[s] = value(state(n - m + 1, t)) + value(state(n - m, t - vals[n - m]))
-    return min(sum(mult * value(s) for s, mult in roots.items()), ceiling + 1)
 
 
 def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | None:
@@ -435,12 +396,14 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
     place.  A value is 2 * length + the parity of the pass that wrote it:
     every point is either the lowest of its ray or on a walk, so each pass
     rewrites every value, and a point that already holds this pass's parity
-    was walked and is skipped.  More than `ceiling` points returns None.
+    was walked and is skipped.  More points than the ceiling admits at
+    pshift + cap.bit_length() bits a point returns None.
     """
     w = top.bit_length()
     dshift = n * w
     pshift = dshift + w
     dmask = (1 << w) - 1
+    limit = _entry_limit(ceiling, pshift + cap.bit_length())
     packed = []
     for g in gens:
         dg, fg = sum(g), sum(x * y for x, y in zip(g, weights))
@@ -448,7 +411,7 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
             packed.append((dg, fg, fg << pshift | dg << dshift | _pack(g, w)))
 
     longest = {0: 0}
-    if len(longest) > ceiling:
+    if len(longest) > limit:
         return None
     for j, (dg, fg, g) in enumerate(packed, 1):
         parity = j & 1
@@ -464,7 +427,7 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
                 old = longest.get(p)
                 if old is None:
                     longest[p] = v
-                    if len(longest) > ceiling:
+                    if len(longest) > limit:
                         return None
                 else:
                     old ^= 1
@@ -478,29 +441,29 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
 def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     """The colength table of `d`: a knapsack on the points that can count.
 
-    With bound = k_max * maxdeg, `points` is |S ∩ {deg <= bound}| and the
-    histogram counts the points of length l < k_max.  Such a point is a sum
-    of at most k_max - 1 generators, so it lies in
-    D = S ∩ {deg <= (k_max - 1)·maxdeg} ∩ {phi <= c}, where a_i is the least
-    pure power a_i·e_i among the generators, L = lcm(a),
+    With bound = k_max * maxdeg, the histogram counts the points of length
+    l < k_max.  Such a point is a sum of at most k_max - 1 generators, so it
+    lies in D = S ∩ {deg <= (k_max - 1)·maxdeg} ∩ {phi <= c}, where a_i is
+    the least pure power a_i·e_i among the generators, L = lcm(a),
     phi(q) = Σ q_i·L/a_i and c = min((k_max - 1)·max phi(g),
     (k_max - 1)·L + max phi(r) over r in R): on q = r + a∘k (see
     `_residues`) l(q) >= |k|, so phi(q) = phi(r) + L·|k| <= c.  `_longest`
-    is exact on D, so only D is walked, and `points` is counted in closed
-    form by `_count_points`, not stored.  This route needs the certificate
-    of `_residues`; valid data pass it (their rings are normal semigroup
-    rings), but it is checked, not assumed.
+    is exact on D, so only D is stored and walked.  This route needs the
+    certificate of `_residues`; valid data pass it (their rings are normal
+    semigroup rings), but it is checked, not assumed.  R is dropped once c
+    is known, so at most one of R and D is held at a time.
 
     Data without it (a coordinate with no pure power, or a generator set
     whose residues mod a leave R) walk all of S ∩ {deg <= bound} instead,
-    with phi = deg, and `points` is the size of that table.  Either way
-    `point_ceiling` is exact: more than it aborts with points = ceiling + 1.
+    with phi = deg.  Either way `points` is the size of the knapsack table,
+    and `point_ceiling` bounds every table built (R, then D): one that
+    would hold more entries than the ceiling admits at its entry width (see
+    `_entry_limit`) aborts with points = ceiling + 1.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
     if not gens:
         raise ValueError("the datum has no generators (no members)")
-    aborted = HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     maxdeg = max(sum(g) for g in gens)
     bound = k_max * maxdeg
 
@@ -512,22 +475,19 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
         residues = _residues(gens, a, weights, bound, ceiling)
     if residues is None:
         longest = _longest(n, gens, (1,) * n, bound, bound, ceiling)
-        if longest is None:
-            return aborted
-        points = len(longest)
-    else:
-        if len(residues) > ceiling:
-            return aborted
-        points = _count_points(a, bound, (t for t, _ in residues.values()), ceiling)
-        if points > ceiling:
-            return aborted
+    elif residues:
         cap = min(
             (k_max - 1) * max(sum(x * w for x, w in zip(g, weights)) for g in gens),
             (k_max - 1) * lcm + max(f for _, f in residues.values()),
         )
+        del residues
         longest = _longest(n, gens, weights, (k_max - 1) * maxdeg, cap, ceiling)
+    else:
+        longest = None
+    if longest is None:
+        return HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
 
-    # A finished table has more than k_max points (the multiples of one
+    # A finished table holds at least k_max points (multiples of one
     # generator), so the histogram is no larger than the point set.
     histogram = [0] * k_max
     for v in longest.values():
@@ -547,7 +507,7 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     run = diffs[-STABLE_RUN:]
     stabilized = len(run) == STABLE_RUN and len(set(run)) == 1
     e = diffs[-1] if stabilized else None
-    return HilbertSamuelTable(n, tuple(values), stabilized, e, points, False)
+    return HilbertSamuelTable(n, tuple(values), stabilized, e, len(longest), False)
 
 
 def table_payload(table: HilbertSamuelTable) -> dict:

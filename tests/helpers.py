@@ -18,6 +18,7 @@ inequality grids on `Fraction` powers) and freeze or compare.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -552,6 +553,16 @@ def reference_table(d, budget=OracleBudget()):
     stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
     e = diffs[-1] if stabilized else None
     return HilbertSamuelTable(n, tuple(values), stabilized, e, len(points), False)
+
+
+def without_points(table):
+    """`table` with `points` blanked.
+
+    The reference stores every point up to the degree bound, the oracle only
+    its knapsack table, so on the oracle's certified route the two tables
+    agree on every field but `points`.
+    """
+    return dataclasses.replace(table, points=None)
 
 
 # ---------------------------------------------------------------------------

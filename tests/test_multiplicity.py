@@ -156,7 +156,7 @@ def test_table_for_two_stars():
     t = hilbert_samuel_table(two_stars(2, 2))
     assert t.values[:6] == (1, 7, 26, 70, 155, 301)
     assert t.stabilized and t.e == 4
-    assert t.points == 5551
+    assert t.points == 4082
 
 
 def test_table_confirms_hypersurface_rule():

@@ -182,7 +182,9 @@ def _cmd_mult(args) -> tuple[int, dict, list[str]]:
         table = hilbert_samuel_table(d, _oracle_budget(args, d.n))
         payload["oracle"] = table_payload(table)
         if table.aborted:
-            return 0, payload, [f"oracle: aborted after {table.points} points (ceiling exceeded)"]
+            ceiling = exact_decimal(args.point_ceiling)
+            line = f"oracle: aborted, a table would exceed the point ceiling of {ceiling}"
+            return 0, payload, [line]
         if table.stabilized:
             verdict = f"multiplicity: {exact_decimal(table.e)} (differences stabilized)"
         else:

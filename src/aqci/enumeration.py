@@ -24,9 +24,9 @@ order).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from . import datum
 from .datum import SpecialDatum, class_datum, class_order

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -510,6 +509,10 @@ def run_suite(
         usable = os.cpu_count() or 1
     workers = min(jobs, len(data), usable)
     if workers > 1:
+        # Imported here, its only use: the pool's modules (multiprocessing,
+        # socket, pickle, ...) would otherwise load in every aqci process.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(partial(check_datum, oracle_budget=oracle), data))
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -387,7 +388,8 @@ def test_mult_oracle_budget_abort(star_file, capsys):
 def test_mult_oracle_huge_k_max_aborts_at_the_ceiling(pair_file, capsys):
     argv = ["mult", "--method", "oracle", "--k-max", "10000000", "--point-ceiling", "1000"]
     assert main([*argv, pair_file]) == 0
-    assert "aborted after 1001 points" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "oracle: aborted, a table would exceed the point ceiling of 1000" in out
 
 
 def test_mult_bounds_only(pair_file, capsys):
@@ -552,6 +554,47 @@ def test_stdout_closed_before_any_output_exits_one_without_an_error():
     assert code == 1
     assert "Error" not in err, err
     assert err == "total: 4 classes\n"
+
+
+# What importing the package must not load: the process pool's modules
+# (only `verify --jobs` > 1 uses the pool) and `typing`.
+UNNEEDED = ["concurrent.futures.process", "multiprocessing", "socket", "pickle", "typing"]
+
+
+def _stdlib_imports():
+    """What the package's modules import at their top level: not itself, nor UNNEEDED."""
+    names = set()
+    for path in (SRC / "aqci").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    skip = {"aqci", "__future__", *UNNEEDED}
+    return sorted(n for n in names if n not in skip and n.split(".")[0] not in skip)
+
+
+def test_import_leaves_the_worker_pool_and_typing_unloaded():
+    # Every aqci command starts a fresh interpreter.  What the standard
+    # library loads for the package's other imports is not counted:
+    # `inspect`, under `dataclasses`, imports `typing` in later 3.13 releases,
+    # though not in 3.13.0.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        f"for name in {_stdlib_imports()!r}: __import__(name)\n"
+        "before = set(sys.modules)\n"
+        "import aqci, aqci.cli\n"
+        f"print(' '.join(m for m in {UNNEEDED!r} if m in sys.modules and m not in before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 needs_dev_full = pytest.mark.skipif(

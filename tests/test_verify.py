@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -329,7 +330,7 @@ def test_worker_count_is_bounded_by_cores_and_classes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     budget = EnumerationBudget(n_max=2, max_ratio=3)
     report = run_suite(budget, jobs=10**6)
     if hasattr(os, "sched_getaffinity"):

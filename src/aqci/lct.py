@@ -82,7 +82,7 @@ def _primitive(g) -> int:
     return math.gcd(*g) or 1
 
 
-def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()):
+def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()) -> lp.LpSolution:
     """min cost.y over y >= 0 with target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
 
     Variables: one weight per generator, y, slacks (n); one row per
@@ -95,27 +95,16 @@ def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()):
     test compares entries of one column, all scaled alike.  On a datum the
     columns w_J*1_J become 0/1 vectors, so the integer tableau's entries stay
     small where the weights would multiply up in every minor.
-
-    The rows are the integers `lp.solve_min` would scale them to, every row
-    times d = lcm(c_g) * prod(den(target_j)), so no `Fraction` is built (the
-    tableau and its pivots are the same).  `target` may hold `Fraction`s;
-    `diagonal` and `cost` are integers.  Returns `lp.solve_integer`'s
-    (status, d, value, point).
     """
     gens = a.generators
     n = a.n
     scale = [_primitive(g) for g in gens]
-    d = math.lcm(*scale) * math.prod(t.denominator for t in target)
-    extra = [d * y for y in diagonal]
     rows = [
-        [d * (g[j] // c) for g, c in zip(gens, scale)]
-        + extra
-        + [d if j == k else 0 for k in range(n)]
-        + [target[j].numerator * (d // target[j].denominator)]
+        [g[j] // c for g, c in zip(gens, scale)] + list(diagonal) + [int(j == k) for k in range(n)]
         for j in range(n)
     ]
-    rows.append([d // c for c in scale] + [0] * (len(diagonal) + n) + [d])
-    return lp.solve_integer([0] * len(gens) + list(cost) + [0] * n, rows, d)
+    rows.append([Fraction(1, c) for c in scale] + [0] * (len(diagonal) + n))
+    return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
 
 
 def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
@@ -124,23 +113,23 @@ def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
     The LP's generator weights are lam'_g = gcd(g)*lam_g (see `_newton_lp`);
     the certificate maps them back to the convex weights lam_g.
     """
-    status, d, _, point = _newton_lp(a, _check_point(a, p))
-    if status != lp.OPTIMAL:
+    sol = _newton_lp(a, _check_point(a, p))
+    if sol.status != lp.OPTIMAL:
         return False, None
     coeffs = {
-        i: Fraction(v, d * _primitive(g))
-        for i, (g, v) in enumerate(zip(a.generators, point))
-        if v != 0
+        i: x / _primitive(g)
+        for i, (g, x) in enumerate(zip(a.generators, sol.x))
+        if x != 0
     }
     return True, LpCertificate(Fraction(1), coeffs)
 
 
 def lct_lp(a: MonomialIdeal) -> Fraction:
     """Threshold via the diagonal: minimize u with (u,..,u) in Newt(a)."""
-    status, d, value, _ = _newton_lp(a, [0] * a.n, diagonal=[-1], cost=[1])
-    if status != lp.OPTIMAL or value <= 0:
-        raise ArithmeticError(f"diagonal scaling LP failed: {status}")
-    return Fraction(d, value)
+    sol = _newton_lp(a, [0] * a.n, diagonal=[-1], cost=[1])
+    if sol.status != lp.OPTIMAL or sol.value <= 0:
+        raise ArithmeticError(f"diagonal scaling LP failed: {sol.status}")
+    return 1 / sol.value
 
 
 def reduced_lct(x: int) -> Fraction:

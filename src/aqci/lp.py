@@ -5,9 +5,8 @@ tableau of Python integers: no revised updates and no floating point, as
 exactness is the whole point.
 
 The tableau is fraction-free (Bareiss's integer-preserving elimination, as
-in Avis's `lrs`).  The input rows are scaled to integers by one common d,
-the product of the rows' denominator lcms, which gives an integer matrix M
-with the artificial columns d * I; the tableau is T = d * B^-1 M in Python
+in Avis's `lrs`).  Each input row is scaled by the lcm of its denominators,
+which gives an integer matrix M; the tableau is T = d * B^-1 M in Python
 `int`s, where B is the current basis of M and d = |det B| is one common
 denominator.  A pivot on p = T[r][s] replaces every other row k by
 (p * T[k] - T[k][s] * T[r]) / d and makes d = |p| (row r only takes the sign
@@ -24,9 +23,8 @@ pivot row is mostly zeros.  Otherwise every entry is updated.
 
 Before an optimum is returned its point is certified against the scaled
 input: M x = b, x >= 0 and c.x = value are checked exactly in integers, and
-a failure raises `ArithmeticError`.  `solve_integer` takes and returns
-integers only; `solve_min` scales its rational input to integers and builds
-`Fraction`s only for the returned value and point.
+a failure raises `ArithmeticError`.  `Fraction`s are built only for the
+returned value and point.
 """
 
 from __future__ import annotations
@@ -112,20 +110,17 @@ def _integer_rows(rows):
     return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
 
 
-def solve_integer(cost, given, d):
-    """Minimize cost.x subject to A x = b, x >= 0, given in integers.
+def solve_min(c, A, b) -> LpSolution:
+    """Minimize c.x subject to A x = b, x >= 0, exactly.
 
-    `given` holds the rows d * (A | b), integers for one common d > 0, and
-    `cost` is integer.  Rows with negative right-hand side are flipped, a
-    phase-1 run with artificial variables finds a basic feasible point (or
-    proves infeasibility), leftover artificials are driven out or their rows
+    `A` is a list of rows; entries of `c`, `A` and `b` are `int`s or
+    `Fraction`s.  Rows with negative right-hand side are flipped, a phase-1
+    run with artificial variables finds a basic feasible point (or proves
+    infeasibility), leftover artificials are driven out or their rows
     dropped as redundant, and phase 2 optimizes the real objective.
-
-    Returns (status, d, value, point) with d the final denominator: the
-    optimum is x = point/d and cost.x = value/d.  `value` and `point` are
-    None unless the status is OPTIMAL.
     """
-    m, n = len(given), len(cost)
+    m, n = len(A), len(c)
+    given, d = _integer_rows([[*A[i], b[i]] for i in range(m)])
     tab = []
     for i, row in enumerate(given):
         if row[-1] < 0:
@@ -137,7 +132,7 @@ def solve_integer(cost, given, d):
         obj = [o - v for o, v in zip(obj, row)]
     _, d = _iterate(tab, basis, obj, d, n + m)
     if obj[-1] != 0:
-        return INFEASIBLE, d, None, None
+        return LpSolution(INFEASIBLE, None, None)
 
     drop = []
     for i in range(m):
@@ -155,6 +150,7 @@ def solve_integer(cost, given, d):
 
     for i in range(len(tab)):
         tab[i] = tab[i][:n] + tab[i][-1:]
+    (cost,), scale = _integer_rows([c])
     obj = [d * v for v in cost] + [0]
     for row, bv in zip(tab, basis):
         f = cost[bv]
@@ -162,7 +158,7 @@ def solve_integer(cost, given, d):
             obj = [o - f * v for o, v in zip(obj, row)]
     status, d = _iterate(tab, basis, obj, d, n)
     if status == UNBOUNDED:
-        return UNBOUNDED, d, None, None
+        return LpSolution(UNBOUNDED, None, None)
 
     # The point is d * x in integers; certify it before trusting it.
     point = [0] * n
@@ -174,23 +170,8 @@ def solve_integer(cost, given, d):
         or sum(a * v for a, v in zip(cost, point)) != -obj[-1]
     ):
         raise ArithmeticError("simplex optimum fails its certificate A x = b, x >= 0, c.x = value")
-    return OPTIMAL, d, -obj[-1], point
-
-
-def solve_min(c, A, b) -> LpSolution:
-    """Minimize c.x subject to A x = b, x >= 0, exactly.
-
-    `A` is a list of rows; entries of `c`, `A` and `b` are `int`s or
-    `Fraction`s.  The rows and the cost are scaled to integers and solved by
-    `solve_integer`; only the optimum's value and point become `Fraction`s.
-    """
-    given, d = _integer_rows([[*A[i], b[i]] for i in range(len(A))])
-    (cost,), scale = _integer_rows([c])
-    status, d, value, point = solve_integer(cost, given, d)
-    if status != OPTIMAL:
-        return LpSolution(status, None, None)
     return LpSolution(
         OPTIMAL,
-        Fraction(value, scale * d),
+        Fraction(-obj[-1], scale * d),
         tuple(Fraction(v, d) for v in point),
     )

@@ -346,7 +346,6 @@ def test_find_closure_power_runs_no_lp(monkeypatch):
         raise AssertionError("find_closure_power ran an LP")
 
     monkeypatch.setattr("aqci.lp.solve_min", no_lp)
-    monkeypatch.setattr("aqci.lp.solve_integer", no_lp)
     assert find_closure_power(star(200, 2)) == 2
     assert find_closure_power(star(200, 200)) == 200
     assert find_closure_power(star(200, 201)) is None

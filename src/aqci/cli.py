@@ -11,7 +11,6 @@ Diagnostics go to stderr; with --json the primary stream carries only JSON.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
@@ -27,10 +26,12 @@ from .datum import (
     to_json,
     validate,
 )
-from .enumeration import EnumerationBudget, class_count, enumerate_data
+from .enumeration import DEFAULT_MAX_RATIO, EnumerationBudget, class_count, enumerate_data
 from .invariants import summarize
 from .lct import find_closure_power, lct_datum, lct_lp
 from .multiplicity import (
+    DEFAULT_K_MAX,
+    DEFAULT_POINT_CEILING,
     STABLE_RUN,
     OracleBudget,
     hilbert_samuel_table,
@@ -280,6 +281,8 @@ def _cmd_verify(args) -> int:
 
 
 def _positive_int(text: str) -> int:
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -290,13 +293,13 @@ def _positive_int(text: str) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-ratio", type=_positive_int, default=EnumerationBudget.max_ratio)
+    p.add_argument("--max-ratio", type=_positive_int, default=DEFAULT_MAX_RATIO)
     p.add_argument("--class-ceiling", type=_positive_int, default=CLASS_CEILING)
 
 
 def _add_oracle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-max", type=_positive_int, default=OracleBudget.k_max)
-    p.add_argument("--point-ceiling", type=_positive_int, default=OracleBudget.point_ceiling)
+    p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
+    p.add_argument("--point-ceiling", type=_positive_int, default=DEFAULT_POINT_CEILING)
 
 
 def _datum_command(sub, name: str, fn, help: str, methods=(), default=None, oracle=False):
@@ -313,6 +316,10 @@ def _datum_command(sub, name: str, fn, help: str, methods=(), default=None, orac
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Imported here, not at the top, so that importing `aqci.cli` does not
+    # load it: only parsing a command line does.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aqci",
         description="Invariants of quotient singularities presented by weighted laminar families.",

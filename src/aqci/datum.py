@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 
 __all__ = [
     "DatumFormatError",
@@ -149,45 +150,42 @@ def _member_key(m: "Member"):
     return (first, len(m.elements), m.elements, m.weight)
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Record):
     """One set of the family together with its weight."""
 
-    elements: tuple[int, ...]
-    weight: int
+    __slots__ = ("elements", "weight")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
+    def __init__(self, elements: tuple[int, ...], weight: int):
+        object.__setattr__(self, "elements", tuple(sorted(set(elements))))
+        object.__setattr__(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class SpecialDatum:
+class SpecialDatum(Record):
     """A candidate weighted laminar family; run validate() to check the axioms.
 
     Members are stored sorted by (smallest element, size), which is also the
     serialization order, so structural equality is label-for-label equality.
-    The hash is the dataclass's hash of (n, members), computed on first use
-    and kept: the caches keyed by datum (`member_forest`, the oracle's
-    tables) would otherwise hash every member on every lookup.  It is not a
-    field, so equality ignores it, and a pickle carries only n and the
-    members.
+    The hash is the record hash, hash((n, members)), computed on first use
+    and kept in the slot `_hash`: the caches keyed by datum
+    (`member_forest`, the oracle's tables) would otherwise hash every member
+    on every lookup.  It is not a field, so equality ignores it, and a
+    pickle carries only n and the members.
     """
 
-    n: int
-    members: tuple[Member, ...]
+    __slots__ = ("n", "members", "_hash")
+    _fields = ("n", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members, key=_member_key)))
+    def __init__(self, n: int, members: tuple[Member, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", tuple(sorted(members, key=_member_key)))
+        object.__setattr__(self, "_hash", None)
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.n, self.members))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def __reduce__(self):
-        return SpecialDatum, (self.n, self.members)
 
     def elements_of(self, j: int) -> tuple[int, ...]:
         return self.members[j].elements
@@ -201,16 +199,20 @@ def make_datum(n: int, sets) -> SpecialDatum:
     return SpecialDatum(int(n), tuple(Member(tuple(e), int(w)) for e, w in sets))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-    members: tuple[tuple[int, ...], ...] = ()
+class Violation(Record):
+    __slots__ = ("kind", "message", "members")
+
+    def __init__(self, kind: str, message: str, members: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "members", members)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -492,17 +494,21 @@ class ClassMemo(dict):
         return self[x]
 
 
-@dataclass(frozen=True)
-class MemberForest:
+class MemberForest(Record):
     """The member forest of a laminar family, by member index.
 
     `roots` are the maximal members and `kids[j]` the children of member j,
     both by smallest element; `node[j]` is the class node below member j.
     """
 
-    roots: tuple[int, ...]
-    kids: tuple[tuple[int, ...], ...]
-    node: tuple[int, ...]
+    __slots__ = ("roots", "kids", "node")
+
+    def __init__(
+        self, roots: tuple[int, ...], kids: tuple[tuple[int, ...], ...], node: tuple[int, ...]
+    ):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "kids", kids)
+        object.__setattr__(self, "node", node)
 
     @property
     def root_nodes(self) -> list[int]:
@@ -665,22 +671,21 @@ def scale(d: SpecialDatum, a: int) -> SpecialDatum:
     return SpecialDatum(d.n, members)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal given by exponent vectors of its generators."""
 
-    n: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "generators")
 
-    def __post_init__(self):
-        gens = sorted(set(tuple(int(x) for x in g) for g in self.generators))
+    def __init__(self, n: int, generators: tuple[tuple[int, ...], ...]):
+        gens = sorted(set(tuple(int(x) for x in g) for g in generators))
         for g in gens:
-            if len(g) != self.n:
-                raise ValueError(f"generator {g} does not have {self.n} coordinates")
+            if len(g) != n:
+                raise ValueError(f"generator {g} does not have {n} coordinates")
             if any(x < 0 for x in g):
                 raise ValueError(f"generator {g} has a negative exponent")
             if not any(g):
                 raise ValueError("the zero vector cannot generate a proper ideal")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "generators", tuple(gens))
 
 

@@ -25,21 +25,26 @@ order).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import datum
+from ._record import Record
 from .datum import SpecialDatum, class_datum, class_order
 
 __all__ = ["EnumerationBudget", "enumerate_data", "class_count"]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+DEFAULT_MAX_RATIO = 3
+
+
+class EnumerationBudget(Record):
     """Size limits for enumeration: dimension up to n_max, ratios in [2, max_ratio]."""
 
-    n_max: int
-    max_ratio: int = 3
+    __slots__ = ("n_max", "max_ratio")
+
+    def __init__(self, n_max: int, max_ratio: int = DEFAULT_MAX_RATIO):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "max_ratio", max_ratio)
 
 
 @lru_cache(maxsize=None)

@@ -26,9 +26,9 @@ suite compares them on every enumerated datum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .datum import (
     LEAF,
     NODE_KIDS,
@@ -220,18 +220,35 @@ def floor_factor_product(d: SpecialDatum) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class InvariantSummary:
-    n: int
-    emb: int
-    child_counts: tuple[tuple[tuple[int, ...], int], ...]
-    branching_product: int
-    floor_factors: tuple[tuple[tuple[int, ...], Fraction], ...]
-    child_weight_factors: tuple[tuple[tuple[int, ...], Fraction], ...]
-    group_order: int
-    group_order_lattice: int
-    lct: Fraction
-    ceil_lct: int
+class InvariantSummary(Record):
+    __slots__ = (
+        "n", "emb", "child_counts", "branching_product", "floor_factors",
+        "child_weight_factors", "group_order", "group_order_lattice", "lct", "ceil_lct",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        emb: int,
+        child_counts: tuple[tuple[tuple[int, ...], int], ...],
+        branching_product: int,
+        floor_factors: tuple[tuple[tuple[int, ...], Fraction], ...],
+        child_weight_factors: tuple[tuple[tuple[int, ...], Fraction], ...],
+        group_order: int,
+        group_order_lattice: int,
+        lct: Fraction,
+        ceil_lct: int,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "emb", emb)
+        object.__setattr__(self, "child_counts", child_counts)
+        object.__setattr__(self, "branching_product", branching_product)
+        object.__setattr__(self, "floor_factors", floor_factors)
+        object.__setattr__(self, "child_weight_factors", child_weight_factors)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "group_order_lattice", group_order_lattice)
+        object.__setattr__(self, "lct", lct)
+        object.__setattr__(self, "ceil_lct", ceil_lct)
 
 
 def summarize(d: SpecialDatum) -> InvariantSummary:

@@ -31,10 +31,10 @@ whole enumeration budgets by the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
+from ._record import Record
 from .datum import (
     LEAF,
     NODE_KIDS,
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LpCertificate:
+class LpCertificate(Record):
     """Convex weights proving a containment claim.
 
     `coefficients` maps generator index (into MonomialIdeal.generators) to a
@@ -64,8 +63,11 @@ class LpCertificate:
     (value = 1 for plain containment queries).
     """
 
-    value: Fraction
-    coefficients: dict[int, Fraction]
+    __slots__ = ("value", "coefficients")
+
+    def __init__(self, value: Fraction, coefficients: dict[int, Fraction]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "coefficients", coefficients)
 
 
 def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:

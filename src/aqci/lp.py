@@ -30,19 +30,22 @@ returned value and point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    status: str
-    value: Fraction | None
-    x: tuple[Fraction, ...] | None
+class LpSolution(Record):
+    __slots__ = ("status", "value", "x")
+
+    def __init__(self, status: str, value: Fraction | None, x: tuple[Fraction, ...] | None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "x", x)
 
 
 def _eliminate(v, row, nz, p, d, s):

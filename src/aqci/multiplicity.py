@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .datum import (
     LEAF,
     NODE_KIDS,
@@ -74,12 +74,18 @@ EXACT = "exact"
 INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+DEFAULT_K_MAX = 12
+DEFAULT_POINT_CEILING = 5_000_000
+
+
+class OracleBudget(Record):
     """Budget for the colength tabulation."""
 
-    k_max: int = 12
-    point_ceiling: int = 5_000_000
+    __slots__ = ("k_max", "point_ceiling")
+
+    def __init__(self, k_max: int = DEFAULT_K_MAX, point_ceiling: int = DEFAULT_POINT_CEILING):
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "point_ceiling", point_ceiling)
 
 
 # The oracle is stabilized when its last STABLE_RUN n-th differences agree.
@@ -87,19 +93,25 @@ class OracleBudget:
 STABLE_RUN = 3
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    rule: str
-    member: tuple[int, ...] | None = None
+class TraceStep(Record):
+    __slots__ = ("rule", "member")
+
+    def __init__(self, rule: str, member: tuple[int, ...] | None = None):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "member", member)
 
 
-@dataclass(frozen=True)
-class MultiplicityResult:
-    status: str
-    value: int | None
-    lower: int
-    upper: int
-    trace: tuple[TraceStep, ...]
+class MultiplicityResult(Record):
+    __slots__ = ("status", "value", "lower", "upper", "trace")
+
+    def __init__(
+        self, status: str, value: int | None, lower: int, upper: int, trace: tuple[TraceStep, ...]
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def is_exact(self) -> bool:
@@ -240,8 +252,7 @@ def result_payload(result: MultiplicityResult) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class HilbertSamuelTable:
+class HilbertSamuelTable(Record):
     """Colengths of the powers of the maximal ideal, with difference analysis.
 
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
@@ -253,12 +264,23 @@ class HilbertSamuelTable:
     point_ceiling + 1 for any ceiling >= 0.
     """
 
-    n: int
-    values: tuple[int, ...]
-    stabilized: bool
-    e: int | None
-    points: int
-    aborted: bool
+    __slots__ = ("n", "values", "stabilized", "e", "points", "aborted")
+
+    def __init__(
+        self,
+        n: int,
+        values: tuple[int, ...],
+        stabilized: bool,
+        e: int | None,
+        points: int,
+        aborted: bool,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "stabilized", stabilized)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "aborted", aborted)
 
 
 def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget()) -> HilbertSamuelTable:

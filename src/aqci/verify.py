@@ -61,11 +61,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 
+from ._record import Record
 from .datum import (
     NODE_KIDS,
     NODE_RATIO,
@@ -466,10 +466,12 @@ def product_concavity_grid() -> dict:
     return {"points": points, "equality_points": equality_points, "failures": failures}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    summary: dict
-    records: tuple[dict, ...]
+class VerificationReport(Record):
+    __slots__ = ("summary", "records")
+
+    def __init__(self, summary: dict, records: tuple[dict, ...]):
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "records", records)
 
     @property
     def all_passed(self) -> bool:

@@ -18,7 +18,6 @@ inequality grids on `Fraction` powers) and freeze or compare.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -562,7 +561,12 @@ def without_points(table):
     its knapsack table, so on the oracle's certified route the two tables
     agree on every field but `points`.
     """
-    return dataclasses.replace(table, points=None)
+    return replaced(table, points=None)
+
+
+def replaced(record, **changes):
+    """A copy of the frozen record with the given fields changed."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
 
 
 # ---------------------------------------------------------------------------

@@ -557,8 +557,13 @@ def test_stdout_closed_before_any_output_exits_one_without_an_error():
 
 
 # What importing the package must not load: the process pool's modules
-# (only `verify --jobs` > 1 uses the pool) and `typing`.
-UNNEEDED = ["concurrent.futures.process", "multiprocessing", "socket", "pickle", "typing"]
+# (only `verify --jobs` > 1 uses the pool), `typing`, `dataclasses` and the
+# `inspect` it imports (the records are plain slotted classes), and
+# `argparse` (loaded when the CLI parses a command line).
+UNNEEDED = [
+    "concurrent.futures.process", "multiprocessing", "socket", "pickle", "typing",
+    "dataclasses", "inspect", "argparse",
+]
 
 
 def _stdlib_imports():
@@ -576,9 +581,7 @@ def _stdlib_imports():
 
 def test_import_leaves_the_worker_pool_and_typing_unloaded():
     # Every aqci command starts a fresh interpreter.  What the standard
-    # library loads for the package's other imports is not counted:
-    # `inspect`, under `dataclasses`, imports `typing` in later 3.13 releases,
-    # though not in 3.13.0.
+    # library loads for the package's other imports is not counted.
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
         f"for name in {_stdlib_imports()!r}: __import__(name)\n"

@@ -7,7 +7,6 @@ the two store the same points and must be equal.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import json
 import os
@@ -39,6 +38,7 @@ from helpers import (
     chain,
     loose_points,
     reference_table,
+    replaced,
     star,
     two_stars,
     without_points,
@@ -361,7 +361,7 @@ def _finished_reference(d, budget):
     The oracle stores fewer points than the reference, so it may finish
     where the reference at the same ceiling aborts.
     """
-    table = reference_table(d, dataclasses.replace(budget, point_ceiling=10**6))
+    table = reference_table(d, replaced(budget, point_ceiling=10**6))
     assert not table.aborted
     return table
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import json
 import math
 import os
@@ -28,6 +27,7 @@ from helpers import (
     INTERVAL_FIXTURE,
     reference_ceiling_power_grid,
     reference_product_concavity_grid,
+    replaced,
     star,
     two_stars,
 )
@@ -144,7 +144,7 @@ def unstabilized_but(monkeypatch, d):
         table = real(x, budget)
         if canonical_form(x)[0] == own:
             return table
-        return dataclasses.replace(table, stabilized=False, e=None)
+        return replaced(table, stabilized=False, e=None)
 
     monkeypatch.setattr(verify, "hilbert_samuel_table", oracle)
 
@@ -178,7 +178,7 @@ def test_an_oracle_value_outside_the_envelope_fails_the_containment(monkeypatch)
             table = real(x, budget)
             if canonical_form(x)[0] != own:
                 return table
-            return dataclasses.replace(table, stabilized=True, e=e)
+            return replaced(table, stabilized=True, e=e)
 
         monkeypatch.setattr(verify, "hilbert_samuel_table", oracle)
         (c13,) = [c for c in check_datum(INTERVAL_FIXTURE)["checks"] if c["id"] == "C13"]

@@ -23,10 +23,9 @@ __all__ = ["Record"]
 
 class Record:
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         get = attrgetter(*fields)
         # _values(record) is the tuple of its fields; attrgetter of one name

@@ -410,16 +410,19 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
     With l_j(q) the longest decomposition of q into the first j generators
     (none if q is not their sum), l_j(q) = max(l_{j-1}(q), l_j(q - g_j) + 1).
     Pass j visits the points of the first j - 1 generators in phi order and
-    walks each g_j-ray upward once, while it stays in D (one min of two
-    divisions): a point whose predecessor q - g_j is a point was reached by
-    the walk through that predecessor, which has lower phi, so each ray is
-    walked from its lowest point, and along it the recurrence is a running
-    maximum.  One dict is both the point set and the DP table, updated in
-    place.  A value is 2 * length + the parity of the pass that wrote it:
-    every point is either the lowest of its ray or on a walk, so each pass
-    rewrites every value, and a point that already holds this pass's parity
-    was walked and is skipped.  More points than the ceiling admits at
-    pshift + cap.bit_length() bits a point returns None.
+    walks each g_j-ray upward once, while it stays in D (two floor
+    divisions and a compare give its length): a point whose predecessor
+    q - g_j is a point was reached by the walk through that predecessor,
+    which has lower phi, so each ray is walked from its lowest point, and
+    along it the recurrence is a running maximum.  One dict is both the
+    point set and the DP table, updated in place.  A value is
+    2 * length + the parity of the pass that wrote it: every point is
+    either the lowest of its ray or on a walk, so each pass rewrites every
+    value, and a point that already holds this pass's parity was walked and
+    is skipped.  More points than the ceiling admits at
+    pshift + cap.bit_length() bits a point returns None: a countdown of the
+    free entries, taken only when a point is stored, stops the walk at the
+    first point past the limit.
     """
     w = top.bit_length()
     dshift = n * w
@@ -433,7 +436,9 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
             packed.append((dg, fg, fg << pshift | dg << dshift | _pack(g, w)))
 
     longest = {0: 0}
-    if len(longest) > limit:
+    get = longest.get
+    free = limit - 1  # entries the limit still admits
+    if free < 0:
         return None
     for j, (dg, fg, g) in enumerate(packed, 1):
         parity = j & 1
@@ -443,13 +448,18 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
                 continue
             v ^= 1
             longest[p] = v
-            for _ in range(min((top - (p >> dshift & dmask)) // dg, (cap - (p >> pshift)) // fg)):
+            steps = (top - (p >> dshift & dmask)) // dg
+            by_phi = (cap - (p >> pshift)) // fg
+            if by_phi < steps:
+                steps = by_phi
+            for _ in range(steps):
                 p += g
                 v += 2
-                old = longest.get(p)
+                old = get(p)
                 if old is None:
                     longest[p] = v
-                    if len(longest) > limit:
+                    free -= 1
+                    if free < 0:
                         return None
                 else:
                     old ^= 1

@@ -63,7 +63,7 @@ import math
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, permutations, product
+from itertools import permutations, product
 
 from ._record import Record
 from .datum import (
@@ -390,26 +390,37 @@ def ceiling_power_grid() -> dict:
     return {"points": points, "equality_points": equality_points, "failures": failures}
 
 
-# The grid's pairs (x, c) in half-units, in product order, and the two
-# powers x^x and c^x of each pair.
-_PAIRS = tuple(product((1, 2, 3, 4, 6), repeat=2))
-_POWERS = {(x, c): (x**x, c**x) for x, c in _PAIRS}
+# The grid's coordinates in half-units, and its pairs (x, c) in product order.
+_HALVES = (1, 2, 3, 4, 6)
+_PAIRS = tuple(product(_HALVES, repeat=2))
 
 
-def _orbits(terms: int):
-    """Each multiset of `terms` grid pairs once, with its orbit size
-    terms!/prod(m_k!) under permutations of the term positions."""
-    for pairs in combinations_with_replacement(_PAIRS, terms):
-        size = math.factorial(terms)
-        for p in set(pairs):
-            size //= math.factorial(pairs.count(p))
-        yield pairs, size
+def _power_table() -> list[list[int]]:
+    """p[c][x] = c**x for c, x up to 18, the largest sum of three coordinates."""
+    top = 3 * _HALVES[-1]
+    return [[c**x for x in range(top + 1)] for c in range(top + 1)]
+
+
+def _orbits():
+    """Each multiset of two grid pairs once, as its nondecreasing tuple
+    (a, b), with its orbit size under permutations of the term positions,
+    and the multisets (a, b, c) of three pairs that extend it: each c from
+    b on, with its orbit size.  So every multiset of three pairs is met
+    once, nondecreasing.  Only neighbours of a nondecreasing tuple can be
+    equal, so an orbit size is terms!/m! with m the length of its longest
+    run of equal pairs: 2 or 1 for two terms, 6, 3 or 1 for three."""
+    for i, a in enumerate(_PAIRS):
+        for j in range(i, len(_PAIRS)):
+            equal = i == j
+            # c == b lengthens the run of b; each later c is new.
+            sizes = ((3, 1)[equal],) + ((6, 3)[equal],) * (len(_PAIRS) - 1 - j)
+            yield (a, _PAIRS[j]), (2, 1)[equal], zip(_PAIRS[j:], sizes)
 
 
 def _orderings(pairs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The distinct orderings of a multiset of pairs as (xs, cs), sorted as
     a walk over xs and then cs in product order meets them."""
-    return sorted({tuple(zip(*p)) for p in permutations(pairs)})
+    return sorted(tuple(zip(*p)) for p in set(permutations(pairs)))
 
 
 def product_concavity_grid() -> dict:
@@ -423,6 +434,8 @@ def product_concavity_grid() -> dict:
     keeps each ratio and squares both sides.  With X = sum x and C = sum c
     the inequality is then prod(x_i^x_i) * C^X >= X^X * prod(c_i^x_i) in
     integers, and the ratios agree iff x_i * C == X * c_i for every i.
+    Every power has base and exponent at most 18, so all of them come from
+    one table built per call.
 
     Both integers and the proportionality test are symmetric functions of
     the pairs (x_i, c_i): permuting the term positions permutes the factors
@@ -430,38 +443,51 @@ def product_concavity_grid() -> dict:
     every ordering of one multiset of pairs gives the same comparison, and
     the walk decides each multiset once (325 for 2 terms, 2,925 for 3) and
     counts it with its orbit size toward `points` and `equality_points`,
-    which still count the 16,250 ordered points.  A failing multiset lists
-    all its distinct orderings, sorted as the ordered walk over xs and then
-    cs would meet them.
+    which still count the 16,250 ordered points.  The walk takes each
+    2-term multiset of `_orbits` in turn, decides it, and then decides its
+    3-term extensions; the sums and products of the first two terms carry
+    into that inner loop.  A failing multiset lists all its distinct
+    orderings, sorted as the ordered walk over xs and then cs would meet
+    them, the 2-term failures before the 3-term ones.
     """
-    failing: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    power = _power_table()
+    failing: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {2: [], 3: []}
     points = 0
     equality_points = 0
-    for terms in (2, 3):
-        found = []
-        for pairs, size in _orbits(terms):
-            total_x = total_c = 0
-            x_powers = c_powers = 1
-            for p in pairs:
-                x_power, c_power = _POWERS[p]
-                total_x += p[0]
-                total_c += p[1]
-                x_powers *= x_power
-                c_powers *= c_power
-            lhs = x_powers * total_c**total_x
-            rhs = total_x**total_x * c_powers
-            proportional = all([x * total_c == total_x * c for x, c in pairs])
+    for head, size, thirds in _orbits():
+        (x1, c1), (x2, c2) = head
+        head_x, head_c = x1 + x2, c1 + c2
+        x_powers = power[x1][x1] * power[x2][x2]
+        c_powers = power[c1][x1] * power[c2][x2]
+        lhs = x_powers * power[head_c][head_x]
+        rhs = power[head_x][head_x] * c_powers
+        if lhs < rhs or (lhs == rhs) != (x1 * head_c == head_x * c1 and x2 * head_c == head_x * c2):
+            failing[2].extend(_orderings(head))
+        points += size
+        if lhs == rhs:
+            equality_points += size
+        for third, size in thirds:
+            x3, c3 = third
+            total_x, total_c = head_x + x3, head_c + c3
+            lhs = x_powers * power[x3][x3] * power[total_c][total_x]
+            rhs = power[total_x][total_x] * c_powers * power[c3][x3]
+            proportional = (
+                x1 * total_c == total_x * c1
+                and x2 * total_c == total_x * c2
+                and x3 * total_c == total_x * c3
+            )
             if lhs < rhs or (lhs == rhs) != proportional:
-                found.extend(_orderings(pairs))
+                failing[3].extend(_orderings(head + (third,)))
             points += size
-            equality_points += size * (lhs == rhs)
-        failing.extend(sorted(found))
+            if lhs == rhs:
+                equality_points += size
     failures = [
         {
             "xs": [format_fraction(Fraction(x, 2)) for x in xs],
             "cs": [format_fraction(Fraction(c, 2)) for c in cs],
         }
-        for xs, cs in failing
+        for terms in (2, 3)
+        for xs, cs in sorted(failing[terms])
     ]
     return {"points": points, "equality_points": equality_points, "failures": failures}
 

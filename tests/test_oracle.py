@@ -213,6 +213,43 @@ def test_generator_set_outside_the_certificate_takes_the_old_walk():
     assert hilbert_samuel_table(d, budget) == reference_table(d, budget)
 
 
+def test_walk_route_aborts_exactly_past_its_ceiling():
+    # The route of the test above: the whole semigroup up to the degree
+    # bound is the table, and a ceiling one short of it aborts.
+    d = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
+    points = hilbert_samuel_table(d, OracleBudget(k_max=6)).points
+    short = hilbert_samuel_table(d, OracleBudget(k_max=6, point_ceiling=points - 1))
+    assert short.aborted and short.points == points
+    exact = hilbert_samuel_table(d, OracleBudget(k_max=6, point_ceiling=points))
+    assert not exact.aborted and exact.points == points
+
+
+def test_every_pass_rewrites_every_stored_point():
+    # A value carries the parity of the pass that wrote it, so after the
+    # last pass every value has that pass's parity: no point was skipped
+    # and none was walked twice.  The tables of verify's n <= 4, ratio <= 2
+    # classes and of chain(3,2,2).
+    oracle = importlib.import_module("aqci.multiplicity")
+    longest = oracle._longest
+    tables = []
+
+    def record(n, gens, weights, top, cap, ceiling):
+        passes = sum(
+            1 for g in gens if sum(g) <= top and sum(x * w for x, w in zip(g, weights)) <= cap
+        )
+        tables.append((passes, longest(n, gens, weights, top, cap, ceiling)))
+        return tables[-1][1]
+
+    data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=2))) + [chain(3, 2, 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_longest", record)
+        for d in data:
+            oracle._tabulate.__wrapped__(canonical_form(d)[0], OracleBudget())
+    assert len(tables) == 18
+    for passes, table in tables:
+        assert {v & 1 for v in table.values()} == {passes & 1}
+
+
 def test_residues_past_the_ceiling_abort_before_the_knapsack():
     # star(2, 10^5) has 10^5 residues: R alone passes the ceiling, so no
     # knapsack table is built beside it.

@@ -253,12 +253,17 @@ HALVES = (1, 2, 3, 4, 6)
 
 
 def test_orbit_walk_meets_every_ordered_point_once():
-    # Coverage apart from the inequality: the multisets, expanded into their
+    # Coverage apart from the inequality: the multisets of the walk (each
+    # 2-term multiset and its 3-term extensions), expanded into their
     # distinct orderings, are exactly the ordered points, and each orbit
     # size is its number of orderings.
+    walk = {2: [], 3: []}
+    for head, size, thirds in verify._orbits():
+        walk[2].append((head, size))
+        walk[3].extend((head + (third,), count) for third, count in thirds)
     for terms, multisets in ((2, 325), (3, 2925)):
         seen = Counter()
-        orbits = list(verify._orbits(terms))
+        orbits = walk[terms]
         for pairs, size in orbits:
             orderings = set(permutations(pairs))
             assert size == len(orderings)
@@ -279,6 +284,34 @@ def test_failing_orbit_lists_its_orderings_in_the_ordered_walk_order():
         ]
         assert len(expected) == count
         assert verify._orderings(pairs) == expected
+
+
+def test_corrupted_power_fails_exactly_the_points_of_the_ordered_walk(monkeypatch):
+    # 3^3 one too small breaks the inequality on some multisets of every
+    # orbit size (1 and 2 for two terms, 1, 3 and 6 for three).  The
+    # grid's failures must be those of a walk over every ordered point with
+    # the same table, in the same order: 2 terms before 3, xs then cs.
+    table = verify._power_table()
+    table[3][3] -= 1
+    monkeypatch.setattr(verify, "_power_table", lambda: table)
+    expected = []
+    for terms in (2, 3):
+        for xs in product(HALVES, repeat=terms):
+            for cs in product(HALVES, repeat=terms):
+                total_x, total_c = sum(xs), sum(cs)
+                lhs = math.prod(table[x][x] for x in xs) * table[total_c][total_x]
+                rhs = table[total_x][total_x] * math.prod(table[c][x] for x, c in zip(xs, cs))
+                proportional = all(x * total_c == total_x * c for x, c in zip(xs, cs))
+                if lhs < rhs or (lhs == rhs) != proportional:
+                    expected.append((xs, cs))
+    orbits = Counter((len(xs), len(set(zip(xs, cs)))) for xs, cs in expected)
+    assert set(orbits) == {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
+    grid = product_concavity_grid()
+    assert grid["failures"] == [
+        {"xs": [str(Fraction(x, 2)) for x in xs], "cs": [str(Fraction(c, 2)) for c in cs]}
+        for xs, cs in expected
+    ]
+    assert grid["points"] == 16250
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,14 @@ class MemberForest(Record):
         return [self.node[j] for j in self.roots]
 
 
-def _parents(d: SpecialDatum) -> tuple[list[int], bool]:
+# Built parent indexes and forests, by datum value (least recently used).
+# The caches live here, not on the datum: a pickled datum carries no class
+# nodes into a process whose node ids differ.
+_FOREST_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_FOREST_CACHE_SIZE)
+def _parents(d: SpecialDatum) -> tuple[tuple[int, ...], bool]:
     """The parent of every member from one owner map, and whether it is nested.
 
     Members are visited largest first, and owner[e] is the last one seen
@@ -528,6 +535,9 @@ def _parents(d: SpecialDatum) -> tuple[list[int], bool]:
     laminar without repeats: if a member B met an earlier A in e and left it
     at f, the first member after A holding both e and f would find e owned by
     an earlier member after A, which must hold f too.
+
+    Cached (`_FOREST_CACHE_SIZE` entries), so `validate` and `member_forest`
+    share one index per datum.
     """
     members = d.members
     parent = [-1] * len(members)
@@ -544,7 +554,7 @@ def _parents(d: SpecialDatum) -> tuple[list[int], bool]:
                 nested = False
         for e in elems:
             owner[e] = j
-    return parent, nested
+    return tuple(parent), nested
 
 
 def _links(d: SpecialDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -554,12 +564,6 @@ def _links(d: SpecialDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...
     for j, p in enumerate(_parents(d)[0]):
         (kids[p] if p >= 0 else roots).append(j)
     return tuple(roots), tuple(map(tuple, kids))
-
-
-# Built forests, by datum value (least recently used).  The cache lives here,
-# not on the datum: a pickled datum carries no class nodes into a process
-# whose node ids differ.
-_FOREST_CACHE_SIZE = 256
 
 
 @functools.lru_cache(maxsize=_FOREST_CACHE_SIZE)

@@ -207,7 +207,7 @@ def class_top_weight(x: int) -> Fraction:
 
 class_floor_factor = ClassMemo(
     lambda x: Fraction(1) if x == LEAF
-    else min(reduced_lct(x), class_top_weight(x))
+    else min(reduced_lct[x], class_top_weight(x))
 )
 class_floor_product = ClassMemo(
     lambda x: math.prod((class_floor_product[k] for k in NODE_KIDS[x]), start=class_floor_factor[x])

@@ -22,7 +22,10 @@ subject to target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).  It gives
 each generator g the primitive column g/gcd(g), which changes no value
 and no pivot, and keeps the integer tableau small: with the columns
 w_J*1_J of a datum as given, the tableau's minors are products of weights,
-which grow with the depth of the datum.
+which grow with the depth of the datum.  Its rows are ints but for the
+convexity entries 1/gcd(g) (and a fractional target); `lp.solve_min`
+scales each row by its own denominator lcm, so the tableau starts at
+d = 1, not at the lcm of the gcds.
 
 The two lct routes are deliberately independent and are cross-checked over
 whole enumeration budgets by the verification suite.
@@ -90,8 +93,11 @@ def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()) -> lp.LpSolution:
     Variables: one weight per generator, y, slacks (n); one row per
     coordinate and a last row for convexity.  The weight of generator g is
     lam'_g = c_g*lam_g with c_g = gcd(g), so its column is the primitive
-    vector g/c_g and its convexity entry is 1/c_g (the convex weight is
-    lam'_g/c_g).  This bijection of the feasible sets keeps y, so every
+    vector g/c_g and its convexity entry is 1/c_g, the int 1 where c_g = 1
+    (the convex weight is lam'_g/c_g).  The coordinate rows are the
+    primitive columns transposed, so on an integer target only the convexity
+    row has denominators, and `lp.solve_min` scales that row alone, by the
+    lcm of the c_g.  This bijection of the feasible sets keeps y, so every
     optimum is the same.  It also keeps every pivot: Bland's rule reads the
     signs of reduced costs, which positive column scaling keeps, and a ratio
     test compares entries of one column, all scaled alike.  On a datum the
@@ -101,11 +107,13 @@ def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()) -> lp.LpSolution:
     gens = a.generators
     n = a.n
     scale = [_primitive(g) for g in gens]
-    rows = [
-        [g[j] // c for g, c in zip(gens, scale)] + list(diagonal) + [int(j == k) for k in range(n)]
-        for j in range(n)
-    ]
-    rows.append([Fraction(1, c) for c in scale] + [0] * (len(diagonal) + n))
+    columns = [g if c == 1 else [x // c for x in g] for g, c in zip(gens, scale)]
+    rows = []
+    for j, coords in enumerate(zip(*columns) if gens else [()] * n):
+        unit = [0] * n
+        unit[j] = 1
+        rows.append([*coords, *diagonal, *unit])
+    rows.append([1 if c == 1 else Fraction(1, c) for c in scale] + [0] * (len(diagonal) + n))
     return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
 
 
@@ -134,15 +142,17 @@ def lct_lp(a: MonomialIdeal) -> Fraction:
     return 1 / sol.value
 
 
-def reduced_lct(x: int) -> Fraction:
+def _reduced_lct(x: int) -> Fraction:
     """Threshold of the reduced datum of the tree x: the sum over its children."""
     return sum((class_lct[k] for k in NODE_KIDS[x]), Fraction(0))
 
 
 def _lct_class(x: int) -> Fraction:
-    return Fraction(1) if x == LEAF else max(Fraction(1), reduced_lct(x) / NODE_RATIO[x])
+    return Fraction(1) if x == LEAF else max(Fraction(1), reduced_lct[x] / NODE_RATIO[x])
 
 
+# Per class node, each computed once: the reduced datum's threshold and the tree's.
+reduced_lct = ClassMemo(_reduced_lct)
 class_lct = ClassMemo(_lct_class)
 
 

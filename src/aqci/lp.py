@@ -5,31 +5,46 @@ tableau of Python integers: no revised updates and no floating point, as
 exactness is the whole point.
 
 The tableau is fraction-free (Bareiss's integer-preserving elimination, as
-in Avis's `lrs`).  Each input row is scaled by the lcm of its denominators,
-which gives an integer matrix M; the tableau is T = d * B^-1 M in Python
-`int`s, where B is the current basis of M and d = |det B| is one common
-denominator.  A pivot on p = T[r][s] replaces every other row k by
+in Avis's `lrs`).  Each input row i is scaled by its own denominator lcm
+s_i, which gives an integer matrix M; the tableau is T = d * B^-1 M in
+Python `int`s, where B is the current basis of M and d = |det B| is one
+common denominator.  A pivot on p = T[r][s] replaces every other row k by
 (p * T[k] - T[k][s] * T[r]) / d and makes d = |p| (row r only takes the sign
 of p).  By Cramer's rule every entry of the new tableau is a minor of M, so
 that division is always exact.  Every decision of the simplex compares
 signs or cross-multiplied ratios, which the positive d does not change, so
 the pivots are the ones a rational tableau would make.
 
+Phase 1 gives row i the unit artificial column, so the starting basis is
+the identity and d starts at 1.  That artificial stands for s_i times the
+rational one, so it costs 1/s_i, and the phase-1 costs are the integers
+L/s_i with L the lcm of the s_i: positive scalings of one column, one row
+and the objective, which keep every sign and every ratio comparison and so
+every pivot.  A pivot keeps d / |det B| fixed, so once no artificial is
+basic, d = (product of the s_i) * |det B_rational|, the d that scaling every
+row by the product of all the lcms gave, and the tableau holds the same
+integers as under that scaling: on `lct_lp` of `chain(3,...,3)` with n = 20
+and 40, d is 1 until the convexity row's artificial leaves, and the largest
+entry is 31 and 62 bits either way.  What the per-row scaling saves is
+interpreter work (no division while d == 1), not smaller numbers.
+
 When p == d, an entry whose pivot-row entry is 0 keeps its value,
 (a * p - f * 0) / d = a, so the update touches only the pivot row's nonzero
-columns.  On the Newton LPs of `lct` (0/1 generator columns after
-`_newton_lp` divides each by its gcd) that is nearly every pivot, and a
-pivot row is mostly zeros.  Otherwise every entry is updated.
+(column, entry) pairs, listed once per pivot.  On the Newton LPs of `lct`
+(0/1 generator columns after `_newton_lp` divides each by its gcd) that is
+nearly every pivot, and a pivot row is mostly zeros.  Otherwise every entry
+is updated.
 
 Before an optimum is returned its point is certified against the scaled
 input: M x = b, x >= 0 and c.x = value are checked exactly in integers, and
 a failure raises `ArithmeticError`.  `Fraction`s are built only for the
-returned value and point.
+returned value and the nonzero coordinates of the point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from ._record import Record
@@ -51,17 +66,24 @@ class LpSolution(Record):
 def _eliminate(v, row, nz, p, d, s):
     """v with column s cleared against the pivot row (pivot p, old denominator d).
 
-    `nz` lists the pivot row's nonzero columns.  When p == d an entry whose
-    pivot-row entry b is 0 keeps its value, (a*p - f*0)/d = a, so only the
-    columns in `nz` change, in place: a - f*b/d, exact because the new entry
-    is an integer.  Otherwise every entry changes and a new list is made.
+    `nz` lists the pivot row's nonzero (column, entry) pairs.  When p == d an
+    entry whose pivot-row entry b is 0 keeps its value, (a*p - f*0)/d = a, so
+    only the columns in `nz` change, in place: a - f*b/d, exact because the
+    new entry is an integer.  Otherwise every entry changes and a new list is
+    made.  While d == 1 nothing is divided.
     """
     f = v[s]
     if p == d:
         if f:
-            for j in nz:
-                v[j] -= f * row[j] // d
+            if d == 1:
+                for j, b in nz:
+                    v[j] -= f * b
+            else:
+                for j, b in nz:
+                    v[j] -= f * b // d
         return v
+    if d == 1:
+        return [a * p - f * b for a, b in zip(v, row)] if f else [a * p for a in v]
     if f == 0:
         return [a * p // d for a in v]
     return [(a * p - f * b) // d for a, b in zip(v, row)]
@@ -74,10 +96,11 @@ def _pivot(tab, basis, obj, d, r, s):
     if p < 0:
         row = tab[r] = [-v for v in row]
         p = -p
-    nz = [j for j, b in enumerate(row) if b] if p == d else None
-    for k in range(len(tab)):
-        if k != r:
-            tab[k] = _eliminate(tab[k], row, nz, p, d, s)
+    nz = list(filter(_entry, enumerate(row))) if p == d else None
+    for k, v in enumerate(tab):
+        # With p == d a row that is 0 in column s keeps every entry.
+        if k != r and (v[s] or p != d):
+            tab[k] = _eliminate(v, row, nz, p, d, s)
     if obj is not None:
         obj[:] = _eliminate(obj, row, nz, p, d, s)
     basis[r] = s
@@ -87,8 +110,10 @@ def _pivot(tab, basis, obj, d, r, s):
 def _iterate(tab, basis, obj, d, ncols):
     """Run Bland-rule pivots; returns (OPTIMAL or UNBOUNDED, denominator)."""
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
-        if enter is None:
+        for enter in range(ncols):
+            if obj[enter] < 0:
+                break
+        else:
             return OPTIMAL, d
         best = None
         for i, row in enumerate(tab):
@@ -107,10 +132,22 @@ def _iterate(tab, basis, obj, d, ncols):
         d = _pivot(tab, basis, obj, d, best, enter)
 
 
+_denominator = operator.attrgetter("denominator")
+_numerator = operator.attrgetter("numerator")
+_entry = operator.itemgetter(1)
+_ZERO = Fraction(0)
+
+
 def _integer_rows(rows):
-    """(d * row for each row, d) with d the product of the rows' denominator lcms."""
-    d = math.prod(math.lcm(*(x.denominator for x in row)) for row in rows)
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    """(s_i * row_i for each row, [s_i]) with s_i the lcm of row i's denominators."""
+    out, scales = [], []
+    for row in rows:
+        dens = list(map(_denominator, row))
+        s = math.lcm(*dens)
+        nums = map(_numerator, row)
+        out.append(list(nums) if s == 1 else [a * (s // q) for a, q in zip(nums, dens)])
+        scales.append(s)
+    return out, scales
 
 
 def solve_min(c, A, b) -> LpSolution:
@@ -123,17 +160,23 @@ def solve_min(c, A, b) -> LpSolution:
     dropped as redundant, and phase 2 optimizes the real objective.
     """
     m, n = len(A), len(c)
-    given, d = _integer_rows([[*A[i], b[i]] for i in range(m)])
+    given, scales = _integer_rows([[*A[i], b[i]] for i in range(m)])
+    # Artificial i is s_i times the rational one, so it costs L/s_i.
+    lcm = math.lcm(*scales)
+    weights = [lcm // s for s in scales]
     tab = []
     for i, row in enumerate(given):
         if row[-1] < 0:
             row = [-v for v in row]
-        tab.append(row[:n] + [d if i == j else 0 for j in range(m)] + row[-1:])
+        unit = [0] * m
+        unit[i] = 1
+        tab.append(row[:n] + unit + row[-1:])
+    # Reduced costs: the weights less the weighted column sums, which is
+    # minus those sums off the artificials and 0 on them.
+    obj = [-sum(map(operator.mul, weights, col)) for col in zip(*tab)] if m else [0] * (n + 1)
+    obj[n : n + m] = [0] * m
     basis = list(range(n, n + m))
-    obj = [0] * n + [d] * m + [0]
-    for row in tab:
-        obj = [o - v for o, v in zip(obj, row)]
-    _, d = _iterate(tab, basis, obj, d, n + m)
+    _, d = _iterate(tab, basis, obj, 1, n + m)
     if obj[-1] != 0:
         return LpSolution(INFEASIBLE, None, None)
 
@@ -153,7 +196,7 @@ def solve_min(c, A, b) -> LpSolution:
 
     for i in range(len(tab)):
         tab[i] = tab[i][:n] + tab[i][-1:]
-    (cost,), scale = _integer_rows([c])
+    (cost,), (scale,) = _integer_rows([c])
     obj = [d * v for v in cost] + [0]
     for row, bv in zip(tab, basis):
         f = cost[bv]
@@ -169,12 +212,12 @@ def solve_min(c, A, b) -> LpSolution:
         point[bv] = row[-1]
     if (
         any(v < 0 for v in point)
-        or any(sum(a * v for a, v in zip(row, point)) != row[-1] * d for row in given)
-        or sum(a * v for a, v in zip(cost, point)) != -obj[-1]
+        or any(sum(map(operator.mul, row, point)) != row[-1] * d for row in given)
+        or sum(map(operator.mul, cost, point)) != -obj[-1]
     ):
         raise ArithmeticError("simplex optimum fails its certificate A x = b, x >= 0, c.x = value")
     return LpSolution(
         OPTIMAL,
         Fraction(-obj[-1], scale * d),
-        tuple(Fraction(v, d) for v in point),
+        tuple(Fraction(v, d) if v else _ZERO for v in point),
     )

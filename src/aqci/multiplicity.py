@@ -101,6 +101,18 @@ class TraceStep(Record):
         object.__setattr__(self, "member", member)
 
 
+# Trace steps are frozen, so traces share them.  The cache is bounded: a
+# step on a top of k elements holds k ints, and a chain of n elements has
+# tops of every size up to n.
+_STEP_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_STEP_CACHE_SIZE)
+def _step(rule: str, size: int = 0) -> TraceStep:
+    """The step of `rule` on a top member relabeled to 1..size (no member if 0)."""
+    return TraceStep(rule, tuple(range(1, size + 1)) if size else None)
+
+
 class MultiplicityResult(Record):
     __slots__ = ("status", "value", "lower", "upper", "trace")
 
@@ -146,14 +158,17 @@ def _envelope(x: int) -> tuple[int, int]:
     lower == upper.
     """
     n, lct = NODE_LEAVES[x], class_lct[x]
-    # (n/lct)^n/|G| counts only above 1; testing that first skips reducing a
-    # huge fraction (|G| of a deep chain has about n^2/2 bits).
-    power, group = (Fraction(n) / lct) ** n, class_group_order[x]
-    lower = max(1, class_floor_product[x], power / group if power > group else 1)
+    lower = max(1, class_floor_product[x])
+    # (n/lct)^n/|G| = num/den is compared in integers, and a Fraction (which
+    # reduces by a gcd of numbers of about n^2/2 bits on a deep chain) is
+    # built only when it beats the other candidates.
+    num, den = (n * lct.denominator) ** n, class_group_order[x] * lct.numerator**n
+    if num * lower.denominator > lower.numerator * den:
+        lower = Fraction(num, den)
     upper = min(class_branching[x], 2 ** (n - math.ceil(lct)))
     if x != LEAF:
         r, (kids_lower, kids_upper) = NODE_RATIO[x], _product(NODE_KIDS[x])
-        lower = max(lower, min(r, reduced_lct(x)) * kids_lower)
+        lower = max(lower, min(r, reduced_lct[x]) * kids_lower)
         upper = min(upper, r * kids_upper)
     return math.ceil(lower), upper
 
@@ -178,7 +193,7 @@ def _rule(x: int) -> str:
     """The structural rule that the trace records for the tree x."""
     if x == LEAF:
         return "dimension-one"
-    if reduced_lct(x) >= NODE_RATIO[x]:
+    if reduced_lct[x] >= NODE_RATIO[x]:
         # The threshold of the tree equals reduced_lct / r here, which is the
         # exact equality case of the reduce rule.
         return "reduce-equality"
@@ -210,17 +225,16 @@ def multiplicity(d: SpecialDatum) -> MultiplicityResult:
             trace.append(item)
         elif len(item) > 1:
             stack.extend((j,) for j in reversed(item))
-            trace.append(TraceStep("component-product"))
+            trace.append(_step("component-product"))
         else:
             x = f.node[item[0]]
             rule, (lo, hi) = _rule(x), _class_envelope[x]
             kids = (_class_envelope[k] for k in NODE_KIDS[x])
             if lo == hi and (rule == "interval-bounds" or any(a != b for a, b in kids)):
-                stack.append(TraceStep("interval-pinned"))
+                stack.append(_step("interval-pinned"))
             if rule in ("reduce-equality", "interval-bounds"):
                 stack.append(f.kids[item[0]])
-            top = tuple(range(1, NODE_LEAVES[x] + 1)) if x != LEAF else None
-            trace.append(TraceStep(rule, top))
+            trace.append(_step(rule, NODE_LEAVES[x] if x != LEAF else 0))
     if lower == upper:
         return MultiplicityResult(EXACT, lower, lower, upper, tuple(trace))
     return MultiplicityResult(INTERVAL, None, lower, upper, tuple(trace))

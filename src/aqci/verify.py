@@ -199,7 +199,7 @@ def check_datum(d: SpecialDatum, oracle_budget: OracleBudget = OracleBudget()) -
     e = table.e
     own = [(e, "oracle did not stabilize")]
     if composite:
-        r, red_lct = NODE_RATIO[comps[0]], reduced_lct(comps[0])
+        r, red_lct = NODE_RATIO[comps[0]], reduced_lct[comps[0]]
         red_e = hilbert_samuel_table(class_datum(NODE_KIDS[comps[0]]), oracle_budget).e
         reduced = own + [(red_e, "oracle for the reduced datum did not stabilize")]
     if not conn:

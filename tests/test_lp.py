@@ -210,6 +210,43 @@ def test_solutions_and_pivots_equal_the_reference_solver(instance):
     assert got == want
 
 
+def _pivot_denominators(solve, *args):
+    """(result, [the denominator d each `lp._pivot` call receives])."""
+    seen = []
+    pivot = lp._pivot
+
+    def spy(tab, basis, obj, d, r, s):
+        seen.append(d)
+        return pivot(tab, basis, obj, d, r, s)
+
+    with mock.patch.object(lp, "_pivot", spy):
+        return solve(*args), seen
+
+
+def test_the_first_pivot_sees_denominator_one():
+    # Row i is scaled by its own lcm and its artificial is a unit column, so
+    # the starting basis is the identity, on integer and on rational rows
+    # (the convexity row of `chain(3, 3, 3)` has entries 1/gcd(g) down to 1/9).
+    sol, seen = _pivot_denominators(solve_min, [2, 1, 3], [[1, 1, 2], [0, 1, 1]], [4, 1])
+    assert sol == reference_solve_min([2, 1, 3], [[1, 1, 2], [0, 1, 1]], [4, 1])
+    assert seen[0] == 1
+    value, seen = _pivot_denominators(lct_lp, monomial_ideal(helpers.chain(3, 3, 3)))
+    assert value == 1 and seen[0] == 1
+
+
+def test_rows_with_denominators_two_and_three_keep_every_pivot():
+    # s = (2, 3), so the phase-1 artificials cost 3 and 2; the run pivots
+    # twice in each phase, as the `Fraction` reference does.
+    c = [1, -1, 1, -2]
+    A = [[Fraction(1, 2), 1, 0, Fraction(3, 2)], [1, Fraction(1, 3), 1, Fraction(2, 3)]]
+    b = [1, Fraction(2, 3)]
+    got = _solve_recording_pivots(lp, "_pivot", solve_min, c, A, b)
+    want = _solve_recording_pivots(helpers, "_reference_pivot", reference_solve_min, c, A, b)
+    assert got == want
+    assert got[1] == [(1, 0, False), (0, 1, False), (1, 2, False), (0, 3, False)]
+    assert got[0].value == Fraction(-10, 9)
+
+
 def _dense_bareiss(tab, obj, d, r, s):
     """One dense Bareiss pivot on (r, s): every entry of every other row.
 
@@ -275,7 +312,7 @@ def test_sparse_pivot_equals_a_dense_bareiss_step():
 def test_redundant_rational_row_is_dropped_exactly(monkeypatch):
     # The second row is twice the first: phase 1 leaves its artificial basic
     # on a row that is zero on every real column, and the row is dropped
-    # while the common denominator is 360.
+    # while the common denominator is 60.
     c = [1, 0, 2]
     A = [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(2, 3), 2], [0, 1, Fraction(1, 5)]]
     b = [1, 2, Fraction(3, 4)]

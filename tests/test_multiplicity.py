@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import importlib
 import math
+import pickle
 from fractions import Fraction
+
+import pytest
 
 from aqci import (
     EXACT,
@@ -19,7 +22,9 @@ from aqci import (
     multiplicity_lower_bound,
     multiplicity_upper_bound,
 )
-from aqci.datum import ClassMemo, member_forest
+from aqci.datum import LEAF, NODE_KIDS, NODE_LEAVES, NODE_RATIO, ClassMemo, member_forest
+from aqci.invariants import class_floor_product, class_group_order
+from aqci.lct import class_lct, reduced_lct
 
 from helpers import INTERVAL_FIXTURE, chain, loose_points, star, two_stars
 
@@ -125,6 +130,81 @@ def test_an_empty_envelope_stays_an_honest_interval(monkeypatch):
     (c13,) = [c for c in rec["checks"] if c["id"] == "C13"]
     assert c13["outcome"] == "fail"
     assert (c13["witness"]["lower"], c13["witness"]["upper"]) == ("7", "6")
+
+
+def _class_nodes(n_max: int, max_ratio: int) -> set[int]:
+    """Every class node below a member of a class with n <= n_max, ratio <= max_ratio."""
+    nodes: set[int] = set()
+    for d in enumerate_data(EnumerationBudget(n_max=n_max, max_ratio=max_ratio)):
+        nodes.update(member_forest(d).node)
+    return nodes
+
+
+def _fraction_lower(x: int, floor_product) -> int:
+    """The envelope's lower end with (n/lct)^n/|G| as a Fraction, compared to 1 first."""
+    structural = importlib.import_module("aqci.multiplicity")
+    n, lct = NODE_LEAVES[x], class_lct[x]
+    power, group = (Fraction(n) / lct) ** n, class_group_order[x]
+    lower = max(1, floor_product[x], power / group if power > group else 1)
+    if x != LEAF:
+        kids_lower = math.prod(structural._class_envelope[k][0] for k in NODE_KIDS[x])
+        lower = max(lower, min(NODE_RATIO[x], reduced_lct[x]) * kids_lower)
+    return math.ceil(lower)
+
+
+@pytest.mark.parametrize("floor", [None, Fraction(1)])
+def test_the_integer_power_test_keeps_the_lower_end(monkeypatch, floor):
+    # The envelope compares (n/lct)^n/|G| with its other candidates in
+    # integers.  Its lower end is the Fraction form's on every node: at the
+    # boundary (n/lct)^n == |G| (a leaf), where the candidate ties the floor
+    # product above 1 (it never beats it there), and, with every floor
+    # product set to 1, where it beats the floor product and the Fraction is
+    # built.
+    structural = importlib.import_module("aqci.multiplicity")
+    nodes = _class_nodes(6, 3)
+    floor_product = class_floor_product
+    if floor is not None:
+        floor_product = ClassMemo(lambda x: floor)
+        monkeypatch.setattr(structural, "class_floor_product", floor_product)
+        monkeypatch.setattr(structural, "_class_envelope", ClassMemo(structural._envelope))
+    power = {x: (Fraction(NODE_LEAVES[x]) / class_lct[x]) ** NODE_LEAVES[x] for x in nodes}
+    assert power[LEAF] == class_group_order[LEAF]
+    rest = {x: max(1, floor_product[x]) for x in nodes}
+    ratio = {x: power[x] / class_group_order[x] for x in nodes}
+    if floor is None:
+        assert not any(ratio[x] > rest[x] for x in nodes)
+        assert any(ratio[x] == rest[x] > 1 for x in nodes)
+    else:
+        assert any(ratio[x] > rest[x] for x in nodes)
+    for x in nodes:
+        assert structural._envelope(x)[0] == _fraction_lower(x, floor_product), x
+
+
+def test_reduced_lct_is_the_sum_over_the_children():
+    for x in _class_nodes(6, 3):
+        assert reduced_lct[x] == sum((class_lct[k] for k in NODE_KIDS[x]), Fraction(0)), x
+
+
+def test_results_with_shared_trace_steps_survive_a_pickle():
+    count = 0
+    for d in enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)):
+        res = multiplicity(d)
+        again = multiplicity(d)
+        assert again == res
+        assert all(a is b for a, b in zip(again.trace, res.trace))
+        assert pickle.loads(pickle.dumps(res)) == res
+        count += 1
+    assert count == 844
+
+
+def test_trace_steps_stay_in_a_bounded_cache():
+    structural = importlib.import_module("aqci.multiplicity")
+    structural._step.cache_clear()
+    res = multiplicity(chain(*[2] * (2 * structural._STEP_CACHE_SIZE)))
+    assert res.is_exact
+    info = structural._step.cache_info()
+    assert info.maxsize == structural._STEP_CACHE_SIZE
+    assert info.currsize == structural._STEP_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------

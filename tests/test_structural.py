@@ -287,6 +287,19 @@ def test_one_datum_builds_one_forest(monkeypatch):
     assert builds == [d]
 
 
+def test_validate_and_the_forest_share_one_parent_index():
+    datum._parents.cache_clear()
+    member_forest.cache_clear()
+    d = apply_permutation(chain(3, 2, 2), (3, 1, 4, 2))
+    assert validate(d).ok
+    member_forest(d)
+    children(d, 0)
+    info = datum._parents.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, datum._FOREST_CACHE_SIZE)
+    parent, nested = datum._parents(d)
+    assert type(parent) is tuple and nested
+
+
 def test_the_forest_cache_does_not_travel_with_the_datum():
     d = apply_permutation(chain(2, 3, 2), (2, 4, 1, 3))
     before = pickle.dumps(d)

@@ -146,8 +146,8 @@ class InvalidDatumError(ValueError):
 
 
 def _member_key(m: "Member"):
-    first = m.elements[0] if m.elements else 0
-    return (first, len(m.elements), m.elements, m.weight)
+    elements = m.elements
+    return (elements[0] if elements else 0, len(elements), elements, m.weight)
 
 
 class Member(Record):
@@ -583,22 +583,59 @@ def member_forest(d: SpecialDatum) -> MemberForest:
     return MemberForest(roots, kids, tuple(node))
 
 
+def _normal_datum(n: int, pairs) -> SpecialDatum:
+    """A datum from (elements, weight) pairs already in normal form.
+
+    `Member(...)` sorts and dedups its elements, and `SpecialDatum(...)`
+    sorts its members by `_member_key`: the normal form that equality,
+    hashing and serialization read.  This sets the fields as given, without
+    either `__init__`, and leaves the datum's `_hash` unset (None).  So it
+    may only be given members built in that form, each `elements` a sorted
+    tuple of distinct ints and the pairs in stored order: only `class_datum`
+    uses it.  Untrusted input goes through the public constructors.
+    """
+    new, put = object.__new__, object.__setattr__
+    members = []
+    for elements, weight in pairs:
+        m = new(Member)
+        put(m, "elements", elements)
+        put(m, "weight", weight)
+        members.append(m)
+    d = new(SpecialDatum)
+    put(d, "n", n)
+    put(d, "members", tuple(members))
+    put(d, "_hash", None)
+    return d
+
+
 def class_datum(nodes) -> SpecialDatum:
     """The canonical datum whose components are the given class nodes.
 
     Leaves are numbered in pre-order with siblings in signature order, so a
-    member's elements are consecutive; roots get weight 1.
+    member's elements are consecutive; roots get weight 1.  The members come
+    out in the order a datum stores them, (smallest element, size): each
+    leaf, then the members whose leftmost leaf it is, innermost first, their
+    elements the consecutive range from that leaf.  So `_normal_datum`
+    builds the datum without sorting anything again.
     """
-    members: list[Member] = []
+    pairs: list[tuple[tuple[int, ...], int]] = []
     label = 1
+    # The members whose leftmost leaf comes next, outermost first.
+    pending: list[tuple[int, int]] = []
     stack = [(x, 1) for x in sorted(nodes, key=class_order, reverse=True)]
     while stack:
         x, weight = stack.pop()
-        members.append(Member(tuple(range(label, label + NODE_LEAVES[x])), weight))
-        if x == LEAF:
-            label += 1
-        stack.extend((k, weight * NODE_RATIO[x]) for k in reversed(NODE_KIDS[x]))
-    return SpecialDatum(label - 1, tuple(members))
+        if x != LEAF:
+            pending.append((x, weight))
+            weight *= NODE_RATIO[x]
+            stack.extend((k, weight) for k in reversed(NODE_KIDS[x]))
+            continue
+        pairs.append(((label,), weight))
+        for y, w in reversed(pending):
+            pairs.append((tuple(range(label, label + NODE_LEAVES[y])), w))
+        pending.clear()
+        label += 1
+    return _normal_datum(label - 1, pairs)
 
 
 def children(d: SpecialDatum, j: int) -> list[int]:
@@ -681,11 +718,11 @@ class MonomialIdeal(Record):
     __slots__ = ("n", "generators")
 
     def __init__(self, n: int, generators: tuple[tuple[int, ...], ...]):
-        gens = sorted(set(tuple(int(x) for x in g) for g in generators))
+        gens = sorted({tuple(map(int, g)) for g in generators})
         for g in gens:
             if len(g) != n:
                 raise ValueError(f"generator {g} does not have {n} coordinates")
-            if any(x < 0 for x in g):
+            if min(g, default=0) < 0:
                 raise ValueError(f"generator {g} has a negative exponent")
             if not any(g):
                 raise ValueError("the zero vector cannot generate a proper ideal")
@@ -716,8 +753,20 @@ def signature(d: SpecialDatum):
 
 
 def apply_permutation(d: SpecialDatum, perm: tuple[int, ...]) -> SpecialDatum:
-    """Relabel the ground set; perm[i-1] is the new name of element i."""
-    members = tuple(Member(tuple(perm[e - 1] for e in m.elements), m.weight) for m in d.members)
+    """Relabel the ground set; perm[i-1] is the new name of element i.
+
+    Raises `ValueError` unless `perm` is a permutation of 1..n.
+    """
+    if len(perm) != d.n or set(perm) != set(range(1, d.n + 1)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{d.n}")
+    return _relabel(d, perm)
+
+
+def _relabel(d: SpecialDatum, perm) -> SpecialDatum:
+    """`apply_permutation` without its check.  `canonical_form` relabels by
+    its own walk, which on a candidate missing singletons names only the
+    leaves (the other entries stay 0)."""
+    members = tuple(Member([perm[e - 1] for e in m.elements], m.weight) for m in d.members)
     return SpecialDatum(d.n, members)
 
 
@@ -745,7 +794,7 @@ def canonical_form(d: SpecialDatum) -> tuple[SpecialDatum, tuple[int, ...]]:
     for new, old in enumerate(order, start=1):
         perm[old - 1] = new
     perm_t = tuple(perm)
-    return apply_permutation(d, perm_t), perm_t
+    return _relabel(d, perm_t), perm_t
 
 
 def is_isomorphic(d1: SpecialDatum, d2: SpecialDatum) -> bool:

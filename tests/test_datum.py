@@ -417,12 +417,18 @@ def test_monomial_ideal_deduplicates():
 def test_monomial_ideal_rejects_bad_generators():
     from aqci import MonomialIdeal
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the zero vector"):
         MonomialIdeal(2, ((0, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, -1\) has a negative exponent"):
         MonomialIdeal(2, ((1, -1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) does not have 2 coordinates"):
         MonomialIdeal(2, ((1, 0, 0),))
+    # Checked per generator in sorted order: the length, then the signs.
+    with pytest.raises(ValueError, match=r"\(0, -1, 0\) does not have 2 coordinates"):
+        MonomialIdeal(2, ((0, -1, 0),))
+    with pytest.raises(ValueError, match=r"\(0, -1\) has a negative exponent"):
+        MonomialIdeal(2, ((0, -1), (0, 0)))
+    assert MonomialIdeal(2, [["1", 2], (1, 2)]).generators == ((1, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +443,12 @@ def test_canonical_form_is_permutation_invariant():
         got, back = canonical_form(moved)
         assert got == canon
         assert apply_permutation(moved, back) == got
+
+
+@pytest.mark.parametrize("perm", [(1, 1, 2), (0, 1, 2), (1, 2), (1, 2, 3, 4), (2, 3, 4)])
+def test_apply_permutation_refuses_what_is_not_a_permutation(perm):
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+        apply_permutation(star(3, 2), perm)
 
 
 def test_is_isomorphic_matches_relabelings():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from aqci import (
     EnumerationBudget,
+    Member,
+    SpecialDatum,
     canonical_form,
     class_count,
     enumerate_data,
@@ -46,6 +50,22 @@ def test_class_counts_with_binary_ratios():
 def test_every_emitted_datum_is_valid():
     for d in classes(4, 3):
         assert validate(d).ok
+
+
+@pytest.mark.parametrize("n_max, max_ratio", [(7, 3), (5, 5), (4, 8)])
+def test_class_datum_builds_the_normal_form(n_max, max_ratio):
+    # `class_datum` (which yields every enumerated datum) sets its members
+    # as built, so they must already be what the public constructors give.
+    for d in classes(n_max, max_ratio):
+        rebuilt = SpecialDatum(d.n, tuple(Member(m.elements, m.weight) for m in d.members))
+        assert d == rebuilt
+        assert hash(d) == hash(rebuilt)
+        assert repr(d) == repr(rebuilt)
+        for m in d.members:
+            assert type(m.elements) is tuple
+            assert all(type(e) is int for e in m.elements)
+            assert type(m.weight) is int
+        assert pickle.loads(pickle.dumps(d)) == d
 
 
 def test_emitted_data_are_canonical_and_distinct():

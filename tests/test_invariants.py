@@ -275,3 +275,12 @@ def test_summarize_is_consistent():
     factors = dict(s.floor_factors)
     assert factors[(1, 2, 3)] == 2
     assert factors[(1,)] == 1
+
+
+def test_child_counts_list_two_element_members():
+    assert dict(summarize(star(2, 3)).child_counts) == {(1, 2): 2}
+    assert dict(summarize(chain(3, 3, 3)).child_counts) == {
+        (1, 2, 3, 4): 2,
+        (1, 2, 3): 2,
+        (1, 2): 2,
+    }

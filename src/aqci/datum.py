@@ -200,19 +200,17 @@ def make_datum(n: int, sets) -> SpecialDatum:
 
 
 class Violation(Record):
-    __slots__ = ("kind", "message", "members")
+    """One broken axiom: its kind, a message, and the element tuples of the
+    members it concerns (none by default)."""
 
-    def __init__(self, kind: str, message: str, members: tuple[tuple[int, ...], ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "members", members)
+    __slots__ = ("kind", "message", "members")
+    _defaults = {"members": ()}
 
 
 class ValidationReport(Record):
-    __slots__ = ("violations",)
+    """The tuple of `Violation`s of a candidate; `ok` when it is empty."""
 
-    def __init__(self, violations: tuple[Violation, ...]):
-        object.__setattr__(self, "violations", violations)
+    __slots__ = ("violations",)
 
     @property
     def ok(self) -> bool:
@@ -503,13 +501,6 @@ class MemberForest(Record):
 
     __slots__ = ("roots", "kids", "node")
 
-    def __init__(
-        self, roots: tuple[int, ...], kids: tuple[tuple[int, ...], ...], node: tuple[int, ...]
-    ):
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "kids", kids)
-        object.__setattr__(self, "node", node)
-
     @property
     def root_nodes(self) -> list[int]:
         return [self.node[j] for j in self.roots]
@@ -755,18 +746,16 @@ def signature(d: SpecialDatum):
 def apply_permutation(d: SpecialDatum, perm: tuple[int, ...]) -> SpecialDatum:
     """Relabel the ground set; perm[i-1] is the new name of element i.
 
-    Raises `ValueError` unless `perm` is a permutation of 1..n.
+    Raises `ValueError` unless `perm` is a permutation of 1..n and every
+    element of `d` lies in 1..n.
     """
     if len(perm) != d.n or set(perm) != set(range(1, d.n + 1)):
         raise ValueError(f"{tuple(perm)} is not a permutation of 1..{d.n}")
-    return _relabel(d, perm)
-
-
-def _relabel(d: SpecialDatum, perm) -> SpecialDatum:
-    """`apply_permutation` without its check.  `canonical_form` relabels by
-    its own walk, which on a candidate missing singletons names only the
-    leaves (the other entries stay 0)."""
-    members = tuple(Member([perm[e - 1] for e in m.elements], m.weight) for m in d.members)
+    names = dict(zip(range(1, d.n + 1), perm))
+    try:
+        members = tuple(Member([names[e] for e in m.elements], m.weight) for m in d.members)
+    except KeyError as e:
+        raise ValueError(f"element {e} is not in 1..{d.n}") from None
     return SpecialDatum(d.n, members)
 
 
@@ -774,7 +763,9 @@ def canonical_form(d: SpecialDatum) -> tuple[SpecialDatum, tuple[int, ...]]:
     """A canonical representative of the isomorphism class, plus the relabeling.
 
     Equal-signature siblings are tie-broken by their current smallest element,
-    so the permutation itself is deterministic.
+    so the permutation itself is deterministic.  Relabels through
+    `apply_permutation`, so a candidate whose leaves do not name every element
+    once (one missing singletons, say) raises `ValueError`.
     """
     f = member_forest(d)
 
@@ -790,11 +781,12 @@ def canonical_form(d: SpecialDatum) -> tuple[SpecialDatum, tuple[int, ...]]:
         else:
             order.append(d.elements_of(j)[0])
 
-    perm = [0] * d.n
+    # A leaf outside 1..n adds a key, so perm_t is then too long.
+    perm = dict.fromkeys(range(1, d.n + 1), 0)
     for new, old in enumerate(order, start=1):
-        perm[old - 1] = new
-    perm_t = tuple(perm)
-    return _relabel(d, perm_t), perm_t
+        perm[old] = new
+    perm_t = tuple(perm.values())
+    return apply_permutation(d, perm_t), perm_t
 
 
 def is_isomorphic(d1: SpecialDatum, d2: SpecialDatum) -> bool:

@@ -41,10 +41,7 @@ class EnumerationBudget(Record):
     """Size limits for enumeration: dimension up to n_max, ratios in [2, max_ratio]."""
 
     __slots__ = ("n_max", "max_ratio")
-
-    def __init__(self, n_max: int, max_ratio: int = DEFAULT_MAX_RATIO):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "max_ratio", max_ratio)
+    _defaults = {"max_ratio": DEFAULT_MAX_RATIO}
 
 
 @lru_cache(maxsize=None)

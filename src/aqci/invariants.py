@@ -221,34 +221,17 @@ def floor_factor_product(d: SpecialDatum) -> Fraction:
 
 
 class InvariantSummary(Record):
+    """The structural invariants of a datum.
+
+    `child_counts`, `floor_factors` and `child_weight_factors` are tuples of
+    (member elements, value) pairs: an int count, then `Fraction` factors.
+    `lct` is a `Fraction`; the other fields are ints.
+    """
+
     __slots__ = (
         "n", "emb", "child_counts", "branching_product", "floor_factors",
         "child_weight_factors", "group_order", "group_order_lattice", "lct", "ceil_lct",
     )
-
-    def __init__(
-        self,
-        n: int,
-        emb: int,
-        child_counts: tuple[tuple[tuple[int, ...], int], ...],
-        branching_product: int,
-        floor_factors: tuple[tuple[tuple[int, ...], Fraction], ...],
-        child_weight_factors: tuple[tuple[tuple[int, ...], Fraction], ...],
-        group_order: int,
-        group_order_lattice: int,
-        lct: Fraction,
-        ceil_lct: int,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "emb", emb)
-        object.__setattr__(self, "child_counts", child_counts)
-        object.__setattr__(self, "branching_product", branching_product)
-        object.__setattr__(self, "floor_factors", floor_factors)
-        object.__setattr__(self, "child_weight_factors", child_weight_factors)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "group_order_lattice", group_order_lattice)
-        object.__setattr__(self, "lct", lct)
-        object.__setattr__(self, "ceil_lct", ceil_lct)
 
 
 def summarize(d: SpecialDatum) -> InvariantSummary:

@@ -60,17 +60,14 @@ __all__ = [
 class LpCertificate(Record):
     """Convex weights proving a containment claim.
 
-    `coefficients` maps generator index (into MonomialIdeal.generators) to a
-    nonnegative rational; the weights sum to 1 and the weighted generator sum
-    is dominated coordinatewise by the certified point divided by `value`
-    (value = 1 for plain containment queries).
+    `value` is a `Fraction`.  `coefficients` maps generator index (into
+    MonomialIdeal.generators) to a nonnegative `Fraction`; the weights sum
+    to 1 and the weighted generator sum is dominated coordinatewise by the
+    certified point divided by `value` (value = 1 for plain containment
+    queries).
     """
 
     __slots__ = ("value", "coefficients")
-
-    def __init__(self, value: Fraction, coefficients: dict[int, Fraction]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "coefficients", coefficients)
 
 
 def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:

@@ -55,12 +55,10 @@ UNBOUNDED = "unbounded"
 
 
 class LpSolution(Record):
-    __slots__ = ("status", "value", "x")
+    """`status` is OPTIMAL, INFEASIBLE or UNBOUNDED; the optimal `value` (a
+    `Fraction`) and point `x` (a tuple of `Fraction`s) are None otherwise."""
 
-    def __init__(self, status: str, value: Fraction | None, x: tuple[Fraction, ...] | None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "x", x)
+    __slots__ = ("status", "value", "x")
 
 
 def _eliminate(v, row, nz, p, d, s):

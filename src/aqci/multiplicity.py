@@ -82,10 +82,7 @@ class OracleBudget(Record):
     """Budget for the colength tabulation."""
 
     __slots__ = ("k_max", "point_ceiling")
-
-    def __init__(self, k_max: int = DEFAULT_K_MAX, point_ceiling: int = DEFAULT_POINT_CEILING):
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "point_ceiling", point_ceiling)
+    _defaults = {"k_max": DEFAULT_K_MAX, "point_ceiling": DEFAULT_POINT_CEILING}
 
 
 # The oracle is stabilized when its last STABLE_RUN n-th differences agree.
@@ -94,11 +91,11 @@ STABLE_RUN = 3
 
 
 class TraceStep(Record):
-    __slots__ = ("rule", "member")
+    """One rule of a structural derivation, on the elements of its member
+    (a tuple of ints, None by default)."""
 
-    def __init__(self, rule: str, member: tuple[int, ...] | None = None):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "member", member)
+    __slots__ = ("rule", "member")
+    _defaults = {"member": None}
 
 
 # Trace steps are frozen, so traces share them.  The cache is bounded: a
@@ -114,16 +111,10 @@ def _step(rule: str, size: int = 0) -> TraceStep:
 
 
 class MultiplicityResult(Record):
-    __slots__ = ("status", "value", "lower", "upper", "trace")
+    """`status` is EXACT, with the int `value`, or INTERVAL, with value None;
+    `lower` and `upper` are ints, `trace` a tuple of `TraceStep`s."""
 
-    def __init__(
-        self, status: str, value: int | None, lower: int, upper: int, trace: tuple[TraceStep, ...]
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "trace", trace)
+    __slots__ = ("status", "value", "lower", "upper", "trace")
 
     @property
     def is_exact(self) -> bool:
@@ -279,22 +270,6 @@ class HilbertSamuelTable(Record):
     """
 
     __slots__ = ("n", "values", "stabilized", "e", "points", "aborted")
-
-    def __init__(
-        self,
-        n: int,
-        values: tuple[int, ...],
-        stabilized: bool,
-        e: int | None,
-        points: int,
-        aborted: bool,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "stabilized", stabilized)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "aborted", aborted)
 
 
 def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget()) -> HilbertSamuelTable:

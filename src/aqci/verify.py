@@ -493,11 +493,9 @@ def product_concavity_grid() -> dict:
 
 
 class VerificationReport(Record):
-    __slots__ = ("summary", "records")
+    """The summary dict of a verify run and its tuple of per-class record dicts."""
 
-    def __init__(self, summary: dict, records: tuple[dict, ...]):
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "records", records)
+    __slots__ = ("summary", "records")
 
     @property
     def all_passed(self) -> bool:

@@ -451,6 +451,27 @@ def test_apply_permutation_refuses_what_is_not_a_permutation(perm):
         apply_permutation(star(3, 2), perm)
 
 
+def test_apply_permutation_refuses_elements_outside_the_ground_set():
+    for elements in ((0, 1), (1, 4)):
+        d = make_datum(3, [(elements, 1), ((1,), 2), ((3,), 1)])
+        with pytest.raises(ValueError, match=r"element [04] is not in 1\.\.3"):
+            apply_permutation(d, (2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        [((1, 2, 3), 1), ((1,), 2)],  # singletons missing: the walk names only 1
+        [((1, 2), 1), ((1,), 2)],
+        [((0, 1), 1), ((1,), 2), ((3,), 1)],  # a leaf 0
+        [((1, 2, 4), 1), ((1,), 2), ((2,), 2), ((4,), 2)],  # a leaf n + 1
+    ],
+)
+def test_canonical_form_refuses_a_walk_that_is_not_a_permutation(sets):
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+        canonical_form(make_datum(3, sets))
+
+
 def test_is_isomorphic_matches_relabelings():
     a = make_datum(2, [((1, 2), 1), ((1,), 2), ((2,), 2)])
     b = apply_permutation(a, (2, 1))

@@ -356,11 +356,13 @@ def test_exact_ceiling_does_not_abort():
 
 
 def test_invalid_data_are_keyed_by_their_own_labels():
-    # Both miss singletons and have the same canonical form, yet they present
+    # Both miss singletons, so they have no canonical form, and they present
     # different ideals, so they must not share a cache entry.
     a = make_datum(3, [((1, 2, 3), 1), ((1,), 2)])
     b = make_datum(3, [((1, 2), 1), ((1,), 2)])
-    assert canonical_form(a)[0] == canonical_form(b)[0]
+    for x in (a, b):
+        with pytest.raises(ValueError):
+            canonical_form(x)
     budget = OracleBudget(k_max=6)
     ta, tb = hilbert_samuel_table(a, budget), hilbert_samuel_table(b, budget)
     assert ta == reference_table(a, budget)

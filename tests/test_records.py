@@ -4,7 +4,9 @@ Each record must behave as the frozen dataclass with the same fields would:
 equal to a rebuilt copy and to nothing of another class, hashed as the tuple
 of its fields, printed as `Name(field=value, ...)`, closed to assignment and
 deletion, and unchanged by a pickle round trip (`verify --jobs` pickles
-data and budgets).  The dataclass made here is the reference.
+data and budgets).  Its constructor takes and refuses what the dataclass
+with the record's `_defaults` takes and refuses.  The dataclass made here is
+the reference.
 """
 
 from __future__ import annotations
@@ -125,3 +127,58 @@ def test_record_behaves_as_the_frozen_dataclass(record, fields):
 
     assert repr(record) == repr(reference)
     assert repr(record).startswith(type(record).__name__ + "(" + fields[0] + "=")
+
+
+def _reference_with_defaults(record, fields):
+    """The frozen dataclass with the record's fields and `_defaults`."""
+    defaults = type(record)._defaults
+    specs = [
+        (f, object, dataclasses.field(default=defaults[f])) if f in defaults else f
+        for f in fields
+    ]
+    return dataclasses.make_dataclass(type(record).__qualname__, specs, frozen=True)
+
+
+@pytest.mark.parametrize(
+    "record, fields", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS]
+)
+def test_record_constructor_refuses_what_the_dataclass_refuses(record, fields):
+    values = tuple(getattr(record, f) for f in fields)
+    by_name = dict(zip(fields, values))
+    reference = _reference_with_defaults(record, fields)
+    assert set(type(record)._defaults) <= set(fields)
+    calls = [
+        (values + (None,), {}),  # one value too many
+        (values, {"extra": None}),  # an unknown keyword
+        (values[:1], by_name),  # the first field by position and by keyword
+    ]
+    # Each field without a default, left out.
+    calls += [
+        ((), {f: v for f, v in by_name.items() if f != name})
+        for name in fields
+        if name not in type(record)._defaults
+    ]
+    for args, kwargs in calls:
+        for cls in (type(record), reference):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "short, full",
+    [
+        (lambda: OracleBudget(), OracleBudget(12, 5_000_000)),
+        (lambda: OracleBudget(point_ceiling=5_000_000), OracleBudget(12, 5_000_000)),
+        (lambda: EnumerationBudget(4), EnumerationBudget(4, 3)),
+        (lambda: EnumerationBudget(max_ratio=3, n_max=4), EnumerationBudget(4, 3)),
+        (lambda: TraceStep("r"), TraceStep("r", None)),
+        (lambda: Violation("k", "m"), Violation("k", "m", ())),
+        (lambda: Violation(message="m", kind="k"), Violation("k", "m", ())),
+    ],
+)
+def test_defaults_fill_the_spelled_out_form(short, full):
+    record = short()
+    assert record == full and repr(record) == repr(full)
+    fields = type(full)._fields
+    reference = _reference_with_defaults(full, fields)
+    assert repr(record) == repr(reference(*(getattr(full, f) for f in fields)))

@@ -563,8 +563,12 @@ def member_forest(d: SpecialDatum) -> MemberForest:
 
     Built once per datum value and cached (`_FOREST_CACHE_SIZE` entries), so
     the structural invariants of one datum share one forest; the
-    `MemberForest` is frozen and holds only tuples.
+    `MemberForest` is frozen and holds only tuples.  A candidate without
+    members, or with an empty member or a weight below 1, raises
+    `ValueError`: it has no forest of class nodes.
     """
+    if not d.members or any(not m.elements or m.weight < 1 for m in d.members):
+        raise ValueError("a member forest needs members, each nonempty and of weight >= 1")
     roots, kids = _links(d)
     node = [LEAF] * len(kids)
     for j in sorted(range(len(kids)), key=lambda j: len(d.elements_of(j))):

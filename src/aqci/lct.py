@@ -174,6 +174,8 @@ def find_closure_power(d: SpecialDatum) -> int | None:
     always, as the vertices q*e_i of Newt(m^q) are the generators x_i^q.
     """
     singles = [m.weight for m in d.members if len(m.elements) == 1]
+    if not singles:
+        raise ValueError("a candidate without singleton members has no closure power")
     q = singles[0]
     if any(w != q for w in singles):
         return None

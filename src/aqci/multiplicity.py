@@ -3,14 +3,15 @@
 Two routes are provided and never mixed:
 
   * `multiplicity` reads the structural bound envelope: one integer
-    interval [lower, upper] per class node (`_envelope`), from the floor
-    factor product, the group-order power bound, the branching product,
-    the power-of-two bound and the reduce and component rules.  The value
-    is exact when the interval is one point, which the rule chain forces
-    in dimension one, in the reduce step when the reduced threshold is at
-    least the child weight, and at tops whose children are all
-    singletons; otherwise it is the certified interval.  The rule of each
-    member is recorded in a trace.
+    interval [lower, upper] per class node (`_envelope`), from the reduce
+    rule and the branching product, multiplied over components.  The
+    paper's floor-factor product, group-order power bound and power-of-two
+    bound are proved never to move an end.  The value is exact when the
+    interval is one point, which the rule chain forces in dimension one,
+    in the reduce step when the reduced threshold is at least the child
+    weight, and at tops whose children are all singletons; otherwise it is
+    the certified interval.  The rule of each member is recorded in a
+    trace.
 
   * `hilbert_samuel_table` measures colengths of powers of the maximal ideal
     directly on the semigroup of the ring and extracts the multiplicity from
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from ._record import Record
 from .datum import (
@@ -54,8 +54,8 @@ from .datum import (
     monomial_ideal,
     validate,
 )
-from .invariants import class_branching, class_floor_product, class_group_order
-from .lct import class_lct, reduced_lct
+from .invariants import class_branching
+from .lct import reduced_lct
 
 __all__ = [
     "OracleBudget",
@@ -124,54 +124,69 @@ class MultiplicityResult(Record):
 def _envelope(x: int) -> tuple[int, int]:
     """(lower, upper): the integer bounds on the multiplicity of the tree x.
 
-    From below, the greatest of 1, the floor-factor product, (n/lct)^n/|G|
-    and min(r, reduced lct) times the product of the children's lower ends,
-    ceiled; from above, the least of the branching product, 2^(n - ceil lct)
-    and r times the product of the children's upper ends.  Each candidate
-    is a bound of the rule chain: the reduced datum of x is the forest of
-    its children, whose multiplicity is the product of theirs, and the
-    reduce rule gives e = r * e(reduced) when the reduced threshold is at
-    least r and e >= reduced lct * e(reduced) otherwise.  e is an integer,
-    so the ceiling keeps the lower end sound.
+    A leaf gets (1, 1).  A tree with child weight ratio r, reduced
+    threshold R = `reduced_lct[x]` and children k gets
+    lower = ceil(min(r, R) * prod lower(k)) and
+    upper = min(branching product, r * prod upper(k)).  Beside the
+    branching product, these are the reduce rule: the reduced datum of x is
+    the forest of its children, whose multiplicity is the product of
+    theirs, and e = r * e(reduced) when R >= r, e >= R * e(reduced)
+    otherwise.  The ceiling only turns an integral Fraction into an int:
+    R * prod lower(k) is an integer by induction, as each child's
+    threshold l_k is 1, or R_k/r_k with lower(k) = r_k * prod lower(k's
+    children).
 
-    By induction over class nodes, the envelope is never looser than the
-    interval that the rule of x (`_rule`) gives from its children's, nor
-    than the same candidates taken over rational children's bounds with no
-    ceiling.  A leaf gets [1, 1] (branching 1).  Under "reduce-equality"
-    the rule gives r times the children's interval, one candidate on each
-    side.  Under "hypersurface" (n leaf children, reduced lct n < r) the
-    lower end is at least n and the branching product is n, so the
-    envelope pins e = min(r, n).  Under "interval-bounds" the threshold is
-    1, and the rule's ceil(max(floor product, reduced lct * children's
-    lower, n^n/|G|)) and min(r * children's upper, branching, 2^(n-1)) take
-    candidates of this envelope.  Ceiling a child's lower end only raises
-    the parent's candidate.  So the rules decide e exactly iff
-    lower == upper.
+    The paper's other bounds, max(1, floor-factor product F),
+    (n/lct)^n/|G| and 2^(n - ceil lct), never move an end: each proof is
+    an induction over class nodes (at a leaf every bound is 1).  Write
+    n_k and l_k for child k's leaf count and threshold, so R = sum l_k,
+    lct = max(1, R/r) and |G| = r^(n-1) * prod |G_k|.
+
+      * Floor product: F(x) = min(r, R) * prod F(k) <= lower(x), because
+        lower(k) >= F(k).  The lower end is at least 2 (r >= 2, R >= 2),
+        so 1 never decides it either.
+      * (n/lct)^n/|G| <= F(x): by induction F(k) * |G_k| >=
+        (n_k/l_k)^(n_k), and the weighted power inequality
+        prod (n_k/l_k)^(n_k) >= (n/R)^n, which
+        `verify.product_concavity_grid` checks, gives
+        F(x) * |G| >= min(r, R) * r^(n-1) * (n/R)^n.  That equals
+        (n/lct)^n when R >= r, and is n^n * (r/R)^(n-1) >= n^n when R < r.
+      * upper(x) <= 2^(n - ceil lct): if R <= r then lct = 1, and with m
+        children of branching products b(k) <= 2^(n_k - 1),
+        upper <= m * prod b(k) <= m * 2^(n-m) <= 2^(n-1).  If R > r, then
+        upper <= r * prod 2^(n_k - ceil l_k) <= r * 2^(n - ceil R)
+        <= 2^(n - ceil(R/r)), as a <= 2^(ceil b - ceil(b/a)) for
+        b >= a >= 2 (`verify.ceiling_power_grid` checks it):
+        ceil b - ceil(b/a) > b - b/a - 1 >= a - 2, so it is at least
+        a - 1, and 2^(a-1) >= a.
+
+    So the two rules give the interval that all the paper's bounds give.
+    By the same induction the envelope is never looser than the interval
+    that the rule of x (`_rule`) gives from its children's.  Under
+    "reduce-equality" the rule gives r times the children's interval.
+    Under "hypersurface" (n leaf children, reduced lct n < r) the lower end
+    is n and the branching product is n, so the envelope pins e = n.  Under
+    "interval-bounds" the threshold is 1, and the rule's bounds (the floor
+    product, R times the children's lower ends and n^n/|G| from below;
+    r times the children's upper ends, the branching product and 2^(n-1)
+    from above) are all dominated as shown.  So the rules decide e exactly
+    iff lower == upper.
     """
-    n, lct = NODE_LEAVES[x], class_lct[x]
-    lower = max(1, class_floor_product[x])
-    # (n/lct)^n/|G| = num/den is compared in integers, and a Fraction (which
-    # reduces by a gcd of numbers of about n^2/2 bits on a deep chain) is
-    # built only when it beats the other candidates.
-    num, den = (n * lct.denominator) ** n, class_group_order[x] * lct.numerator**n
-    if num * lower.denominator > lower.numerator * den:
-        lower = Fraction(num, den)
-    upper = min(class_branching[x], 2 ** (n - math.ceil(lct)))
-    if x != LEAF:
-        r, (kids_lower, kids_upper) = NODE_RATIO[x], _product(NODE_KIDS[x])
-        lower = max(lower, min(r, reduced_lct[x]) * kids_lower)
-        upper = min(upper, r * kids_upper)
-    return math.ceil(lower), upper
+    if x == LEAF:
+        return 1, 1
+    r, (kids_lower, kids_upper) = NODE_RATIO[x], _product(NODE_KIDS[x])
+    return math.ceil(min(r, reduced_lct[x]) * kids_lower), min(class_branching[x], r * kids_upper)
 
 
 _class_envelope = ClassMemo(_envelope)
 
 
 # Over components the bounds are the products of the components' bounds.
-# That product already beats the forest's own candidates: each factor is
-# within its branching and power-of-two bounds (and sum ceil >= ceil sum),
-# and above 1, its floor product and (n/lct)^n/|G| (the weighted power
-# inequality of `verify.product_concavity_grid`).
+# The paper's bounds on the whole forest stay dominated: the floor-factor
+# and branching products are products over the components too,
+# 2^(n - ceil lct) is at least the product of theirs (sum ceil >= ceil
+# sum), and (n/lct)^n/|G| at most the product of theirs (the weighted
+# power inequality of `verify.product_concavity_grid`).
 
 
 def _product(nodes) -> tuple[int, int]:
@@ -239,7 +254,8 @@ def multiplicity_upper_bound(d: SpecialDatum) -> int:
 def multiplicity_lower_bound(d: SpecialDatum) -> int:
     """Greatest available lower bound for the multiplicity: the envelope's lower end.
 
-    An integer: the greatest rational candidate, ceiled, at every node.
+    An integer: min(r, reduced lct) times the children's lower ends,
+    ceiled, at every node.
     """
     return _product(member_forest(d).root_nodes)[0]
 

@@ -4,8 +4,9 @@ Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
 membership for the two closure-power references, `lp.solve_min` for the
 multiplier membership LP and the unscaled Newton LP, `format_fraction`
-for the grid witnesses, and `intern_class` and `class_datum` to turn the
-reference enumeration's tuple trees into data:
+for the grid witnesses, `intern_class` and `class_datum` to turn the
+reference enumeration's tuple trees into data, and `ClassMemo` with the
+class-node tables for the seven-candidate envelope:
 the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
@@ -740,6 +741,39 @@ def reference_multiplicity_lower_bound(d) -> Fraction:
         factor = Fraction(r) if reduced_lct >= r else reduced_lct
         cands.append(factor * reference_multiplicity_lower_bound(red))
     return max(cands)
+
+
+def _seven_candidates(x: int) -> tuple:
+    """(n, lct, |G|, floor product, branching, lower, upper) of the tree x.
+
+    Every invariant is recomputed here from the children's tuples, and both
+    ends take every candidate: ceil max(1, floor product, (n/lct)^n/|G|,
+    min(r, reduced lct) * children's lower) and min(branching,
+    2^(n - ceil lct), r * children's upper).
+    """
+    if x == _datum.LEAF:
+        return 1, Fraction(1), 1, Fraction(1), 1, 1, 1
+    r, kids = _datum.NODE_RATIO[x], [SEVEN_CANDIDATE_ENVELOPE[k] for k in _datum.NODE_KIDS[x]]
+    n = sum(k[0] for k in kids)
+    reduced = sum(k[1] for k in kids)
+    lct = max(Fraction(1), reduced / r)
+    group = r ** (n - 1) * math.prod(k[2] for k in kids)
+    floor = min(r, reduced) * math.prod(k[3] for k in kids)
+    branching = len(kids) * math.prod(k[4] for k in kids)
+    lower = max(
+        1,
+        floor,
+        (Fraction(n) / lct) ** n / group,
+        min(r, reduced) * math.prod(k[5] for k in kids),
+    )
+    upper = min(branching, 2 ** (n - math.ceil(lct)), r * math.prod(k[6] for k in kids))
+    return n, lct, group, floor, branching, math.ceil(lower), upper
+
+
+# The envelope with all seven candidates, per class node, filled children
+# first by `ClassMemo`'s loop (no recursion): the reference for the two-rule
+# `multiplicity._envelope`.
+SEVEN_CANDIDATE_ENVELOPE = _datum.ClassMemo(_seven_candidates)
 
 
 def reference_validate(d) -> ValidationReport:

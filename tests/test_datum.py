@@ -18,17 +18,22 @@ from aqci import (
     apply_permutation,
     canonical_form,
     children,
+    find_closure_power,
     from_json,
+    group_order_lattice,
     is_connected,
     is_isomorphic,
+    lct_datum,
     make_datum,
     maximal_elements,
     monomial_ideal,
+    multiplicity,
     reduce,
     require_valid,
     restrict,
     scale,
     signature,
+    summarize,
     to_dot,
     to_json,
     validate,
@@ -470,6 +475,42 @@ def test_apply_permutation_refuses_elements_outside_the_ground_set():
 def test_canonical_form_refuses_a_walk_that_is_not_a_permutation(sets):
     with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
         canonical_form(make_datum(3, sets))
+
+
+def _isomorphic_to_itself(d):
+    return is_isomorphic(d, d)
+
+
+# Functions that read the member forest, and candidates that have none.
+_FOREST_READERS = [
+    canonical_form,
+    signature,
+    _isomorphic_to_itself,
+    multiplicity,
+    lct_datum,
+    group_order_lattice,
+    summarize,
+]
+_NO_FOREST = [
+    make_datum(2, [((), 1), ((1,), 2), ((2,), 2)]),  # an empty member
+    make_datum(2, [((1, 2), 0), ((1,), 2), ((2,), 2)]),  # a weight-0 parent
+    make_datum(0, []),
+    make_datum(1, []),
+]
+_NO_SINGLETONS = [make_datum(0, []), make_datum(1, []), make_datum(2, [((1, 2), 1)])]
+
+
+@pytest.mark.parametrize(
+    "fn, d",
+    [(fn, d) for fn in _FOREST_READERS for d in _NO_FOREST]
+    + [(find_closure_power, d) for d in _NO_SINGLETONS],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_structural_functions_refuse_malformed_candidates(fn, d):
+    # A refusal with a reason, not an IndexError or ZeroDivisionError from
+    # inside the forest, the trace walk or the singleton weights.
+    with pytest.raises(ValueError):
+        fn(d)
 
 
 def test_is_isomorphic_matches_relabelings():

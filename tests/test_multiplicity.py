@@ -5,9 +5,8 @@ from __future__ import annotations
 import importlib
 import math
 import pickle
+import random
 from fractions import Fraction
-
-import pytest
 
 from aqci import (
     EXACT,
@@ -22,11 +21,10 @@ from aqci import (
     multiplicity_lower_bound,
     multiplicity_upper_bound,
 )
-from aqci.datum import LEAF, NODE_KIDS, NODE_LEAVES, NODE_RATIO, ClassMemo, member_forest
-from aqci.invariants import class_floor_product, class_group_order
+from aqci.datum import LEAF, NODE_KIDS, ClassMemo, intern_class, member_forest
 from aqci.lct import class_lct, reduced_lct
 
-from helpers import INTERVAL_FIXTURE, chain, loose_points, star, two_stars
+from helpers import INTERVAL_FIXTURE, SEVEN_CANDIDATE_ENVELOPE, chain, loose_points, star, two_stars
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +138,39 @@ def _class_nodes(n_max: int, max_ratio: int) -> set[int]:
     return nodes
 
 
-def _fraction_lower(x: int, floor_product) -> int:
-    """The envelope's lower end with (n/lct)^n/|G| as a Fraction, compared to 1 first."""
-    structural = importlib.import_module("aqci.multiplicity")
-    n, lct = NODE_LEAVES[x], class_lct[x]
-    power, group = (Fraction(n) / lct) ** n, class_group_order[x]
-    lower = max(1, floor_product[x], power / group if power > group else 1)
-    if x != LEAF:
-        kids_lower = math.prod(structural._class_envelope[k][0] for k in NODE_KIDS[x])
-        lower = max(lower, min(NODE_RATIO[x], reduced_lct[x]) * kids_lower)
-    return math.ceil(lower)
+def _random_tree(rng: random.Random, leaves: int) -> int:
+    """A random class node: runs of 2-4 adjacent trees joined at ratios 2-5."""
+    nodes = [LEAF] * leaves
+    while len(nodes) > 1:
+        size = rng.randint(2, min(4, len(nodes)))
+        at = rng.randrange(len(nodes) - size + 1)
+        nodes[at : at + size] = [intern_class(rng.randint(2, 5), nodes[at : at + size])]
+    return nodes[0]
 
 
-@pytest.mark.parametrize("floor", [None, Fraction(1)])
-def test_the_integer_power_test_keeps_the_lower_end(monkeypatch, floor):
-    # The envelope compares (n/lct)^n/|G| with its other candidates in
-    # integers.  Its lower end is the Fraction form's on every node: at the
-    # boundary (n/lct)^n == |G| (a leaf), where the candidate ties the floor
-    # product above 1 (it never beats it there), and, with every floor
-    # product set to 1, where it beats the floor product and the Fraction is
-    # built.
+def test_two_rules_give_the_seven_candidate_envelope():
+    # The floor product, (n/lct)^n/|G| and 2^(n - ceil lct) never move an end
+    # (the proofs are in `_envelope`'s docstring): both ends equal the
+    # envelope that takes every candidate, on every class node of two
+    # budgets, deep chains, wide stars and random trees.
     structural = importlib.import_module("aqci.multiplicity")
-    nodes = _class_nodes(6, 3)
-    floor_product = class_floor_product
-    if floor is not None:
-        floor_product = ClassMemo(lambda x: floor)
-        monkeypatch.setattr(structural, "class_floor_product", floor_product)
-        monkeypatch.setattr(structural, "_class_envelope", ClassMemo(structural._envelope))
-    power = {x: (Fraction(NODE_LEAVES[x]) / class_lct[x]) ** NODE_LEAVES[x] for x in nodes}
-    assert power[LEAF] == class_group_order[LEAF]
-    rest = {x: max(1, floor_product[x]) for x in nodes}
-    ratio = {x: power[x] / class_group_order[x] for x in nodes}
-    if floor is None:
-        assert not any(ratio[x] > rest[x] for x in nodes)
-        assert any(ratio[x] == rest[x] > 1 for x in nodes)
-    else:
-        assert any(ratio[x] > rest[x] for x in nodes)
-    for x in nodes:
-        assert structural._envelope(x)[0] == _fraction_lower(x, floor_product), x
+    tops = _class_nodes(6, 3) | _class_nodes(4, 8)
+    for r, depth in ((2, 200), (3, 120)):
+        x = LEAF
+        for _ in range(depth):
+            x = intern_class(r, [x, LEAF])
+        tops.add(x)
+    tops.update(intern_class(r, [LEAF] * n) for r in (2, 3, 50) for n in range(2, 297))
+    rng = random.Random(28)
+    tops.update(_random_tree(rng, rng.randint(2, 80)) for _ in range(400))
+    for x in tops:
+        SEVEN_CANDIDATE_ENVELOPE[x]
+    assert len(SEVEN_CANDIDATE_ENVELOPE) > 5000
+    # The reduce candidate is an integer on every node (see `_envelope`), so
+    # a lost ceiling shows only in the type of the lower end.
+    for x, ref in SEVEN_CANDIDATE_ENVELOPE.items():
+        ends = structural._class_envelope[x]
+        assert ends == ref[5:] and all(type(end) is int for end in ends), x
 
 
 def test_reduced_lct_is_the_sum_over_the_children():

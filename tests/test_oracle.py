@@ -84,6 +84,25 @@ def test_datum_without_members_is_refused():
         hilbert_samuel_table(make_datum(2, []))
 
 
+def test_finished_table_memory_per_point():
+    # A finished table keeps its k_max colengths, not the knapsack table it
+    # was counted from: after a cold call the memory still held, cache entry
+    # included, is under one byte per stored point (about 2.7 KB for 9,043
+    # points).  Keeping the knapsack table would hold tens of bytes per point.
+    oracle = importlib.import_module("aqci.multiplicity")
+    oracle._tabulate.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = hilbert_samuel_table(chain(3, 2, 2), OracleBudget(k_max=12, point_ceiling=89_901))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert oracle._tabulate.cache_info().misses == 1
+    assert not t.aborted and t.points == 9_043 and len(t.values) == 12
+    assert kept < t.points
+
+
 def test_table_memory_follows_the_histogram_not_the_semigroup():
     # The walk stores only the points that can reach the histogram, 9,043
     # of the 89,901 semigroup points up to the degree bound, so it peaks at

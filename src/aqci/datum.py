@@ -564,8 +564,9 @@ def member_forest(d: SpecialDatum) -> MemberForest:
     Built once per datum value and cached (`_FOREST_CACHE_SIZE` entries), so
     the structural invariants of one datum share one forest; the
     `MemberForest` is frozen and holds only tuples.  A candidate without
-    members, or with an empty member or a weight below 1, raises
-    `ValueError`: it has no forest of class nodes.
+    members, with an empty member or a weight below 1, or with a childless
+    member of more than one element raises `ValueError`: it has no forest
+    of class nodes.
     """
     if not d.members or any(not m.elements or m.weight < 1 for m in d.members):
         raise ValueError("a member forest needs members, each nonempty and of weight >= 1")
@@ -575,6 +576,8 @@ def member_forest(d: SpecialDatum) -> MemberForest:
         if kids[j]:
             ratio = d.weight_of(kids[j][0]) // d.weight_of(j)
             node[j] = intern_class(ratio, [node[k] for k in kids[j]])
+        elif len(d.elements_of(j)) > 1:
+            raise ValueError(f"member {d.elements_of(j)} lacks its singletons: it has no children")
     return MemberForest(roots, kids, tuple(node))
 
 

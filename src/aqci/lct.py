@@ -6,7 +6,8 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
   * `newton_contains` decides p in Newt(a) by an exact feasibility LP and
     returns the convex-combination certificate on success;
   * `lct_lp` computes the threshold as 1/u* where u* is the least u with
-    (u, .., u) in Newt(a), again by LP;
+    (u, .., u) in Newt(a), by the packing LP max{sum(mu) : mu >= 0,
+    sum_g mu_g*g <= (1,..,1)}, whose optimum is 1/u*;
   * `lct_datum` computes the same number structurally: 1 in dimension one,
     additive over the components of a disconnected datum, and
     max{1, lct(reduced)/r} for a connected datum whose top member has
@@ -17,15 +18,16 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
     polyhedron, and the n vertices q*e_i of Newt(m^q) are the datum's own
     singleton generators, so no LP is needed.
 
-Both LPs come from `_newton_lp`: minimize a cost on extra variables y
-subject to target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).  It gives
-each generator g the primitive column g/gcd(g), which changes no value
-and no pivot, and keeps the integer tableau small: with the columns
-w_J*1_J of a datum as given, the tableau's minors are products of weights,
-which grow with the depth of the datum.  Its rows are ints but for the
-convexity entries 1/gcd(g) (and a fractional target); `lp.solve_min`
-scales each row by its own denominator lcm, so the tableau starts at
-d = 1, not at the lcm of the gcds.
+Both LPs give each generator g the primitive column g/gcd(g), which
+changes no value and no pivot, and keeps the integer tableau small: with
+the columns w_J*1_J of a datum as given, the tableau's minors are products
+of weights, which grow with the depth of the datum.  The packing LP of
+`lct_lp` is all ints with right-hand side (1,..,1), so `lp.solve_min`
+starts it from its slacks and runs no phase 1.  The membership LP of
+`newton_contains` (`_newton_lp`) has ints but for the convexity entries
+1/gcd(g) (and a fractional target); `lp.solve_min` scales each row by its
+own denominator lcm, so the tableau starts at d = 1, not at the lcm of the
+gcds.
 
 The two lct routes are deliberately independent and are cross-checked over
 whole enumeration budgets by the verification suite.
@@ -84,34 +86,35 @@ def _primitive(g) -> int:
     return math.gcd(*g) or 1
 
 
-def _newton_lp(a: MonomialIdeal, target, diagonal=(), cost=()) -> lp.LpSolution:
-    """min cost.y over y >= 0 with target - (sum_k y_k*diagonal_k)(1,..,1) in Newt(a).
+def _primitive_rows(a: MonomialIdeal):
+    """([c_g], [row j of the primitive columns g/c_g for each coordinate j])."""
+    scale = [_primitive(g) for g in a.generators]
+    columns = [g if c == 1 else [x // c for x in g] for g, c in zip(a.generators, scale)]
+    return scale, list(zip(*columns)) if columns else [()] * a.n
 
-    Variables: one weight per generator, y, slacks (n); one row per
+
+def _newton_lp(a: MonomialIdeal, target) -> lp.LpSolution:
+    """The feasibility LP of target in Newt(a): sum_g lam_g*g + slack = target.
+
+    Variables: one weight per generator, then n slacks; one row per
     coordinate and a last row for convexity.  The weight of generator g is
     lam'_g = c_g*lam_g with c_g = gcd(g), so its column is the primitive
     vector g/c_g and its convexity entry is 1/c_g, the int 1 where c_g = 1
     (the convex weight is lam'_g/c_g).  The coordinate rows are the
     primitive columns transposed, so on an integer target only the convexity
-    row has denominators, and `lp.solve_min` scales that row alone, by the
-    lcm of the c_g.  This bijection of the feasible sets keeps y, so every
-    optimum is the same.  It also keeps every pivot: Bland's rule reads the
+    row has denominators, `lp.solve_min` scales that row alone, by the lcm
+    of the c_g, and each coordinate row starts from its slack.  This
+    bijection of the feasible sets keeps every pivot: Bland's rule reads the
     signs of reduced costs, which positive column scaling keeps, and a ratio
     test compares entries of one column, all scaled alike.  On a datum the
     columns w_J*1_J become 0/1 vectors, so the integer tableau's entries stay
     small where the weights would multiply up in every minor.
     """
-    gens = a.generators
+    scale, coords = _primitive_rows(a)
     n = a.n
-    scale = [_primitive(g) for g in gens]
-    columns = [g if c == 1 else [x // c for x in g] for g, c in zip(gens, scale)]
-    rows = []
-    for j, coords in enumerate(zip(*columns) if gens else [()] * n):
-        unit = [0] * n
-        unit[j] = 1
-        rows.append([*coords, *diagonal, *unit])
-    rows.append([1 if c == 1 else Fraction(1, c) for c in scale] + [0] * (len(diagonal) + n))
-    return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
+    rows = [[*row] + [0] * j + [1] + [0] * (n - 1 - j) for j, row in enumerate(coords)]
+    rows.append([1 if c == 1 else Fraction(1, c) for c in scale] + [0] * n)
+    return lp.solve_min([0] * (len(scale) + n), rows, [*target, 1])
 
 
 def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
@@ -132,11 +135,31 @@ def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
 
 
 def lct_lp(a: MonomialIdeal) -> Fraction:
-    """Threshold via the diagonal: minimize u with (u,..,u) in Newt(a)."""
-    sol = _newton_lp(a, [0] * a.n, diagonal=[-1], cost=[1])
-    if sol.status != lp.OPTIMAL or sol.value <= 0:
-        raise ArithmeticError(f"diagonal scaling LP failed: {sol.status}")
-    return 1 / sol.value
+    """Threshold as the packing LP max{sum(mu) : mu >= 0, sum_g mu_g*g <= (1,..,1)}.
+
+    The threshold is 1/u* with u* the least u such that u*(1,..,1) is in
+    Newt(a), and u*(1,..,1) is in Newt(a) exactly when some lam in the
+    simplex has sum_g lam_g*g <= u*(1,..,1).  For u > 0, mu = lam/u is
+    feasible here with sum(mu) = 1/u; conversely a feasible mu with
+    s = sum(mu) > 0 gives lam = mu/s and u = 1/s.  So max sum(mu) = 1/u*.
+
+    The columns are the n slacks first, then the primitive column g/c_g of
+    each generator, c_g = gcd(g), whose variable is c_g*mu_g; its cost is
+    -L/c_g with L the lcm of the c_g, so the minimum is -L*lct.  Every
+    entry is an int and the right-hand side is (1,..,1), so `lp.solve_min`
+    starts from the slack basis with no phase 1.  Against the generators as
+    given (cost -1 each) this rescales columns and the objective by positive
+    numbers, which keeps every pivot.
+    """
+    if not a.generators:
+        raise ArithmeticError("the zero ideal has no log canonical threshold")
+    scale, coords = _primitive_rows(a)
+    n, lcm = a.n, math.lcm(*scale)
+    rows = [[0] * j + [1] + [0] * (n - 1 - j) + [*row] for j, row in enumerate(coords)]
+    sol = lp.solve_min([0] * n + [-(lcm // c) for c in scale], rows, [1] * n)
+    if sol.status != lp.OPTIMAL:
+        raise ArithmeticError(f"the threshold's packing LP is {sol.status}")
+    return -sol.value / lcm
 
 
 def _reduced_lct(x: int) -> Fraction:

@@ -15,24 +15,30 @@ that division is always exact.  Every decision of the simplex compares
 signs or cross-multiplied ratios, which the positive d does not change, so
 the pivots are the ones a rational tableau would make.
 
-Phase 1 gives row i the unit artificial column, so the starting basis is
-the identity and d starts at 1.  That artificial stands for s_i times the
-rational one, so it costs 1/s_i, and the phase-1 costs are the integers
-L/s_i with L the lcm of the s_i: positive scalings of one column, one row
-and the objective, which keep every sign and every ratio comparison and so
-every pivot.  A pivot keeps d / |det B| fixed, so once no artificial is
-basic, d = (product of the s_i) * |det B_rational|, the d that scaling every
-row by the product of all the lcms gave, and the tableau holds the same
-integers as under that scaling: on `lct_lp` of `chain(3,...,3)` with n = 20
-and 40, d is 1 until the convexity row's artificial leaves, and the largest
-entry is 31 and 62 bits either way.  What the per-row scaling saves is
-interpreter work (no division while d == 1), not smaller numbers.
+The starting basis is a unit column per row, so it is the identity and d
+starts at 1.  Row i (flipped so that its right-hand side is >= 0) starts
+from the first real column that holds 1 in M's row i and 0 in every other
+row (its slack, in a <=-form LP with b >= 0).  Only the rows without one get a
+unit artificial column, and phase 1 runs only when some row has one.  That
+artificial stands for s_i times the rational one, so it costs 1/s_i, and
+the phase-1 costs are the integers L/s_i with L the lcm of those s_i:
+positive scalings of one column, one row and the objective, which keep
+every sign and every ratio comparison and so every pivot.  Bland's rule
+terminates from any feasible basis.  A pivot keeps d / |det B| fixed, so d
+is (product of the s_i) * |det B_rational| throughout, the d that scaling
+every row by the product of all the lcms gave, and the tableau holds the
+same integers as under that scaling.  What the per-row scaling saves is
+interpreter work (no division while d == 1), not smaller numbers.  On
+`lct_lp` of `chain(3,...,3)` with n = 20, 40 and 80, whose packing rows
+start from their slacks, d stays 1 and every entry off the objective row
+is 0 or +-1 through all n pivots; `newton_contains` at (1,..,1) on the same
+ideals ends at d and entries of 29-30, 61-62 and 124-125 bits.
 
 When p == d, an entry whose pivot-row entry is 0 keeps its value,
 (a * p - f * 0) / d = a, so the update touches only the pivot row's nonzero
-(column, entry) pairs, listed once per pivot.  On the Newton LPs of `lct`
-(0/1 generator columns after `_newton_lp` divides each by its gcd) that is
-nearly every pivot, and a pivot row is mostly zeros.  Otherwise every entry
+(column, entry) pairs, listed once per pivot.  On the LPs of `lct` (0/1
+generator columns after each is divided by its gcd) that is nearly every
+pivot, and a pivot row is mostly zeros.  Otherwise every entry
 is updated.
 
 Before an optimum is returned its point is certified against the scaled
@@ -152,48 +158,60 @@ def solve_min(c, A, b) -> LpSolution:
     """Minimize c.x subject to A x = b, x >= 0, exactly.
 
     `A` is a list of rows; entries of `c`, `A` and `b` are `int`s or
-    `Fraction`s.  Rows with negative right-hand side are flipped, a phase-1
-    run with artificial variables finds a basic feasible point (or proves
-    infeasibility), leftover artificials are driven out or their rows
-    dropped as redundant, and phase 2 optimizes the real objective.
+    `Fraction`s.  Rows with negative right-hand side are flipped and each
+    row is scaled by its denominator lcm.  A row starts from the first real
+    column that is 1 in it and 0 in every other row; only the rows without
+    one get an artificial variable, and a phase-1 run finds a basic
+    feasible point (or proves infeasibility), leftover artificials are
+    driven out or their rows dropped as redundant.  Phase 2 optimizes the
+    real objective.
     """
     m, n = len(A), len(c)
     given, scales = _integer_rows([[*A[i], b[i]] for i in range(m)])
-    # Artificial i is s_i times the rational one, so it costs L/s_i.
-    lcm = math.lcm(*scales)
-    weights = [lcm // s for s in scales]
-    tab = []
-    for i, row in enumerate(given):
-        if row[-1] < 0:
-            row = [-v for v in row]
-        unit = [0] * m
-        unit[i] = 1
-        tab.append(row[:n] + unit + row[-1:])
-    # Reduced costs: the weights less the weighted column sums, which is
-    # minus those sums off the artificials and 0 on them.
-    obj = [-sum(map(operator.mul, weights, col)) for col in zip(*tab)] if m else [0] * (n + 1)
-    obj[n : n + m] = [0] * m
-    basis = list(range(n, n + m))
-    _, d = _iterate(tab, basis, obj, 1, n + m)
-    if obj[-1] != 0:
-        return LpSolution(INFEASIBLE, None, None)
+    tab = [[-v for v in row] if row[-1] < 0 else row[:] for row in given]
+    # Row i starts from the first real column that is 1 in it and 0 elsewhere.
+    basis = [None] * m
+    for j, col in zip(range(n), zip(*tab)):
+        if col.count(0) == m - 1 and 1 in col and basis[col.index(1)] is None:
+            basis[col.index(1)] = j
+    short = [i for i in range(m) if basis[i] is None]
+    d = 1
+    if short:
+        k = len(short)
+        for a, i in enumerate(short):
+            basis[i] = n + a
+        tab = [
+            row[:n] + [int(bv == j) for j in range(n, n + k)] + row[-1:]
+            for row, bv in zip(tab, basis)
+        ]
+        # Artificial i is s_i times the rational one, so it costs L/s_i.
+        # Reduced costs: minus the weighted column sums off the artificials,
+        # 0 on them.
+        lcm = math.lcm(*(scales[i] for i in short))
+        weights = [lcm // s if bv >= n else 0 for s, bv in zip(scales, basis)]
+        obj = [-sum(map(operator.mul, weights, col)) for col in zip(*tab)]
+        obj[n : n + k] = [0] * k
+        _, d = _iterate(tab, basis, obj, d, n + k)
+        if obj[-1] != 0:
+            return LpSolution(INFEASIBLE, None, None)
 
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv is None:
-                drop.append(i)
-            else:
-                d = _pivot(tab, basis, None, d, i, piv)
-    # A dropped row is zero on every real column, so no later pivot reads it:
-    # the kept rows are the integers they would be beside it, and d stays exact.
-    for i in sorted(drop, reverse=True):
-        del tab[i]
-        del basis[i]
+        drop = []
+        for i in range(m):
+            if basis[i] >= n:
+                piv = next((j for j in range(n) if tab[i][j] != 0), None)
+                if piv is None:
+                    drop.append(i)
+                else:
+                    d = _pivot(tab, basis, None, d, i, piv)
+        # A dropped row is zero on every real column, so no later pivot reads
+        # it: the kept rows are the integers they would be beside it, and d
+        # stays exact.
+        for i in sorted(drop, reverse=True):
+            del tab[i]
+            del basis[i]
+        for i in range(len(tab)):
+            tab[i] = tab[i][:n] + tab[i][-1:]
 
-    for i in range(len(tab)):
-        tab[i] = tab[i][:n] + tab[i][-1:]
     (cost,), (scale,) = _integer_rows([c])
     obj = [d * v for v in cost] + [0]
     for row, bv in zip(tab, basis):

@@ -3,8 +3,8 @@
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
 membership for the two closure-power references, `lp.solve_min` for the
-multiplier membership LP and the unscaled Newton LP, `format_fraction`
-for the grid witnesses, `intern_class` and `class_datum` to turn the
+multiplier membership LP and the unscaled Newton and packing LPs,
+`format_fraction` for the grid witnesses, `intern_class` and `class_datum` to turn the
 reference enumeration's tuple trees into data, and `ClassMemo` with the
 class-node tables for the seven-candidate envelope:
 the point is to recompute expected values by a different route (exact
@@ -206,29 +206,43 @@ def _reference_iterate(tab, basis, obj, ncols):
 def reference_solve_min(c, A, b) -> LpSolution:
     """min c.x, A x = b, x >= 0 by a two-phase simplex on a `Fraction` tableau.
 
-    The same pivot rule as `aqci.lp.solve_min` (Bland's entering column, the
-    least ratio with ties to the lower basis index, artificials driven out
-    or their rows dropped after phase 1), on normalized rational rows, so
-    both must return equal solutions field for field.
+    The same starting basis as `aqci.lp.solve_min` (row i starts from the
+    first real column whose entry times the row's denominator lcm is 1 and
+    which is 0 in every other row; the other rows get artificials, numbered
+    in row order), the same pivot rule (Bland's entering column, the least
+    ratio with ties to the lower basis index, artificials driven out or
+    their rows dropped after phase 1), on normalized rational rows, so both
+    must return equal solutions field for field.
     """
     m, n = len(A), len(c)
     cost = [Fraction(x) for x in c]
-    tab = []
+    rows = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        tab.append(row + [Fraction(int(i == j)) for j in range(m)] + [rhs])
-    basis = list(range(n, n + m))
-    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        rows.append([-x for x in row] if row[-1] < 0 else row)
+    basis = [None] * m
+    for j in range(n):
+        hits = [i for i in range(m) if rows[i][j] != 0]
+        if len(hits) == 1 and basis[hits[0]] is None:
+            i = hits[0]
+            if rows[i][j] * math.lcm(*(x.denominator for x in rows[i])) == 1:
+                basis[i] = j
+                rows[i] = [x / rows[i][j] for x in rows[i]]
+    short = [i for i in range(m) if basis[i] is None]
+    k = len(short)
+    for a, i in enumerate(short):
+        basis[i] = n + a
+    tab = [
+        row[:n] + [Fraction(int(bv == n + a)) for a in range(k)] + row[-1:]
+        for row, bv in zip(rows, basis)
+    ]
+    obj = [Fraction(0)] * n + [Fraction(1)] * k + [Fraction(0)]
     for i in range(m):
         if obj[basis[i]] != 0:
             f = obj[basis[i]]
             for cidx in range(len(obj)):
                 obj[cidx] -= f * tab[i][cidx]
-    _reference_iterate(tab, basis, obj, n + m)
+    _reference_iterate(tab, basis, obj, n + k)
     if -obj[-1] != 0:
         return LpSolution(INFEASIBLE, None, None)
 
@@ -357,7 +371,7 @@ def reference_closure_is_power(a, q: int) -> bool:
     return all(newton_contains(a, p)[0] for p in compositions(q, a.n))
 
 
-def reference_newton_lp(a, target, diagonal=(), cost=()) -> LpSolution:
+def reference_newton_lp(a, target) -> LpSolution:
     """The Newton LP of `lct._newton_lp` on the generators as given.
 
     One convex weight per generator column g (not g/gcd(g)), and a
@@ -365,12 +379,22 @@ def reference_newton_lp(a, target, diagonal=(), cost=()) -> LpSolution:
     to show that rescaling the columns changes neither values nor pivots.
     """
     gens, n = a.generators, a.n
-    rows = [
-        [g[j] for g in gens] + list(diagonal) + [int(j == k) for k in range(n)]
-        for j in range(n)
-    ]
-    rows.append([1] * len(gens) + [0] * (len(diagonal) + n))
-    return lp.solve_min([0] * len(gens) + list(cost) + [0] * n, rows, [*target, 1])
+    rows = [[g[j] for g in gens] + [int(j == k) for k in range(n)] for j in range(n)]
+    rows.append([1] * len(gens) + [0] * n)
+    return lp.solve_min([0] * (len(gens) + n), rows, [*target, 1])
+
+
+def reference_packing_lp(a) -> LpSolution:
+    """The packing LP of `lct.lct_lp` on the generators as given.
+
+    min -sum(mu) over mu >= 0 with sum_g mu_g*g + slack = (1,..,1): the n
+    slack columns first, then one column g (not g/gcd(g)) of cost -1 per
+    generator, so the value is -lct.  `lct_lp` rescales those columns and
+    the objective by positive numbers, which changes no pivot.
+    """
+    gens, n = a.generators, a.n
+    rows = [[int(j == k) for k in range(n)] + [g[j] for g in gens] for j in range(n)]
+    return lp.solve_min([0] * n + [-1] * len(gens), rows, [1] * n)
 
 
 def multiplier_membership(a, t, m) -> bool:

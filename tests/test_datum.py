@@ -19,7 +19,9 @@ from aqci import (
     canonical_form,
     children,
     find_closure_power,
+    floor_factor_product,
     from_json,
+    group_order,
     group_order_lattice,
     is_connected,
     is_isomorphic,
@@ -510,6 +512,37 @@ def test_structural_functions_refuse_malformed_candidates(fn, d):
     # A refusal with a reason, not an IndexError or ZeroDivisionError from
     # inside the forest, the trace walk or the singleton weights.
     with pytest.raises(ValueError):
+        fn(d)
+
+
+# Childless members of more than one element: their singletons are missing.
+_CHILDLESS_BLOCKS = [
+    make_datum(2, [((1, 2), 1)]),
+    make_datum(3, [((1, 2, 3), 1), ((1, 2), 2), ((3,), 2)]),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, d",
+    [
+        (fn, d)
+        for fn in (
+            multiplicity,
+            lct_datum,
+            group_order,
+            group_order_lattice,
+            floor_factor_product,
+            summarize,
+            signature,
+        )
+        for d in _CHILDLESS_BLOCKS
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_structural_functions_refuse_a_childless_block(fn, d):
+    # The member forest would take the block for a leaf: an exact
+    # multiplicity 1 on the first candidate, 2 and |G| = 4 on the second.
+    with pytest.raises(ValueError, match="no children"):
         fn(d)
 
 

@@ -34,6 +34,7 @@ from helpers import (
     multiplier_membership,
     reference_closure_is_power,
     reference_newton_lp,
+    reference_packing_lp,
     star,
     two_stars,
     vertex_closure_is_power,
@@ -113,6 +114,24 @@ def test_lct_lp_known_values():
     assert lct_lp(MonomialIdeal(3, ((1, 1, 1),))) == 1
 
 
+def test_lct_lp_edges():
+    with pytest.raises(ArithmeticError, match="zero ideal"):
+        lct_lp(MonomialIdeal(2, ()))
+    # Not m-primary: the packing bound comes from the coordinates the
+    # generators reach.
+    assert lct_lp(MonomialIdeal(3, ((1, 1, 0),))) == 1
+    assert lct_lp(MonomialIdeal(2, ((0, 5),))) == Fraction(1, 5)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [chain(*[2] * 99), chain(*[3] * 79), star(200, 2)],
+    ids=["chain-100-2", "chain-80-3", "star-200-2"],
+)
+def test_lct_lp_matches_the_recursion_on_deep_and_wide_data(d):
+    assert lct_lp(monomial_ideal(d)) == lct_datum(d)
+
+
 def test_lct_lp_matches_brute_enumeration():
     for a in small_ideals():
         u = brute_min_max(a.generators, [0] * a.n)
@@ -121,9 +140,10 @@ def test_lct_lp_matches_brute_enumeration():
 
 
 def test_primitive_columns_keep_the_value_and_every_pivot(monkeypatch):
-    # lct_lp weighs generator g by gcd(g)*lam_g on the column g/gcd(g): a
-    # positive rescaling of columns, so Bland's rule pivots on the same
-    # (row, column) pairs as the LP on the generators as given.
+    # lct_lp weighs generator g by gcd(g)*mu_g on the column g/gcd(g), at
+    # cost -L/gcd(g): a positive rescaling of columns and of the objective,
+    # so Bland's rule pivots on the same (row, column) pairs as the packing
+    # LP on the generators as given, at cost -1 each.
     pivots = []
     pivot = lp._pivot
 
@@ -144,8 +164,8 @@ def test_primitive_columns_keep_the_value_and_every_pivot(monkeypatch):
             got = lct_lp(a)
             scaled = list(pivots)
             pivots.clear()
-            want = reference_newton_lp(a, [0] * a.n, diagonal=[-1], cost=[1])
-            assert got == 1 / want.value == lct_datum(x), x
+            want = reference_packing_lp(a)
+            assert got == -want.value == lct_datum(x), x
             assert scaled == pivots, x
 
 

@@ -210,6 +210,74 @@ def test_solutions_and_pivots_equal_the_reference_solver(instance):
     assert got == want
 
 
+@st.composite
+def _small_lps_with_a_unit_block(draw):
+    """`_small_lps` with one column per row inserted at a random position.
+
+    Row i's new column holds 1, -1 or 1/2 in row i and 0 elsewhere, so a
+    row starts from it when that entry, after the flip and the scaling by
+    the row's denominator lcm, is 1; the other rows get artificials.
+    """
+    c, A, b = draw(_small_lps())
+    m = len(A)
+    at = draw(st.integers(0, len(c)))
+    entries = [draw(st.sampled_from([1, -1, Fraction(1, 2)])) for _ in range(m)]
+    A = [
+        row[:at] + [e if k == i else 0 for k in range(m)] + row[at:]
+        for i, (row, e) in enumerate(zip(A, entries))
+    ]
+    return c[:at] + [draw(_INTEGER) for _ in range(m)] + c[at:], A, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_lps_with_a_unit_block())
+def test_unit_columns_start_as_the_reference_solver_does(instance):
+    got = _solve_recording_pivots(lp, "_pivot", solve_min, *instance)
+    want = _solve_recording_pivots(helpers, "_reference_pivot", reference_solve_min, *instance)
+    assert got == want
+
+
+def _starts(c, A, b):
+    """(solution, [(columns, basis) as each `lp._iterate` run begins], pivots)."""
+    runs = []
+    iterate = lp._iterate
+
+    def spy(tab, basis, obj, d, ncols):
+        runs.append((ncols, list(basis)))
+        return iterate(tab, basis, obj, d, ncols)
+
+    with mock.patch.object(lp, "_iterate", spy):
+        sol, pivots = _solve_recording_pivots(lp, "_pivot", solve_min, c, A, b)
+    want = _solve_recording_pivots(helpers, "_reference_pivot", reference_solve_min, c, A, b)
+    assert (sol, pivots) == want
+    return sol, runs, pivots
+
+
+def test_rows_that_all_have_unit_columns_skip_phase_one():
+    # Column 1 is the unit column of row 0 and column 2 that of row 1.
+    sol, runs, pivots = _starts([-3, 0, 0, -1], [[2, 1, 0, 1], [1, 0, 1, 3]], [4, 3])
+    assert runs == [(4, [1, 2])]
+    assert pivots and all(not drive_out for _, _, drive_out in pivots)
+    assert sol.value == brute_lp_min([-3, 0, 0, -1], [[2, 1, 0, 1], [1, 0, 1, 3]], [4, 3])
+
+
+@pytest.mark.parametrize(
+    "row, rhs, start",
+    [
+        ([Fraction(1, 2), 1], 1, 0),  # scaled by 2 the row is [1, 2 | 2]
+        ([-1, 2], -3, 0),  # flipped the row is [1, -2 | 3]
+        ([2, 3], 6, None),  # no entry is 1: an artificial, column 2
+    ],
+)
+def test_a_row_starts_from_a_column_that_scales_to_one(row, rhs, start):
+    sol, runs, _ = _starts([1, 1], [row], [rhs])
+    assert sol.status == OPTIMAL
+    if start is None:
+        assert runs[0] == (3, [2]) and len(runs) == 2
+    else:
+        assert runs == [(2, [start])]
+
+
 def _pivot_denominators(solve, *args):
     """(result, [the denominator d each `lp._pivot` call receives])."""
     seen = []
@@ -224,14 +292,18 @@ def _pivot_denominators(solve, *args):
 
 
 def test_the_first_pivot_sees_denominator_one():
-    # Row i is scaled by its own lcm and its artificial is a unit column, so
-    # the starting basis is the identity, on integer and on rational rows
-    # (the convexity row of `chain(3, 3, 3)` has entries 1/gcd(g) down to 1/9).
+    # Row i is scaled by its own lcm and starts from a unit column, its own
+    # or an artificial, so the starting basis is the identity, on integer and
+    # on rational rows (the convexity row of `newton_contains` on
+    # `chain(3, 3, 3)` has entries 1/gcd(g) down to 1/9).
     sol, seen = _pivot_denominators(solve_min, [2, 1, 3], [[1, 1, 2], [0, 1, 1]], [4, 1])
     assert sol == reference_solve_min([2, 1, 3], [[1, 1, 2], [0, 1, 1]], [4, 1])
     assert seen[0] == 1
-    value, seen = _pivot_denominators(lct_lp, monomial_ideal(helpers.chain(3, 3, 3)))
+    a = monomial_ideal(helpers.chain(3, 3, 3))
+    value, seen = _pivot_denominators(lct_lp, a)
     assert value == 1 and seen[0] == 1
+    (inside, _), seen = _pivot_denominators(newton_contains, a, (1,) * a.n)
+    assert inside and seen[0] == 1
 
 
 def test_rows_with_denominators_two_and_three_keep_every_pivot():
@@ -395,7 +467,8 @@ def _bump_value(tab, obj):
 
 @pytest.mark.parametrize("call, corrupt", [(0, _bump_rhs), (1, _bump_value)])
 def test_corrupted_pivot_fails_the_certificate(monkeypatch, call, corrupt):
-    # min x + y subject to x + 2y = 4 takes one pivot in each phase.
+    # min x + y subject to 2x + 3y = 6 has no unit column to start from, so
+    # it takes one pivot in each phase.
     pivots = []
     pivot = lp._pivot
 
@@ -406,8 +479,8 @@ def test_corrupted_pivot_fails_the_certificate(monkeypatch, call, corrupt):
         pivots.append((r, s))
         return d
 
-    assert solve_min([1, 1], [[1, 2]], [4]).status == OPTIMAL
+    assert solve_min([1, 1], [[2, 3]], [6]).status == OPTIMAL
     monkeypatch.setattr(lp, "_pivot", corrupted)
     with pytest.raises(ArithmeticError, match="certificate"):
-        solve_min([1, 1], [[1, 2]], [4])
+        solve_min([1, 1], [[2, 3]], [6])
     assert len(pivots) == 2

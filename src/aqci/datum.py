@@ -549,10 +549,18 @@ def _parents(d: SpecialDatum) -> tuple[tuple[int, ...], bool]:
 
 
 def _links(d: SpecialDatum) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(maximal members, children of each member), from the parent index."""
+    """(maximal members, children of each member), from the parent index.
+
+    Only a family `_parents` proves nested has a forest: overlapping
+    members, or a repeated element set (whose outer copy would get the
+    inner one as its only child), raise `ValueError`.
+    """
+    parent, nested = _parents(d)
+    if not nested:
+        raise ValueError("the members are not nested: two overlap or repeat an element set")
     roots: list[int] = []
     kids: list[list[int]] = [[] for _ in d.members]
-    for j, p in enumerate(_parents(d)[0]):
+    for j, p in enumerate(parent):
         (kids[p] if p >= 0 else roots).append(j)
     return tuple(roots), tuple(map(tuple, kids))
 
@@ -564,9 +572,9 @@ def member_forest(d: SpecialDatum) -> MemberForest:
     Built once per datum value and cached (`_FOREST_CACHE_SIZE` entries), so
     the structural invariants of one datum share one forest; the
     `MemberForest` is frozen and holds only tuples.  A candidate without
-    members, with an empty member or a weight below 1, or with a childless
-    member of more than one element raises `ValueError`: it has no forest
-    of class nodes.
+    members, with an empty member or a weight below 1, with members that
+    are not nested (`_links`), or with a childless member of more than one
+    element raises `ValueError`: it has no forest of class nodes.
     """
     if not d.members or any(not m.elements or m.weight < 1 for m in d.members):
         raise ValueError("a member forest needs members, each nonempty and of weight >= 1")

@@ -3,11 +3,10 @@
 The queries here are about the Newton polyhedron
 Newt(a) = conv(generator exponents) + nonnegative orthant:
 
-  * `newton_contains` decides p in Newt(a) by an exact feasibility LP and
-    returns the convex-combination certificate on success;
+  * `newton_contains` decides p in Newt(a) by an exact LP and returns the
+    convex-combination certificate on success;
   * `lct_lp` computes the threshold as 1/u* where u* is the least u with
-    (u, .., u) in Newt(a), by the packing LP max{sum(mu) : mu >= 0,
-    sum_g mu_g*g <= (1,..,1)}, whose optimum is 1/u*;
+    (u, .., u) in Newt(a);
   * `lct_datum` computes the same number structurally: 1 in dimension one,
     additive over the components of a disconnected datum, and
     max{1, lct(reduced)/r} for a connected datum whose top member has
@@ -18,16 +17,15 @@ Newt(a) = conv(generator exponents) + nonnegative orthant:
     polyhedron, and the n vertices q*e_i of Newt(m^q) are the datum's own
     singleton generators, so no LP is needed.
 
-Both LPs give each generator g the primitive column g/gcd(g), which
-changes no value and no pivot, and keeps the integer tableau small: with
-the columns w_J*1_J of a datum as given, the tableau's minors are products
-of weights, which grow with the depth of the datum.  The packing LP of
-`lct_lp` is all ints with right-hand side (1,..,1), so `lp.solve_min`
-starts it from its slacks and runs no phase 1.  The membership LP of
-`newton_contains` (`_newton_lp`) has ints but for the convexity entries
-1/gcd(g) (and a fractional target); `lp.solve_min` scales each row by its
-own denominator lcm, so the tableau starts at d = 1, not at the lcm of the
-gcds.
+Both LPs are one packing LP, max{sum(mu) : mu >= 0, sum_g mu_g*g <= rhs}
+with an integer rhs >= 0 (`_packing_lp`): p is in Newt(a) exactly when
+some lam in the simplex has sum_g lam_g*g <= p, so with D*p integral the
+optimum is at least D exactly when p is in Newt(a), and lam = mu/sum(mu).
+Its n slack columns come first, so `lp.solve_min` starts from them, and
+each generator g gets the primitive column g/gcd(g), which changes no value
+and no pivot and keeps the integer tableau small: with the columns
+w_J*1_J of a datum as given, the tableau's minors are products of weights,
+which grow with the depth of the datum.
 
 The two lct routes are deliberately independent and are cross-checked over
 whole enumeration budgets by the verification suite.
@@ -62,14 +60,12 @@ __all__ = [
 class LpCertificate(Record):
     """Convex weights proving a containment claim.
 
-    `value` is a `Fraction`.  `coefficients` maps generator index (into
-    MonomialIdeal.generators) to a nonnegative `Fraction`; the weights sum
-    to 1 and the weighted generator sum is dominated coordinatewise by the
-    certified point divided by `value` (value = 1 for plain containment
-    queries).
+    `coefficients` maps generator index (into MonomialIdeal.generators) to
+    a positive `Fraction`; the weights sum to 1 and the weighted generator
+    sum is dominated coordinatewise by the certified point.
     """
 
-    __slots__ = ("value", "coefficients")
+    __slots__ = ("coefficients",)
 
 
 def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:
@@ -81,57 +77,49 @@ def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:
     return q
 
 
-def _primitive(g) -> int:
-    """The gcd c_g of a generator's exponents (1 for the zero vector)."""
-    return math.gcd(*g) or 1
-
-
 def _primitive_rows(a: MonomialIdeal):
     """([c_g], [row j of the primitive columns g/c_g for each coordinate j])."""
-    scale = [_primitive(g) for g in a.generators]
+    scale = [math.gcd(*g) for g in a.generators]
     columns = [g if c == 1 else [x // c for x in g] for g, c in zip(a.generators, scale)]
     return scale, list(zip(*columns)) if columns else [()] * a.n
 
 
-def _newton_lp(a: MonomialIdeal, target) -> lp.LpSolution:
-    """The feasibility LP of target in Newt(a): sum_g lam_g*g + slack = target.
+def _packing_lp(a: MonomialIdeal, rhs) -> tuple[Fraction, tuple[Fraction, ...], list[int]]:
+    """(max sum(mu), x, [c_g]) over mu >= 0 with sum_g mu_g*g <= rhs (ints >= 0).
 
-    Variables: one weight per generator, then n slacks; one row per
-    coordinate and a last row for convexity.  The weight of generator g is
-    lam'_g = c_g*lam_g with c_g = gcd(g), so its column is the primitive
-    vector g/c_g and its convexity entry is 1/c_g, the int 1 where c_g = 1
-    (the convex weight is lam'_g/c_g).  The coordinate rows are the
-    primitive columns transposed, so on an integer target only the convexity
-    row has denominators, `lp.solve_min` scales that row alone, by the lcm
-    of the c_g, and each coordinate row starts from its slack.  This
-    bijection of the feasible sets keeps every pivot: Bland's rule reads the
-    signs of reduced costs, which positive column scaling keeps, and a ratio
-    test compares entries of one column, all scaled alike.  On a datum the
-    columns w_J*1_J become 0/1 vectors, so the integer tableau's entries stay
-    small where the weights would multiply up in every minor.
+    The columns are the n slacks first, then the primitive column g/c_g of
+    each generator, c_g = gcd(g), whose variable is x_g = c_g*mu_g; its cost
+    is -L/c_g with L the lcm of the c_g, so the minimum is -L*max sum(mu).
+    Every entry is an int and rhs >= 0, so `lp.solve_min` starts from the
+    slack basis.  Against the generators as given (cost -1 each) this
+    rescales columns and the objective by positive numbers, which keeps
+    every pivot: Bland's rule reads the signs of reduced costs, and a ratio
+    test compares entries of one column, all scaled alike.  A generator is
+    never zero, so the optimum is finite.
     """
     scale, coords = _primitive_rows(a)
-    n = a.n
-    rows = [[*row] + [0] * j + [1] + [0] * (n - 1 - j) for j, row in enumerate(coords)]
-    rows.append([1 if c == 1 else Fraction(1, c) for c in scale] + [0] * n)
-    return lp.solve_min([0] * (len(scale) + n), rows, [*target, 1])
+    n, lcm = a.n, math.lcm(*scale)
+    rows = [[0] * j + [1] + [0] * (n - 1 - j) + [*row] for j, row in enumerate(coords)]
+    sol = lp.solve_min([0] * n + [-(lcm // c) for c in scale], rows, rhs)
+    if sol.status != lp.OPTIMAL:
+        raise ArithmeticError(f"the packing LP is {sol.status}")
+    return -sol.value / lcm, sol.x[n:], scale
 
 
 def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
     """Decide p in conv(generators) + orthant, with certificate when true.
 
-    The LP's generator weights are lam'_g = gcd(g)*lam_g (see `_newton_lp`);
-    the certificate maps them back to the convex weights lam_g.
+    The packing LP (`_packing_lp`) runs at rhs D*p, with D the lcm of p's
+    denominators: p is in Newt(a) exactly when its optimum s is at least D.
+    The certificate's convex weights are mu_g/s, with mu_g = x_g/gcd(g).
     """
-    sol = _newton_lp(a, _check_point(a, p))
-    if sol.status != lp.OPTIMAL:
+    q = _check_point(a, p)
+    den = math.lcm(*(v.denominator for v in q))
+    total, x, scale = _packing_lp(a, [v.numerator * (den // v.denominator) for v in q])
+    if total < den:
         return False, None
-    coeffs = {
-        i: x / _primitive(g)
-        for i, (g, x) in enumerate(zip(a.generators, sol.x))
-        if x != 0
-    }
-    return True, LpCertificate(Fraction(1), coeffs)
+    coeffs = {i: v / (c * total) for i, (v, c) in enumerate(zip(x, scale)) if v}
+    return True, LpCertificate(coeffs)
 
 
 def lct_lp(a: MonomialIdeal) -> Fraction:
@@ -142,24 +130,10 @@ def lct_lp(a: MonomialIdeal) -> Fraction:
     simplex has sum_g lam_g*g <= u*(1,..,1).  For u > 0, mu = lam/u is
     feasible here with sum(mu) = 1/u; conversely a feasible mu with
     s = sum(mu) > 0 gives lam = mu/s and u = 1/s.  So max sum(mu) = 1/u*.
-
-    The columns are the n slacks first, then the primitive column g/c_g of
-    each generator, c_g = gcd(g), whose variable is c_g*mu_g; its cost is
-    -L/c_g with L the lcm of the c_g, so the minimum is -L*lct.  Every
-    entry is an int and the right-hand side is (1,..,1), so `lp.solve_min`
-    starts from the slack basis with no phase 1.  Against the generators as
-    given (cost -1 each) this rescales columns and the objective by positive
-    numbers, which keeps every pivot.
     """
     if not a.generators:
         raise ArithmeticError("the zero ideal has no log canonical threshold")
-    scale, coords = _primitive_rows(a)
-    n, lcm = a.n, math.lcm(*scale)
-    rows = [[0] * j + [1] + [0] * (n - 1 - j) + [*row] for j, row in enumerate(coords)]
-    sol = lp.solve_min([0] * n + [-(lcm // c) for c in scale], rows, [1] * n)
-    if sol.status != lp.OPTIMAL:
-        raise ArithmeticError(f"the threshold's packing LP is {sol.status}")
-    return -sol.value / lcm
+    return _packing_lp(a, [1] * a.n)[0]
 
 
 def _reduced_lct(x: int) -> Fraction:

@@ -3,10 +3,10 @@
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
 membership for the two closure-power references, `lp.solve_min` for the
-multiplier membership LP and the unscaled Newton and packing LPs,
-`format_fraction` for the grid witnesses, `intern_class` and `class_datum` to turn the
-reference enumeration's tuple trees into data, and `ClassMemo` with the
-class-node tables for the seven-candidate envelope:
+packing LP on the generators as given, `format_fraction` for the grid
+witnesses, `intern_class` and `class_datum` to turn the reference
+enumeration's tuple trees into data, and `ClassMemo` with the class-node
+tables for the seven-candidate envelope:
 the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
@@ -39,7 +39,11 @@ from aqci import (
 )
 from aqci import datum as _datum
 from aqci import lp
-from aqci.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
+from aqci.lp import OPTIMAL, UNBOUNDED, LpSolution
+
+# The status `reference_solve_min` gives an LP without a feasible point; the
+# package's solver starts from a feasible basis and has no such status.
+INFEASIBLE = "infeasible"
 
 
 def star(n: int, a: int):
@@ -97,24 +101,6 @@ def solve_linear(mat, rhs):
     return [a[r][n] for r in range(n)]
 
 
-def matrix_rank(mat) -> int:
-    rows = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def brute_min_max(vectors, offsets):
     """min over convex weights of max_j((weighted sum)[j] - offsets[j]).
 
@@ -155,9 +141,9 @@ def brute_min_max(vectors, offsets):
 def brute_lp_min(c, A, b):
     """Optimal value of min c.x, A x = b, x >= 0 by basic-solution enumeration.
 
-    Requires A to have full row rank (the caller filters); returns None when
-    no feasible basic solution exists.  Unboundedness is not detected, so
-    compare only against solver runs that report an optimum.
+    Requires A to have full row rank (a slack per row gives it); returns
+    None when no feasible basic solution exists.  Unboundedness is not
+    detected, so compare only against solver runs that report an optimum.
     """
     m = len(A)
     best = None
@@ -206,13 +192,17 @@ def _reference_iterate(tab, basis, obj, ncols):
 def reference_solve_min(c, A, b) -> LpSolution:
     """min c.x, A x = b, x >= 0 by a two-phase simplex on a `Fraction` tableau.
 
-    The same starting basis as `aqci.lp.solve_min` (row i starts from the
-    first real column whose entry times the row's denominator lcm is 1 and
-    which is 0 in every other row; the other rows get artificials, numbered
-    in row order), the same pivot rule (Bland's entering column, the least
-    ratio with ties to the lower basis index, artificials driven out or
-    their rows dropped after phase 1), on normalized rational rows, so both
-    must return equal solutions field for field.
+    A general LP: rows with a negative right-hand side are flipped, row i
+    starts from the first real column whose entry times the row's
+    denominator lcm is 1 and which is 0 in every other row, and the other
+    rows get artificials, numbered in row order, which phase 1 drives out
+    (or drops their rows as redundant); an LP without a feasible point is
+    INFEASIBLE.  The pivot rule is Bland's entering column and the least
+    ratio with ties to the lower basis index.  On the LPs `aqci.lp.solve_min`
+    accepts (every row has such a column, right-hand sides >= 0) phase 1
+    has nothing to do, so both take the same start and pivots and must
+    return equal solutions field for field.  `multiplier_membership` needs
+    the general case.
     """
     m, n = len(A), len(c)
     cost = [Fraction(x) for x in c]
@@ -371,30 +361,18 @@ def reference_closure_is_power(a, q: int) -> bool:
     return all(newton_contains(a, p)[0] for p in compositions(q, a.n))
 
 
-def reference_newton_lp(a, target) -> LpSolution:
-    """The Newton LP of `lct._newton_lp` on the generators as given.
+def reference_packing_lp(a, rhs) -> LpSolution:
+    """The packing LP of `lct._packing_lp` on the generators as given.
 
-    One convex weight per generator column g (not g/gcd(g)), and a
-    convexity row of ones: the formulation before primitive columns, kept
-    to show that rescaling the columns changes neither values nor pivots.
-    """
-    gens, n = a.generators, a.n
-    rows = [[g[j] for g in gens] + [int(j == k) for k in range(n)] for j in range(n)]
-    rows.append([1] * len(gens) + [0] * n)
-    return lp.solve_min([0] * (len(gens) + n), rows, [*target, 1])
-
-
-def reference_packing_lp(a) -> LpSolution:
-    """The packing LP of `lct.lct_lp` on the generators as given.
-
-    min -sum(mu) over mu >= 0 with sum_g mu_g*g + slack = (1,..,1): the n
-    slack columns first, then one column g (not g/gcd(g)) of cost -1 per
-    generator, so the value is -lct.  `lct_lp` rescales those columns and
-    the objective by positive numbers, which changes no pivot.
+    min -sum(mu) over mu >= 0 with sum_g mu_g*g + slack = rhs: the n slack
+    columns first, then one column g (not g/gcd(g)) of cost -1 per
+    generator, so the value is -max sum(mu).  `lct._packing_lp` rescales
+    those columns and the objective by positive numbers, which changes no
+    pivot.
     """
     gens, n = a.generators, a.n
     rows = [[int(j == k) for k in range(n)] + [g[j] for g in gens] for j in range(n)]
-    return lp.solve_min([0] * n + [-1] * len(gens), rows, [1] * n)
+    return lp.solve_min([0] * n + [-1] * len(gens), rows, rhs)
 
 
 def multiplier_membership(a, t, m) -> bool:
@@ -416,7 +394,7 @@ def multiplier_membership(a, t, m) -> bool:
     ]
     rows.append([1] * len(gens) + [0] * (2 + n))
     cost = [0] * len(gens) + [-1, 1] + [0] * n
-    sol = lp.solve_min(cost, rows, [Fraction(x) + 1 for x in m] + [1])
+    sol = reference_solve_min(cost, rows, [Fraction(x) + 1 for x in m] + [1])
     if sol.status != OPTIMAL:
         raise ArithmeticError(f"shift-maximization LP failed: {sol.status}")
     return -sol.value > 0

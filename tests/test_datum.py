@@ -48,12 +48,14 @@ from aqci.datum import (
     MAXIMAL_WEIGHT,
     MISSING_SINGLETON,
     NO_MEMBERS,
+    NODE_RATIO,
     NONPOSITIVE_WEIGHT,
     NOT_LAMINAR,
     SIBLING_WEIGHTS,
     WEIGHT_DIVISIBILITY,
     WEIGHT_ORDER,
     _scan,
+    member_forest,
 )
 
 from helpers import chain, star, two_stars
@@ -520,30 +522,45 @@ _CHILDLESS_BLOCKS = [
     make_datum(2, [((1, 2), 1)]),
     make_datum(3, [((1, 2, 3), 1), ((1, 2), 2), ((3,), 2)]),
 ]
+# Members that are not nested: two that overlap, and a repeated element set.
+_NOT_NESTED = [
+    make_datum(3, [((1, 2), 1), ((2, 3), 1), ((1,), 2), ((2,), 2), ((3,), 2)]),
+    make_datum(2, [((1, 2), 1), ((1, 2), 1), ((1,), 2), ((2,), 2)]),
+]
+_STRUCTURAL = (
+    multiplicity,
+    lct_datum,
+    group_order,
+    group_order_lattice,
+    floor_factor_product,
+    summarize,
+    signature,
+)
 
 
 @pytest.mark.parametrize(
     "fn, d",
-    [
-        (fn, d)
-        for fn in (
-            multiplicity,
-            lct_datum,
-            group_order,
-            group_order_lattice,
-            floor_factor_product,
-            summarize,
-            signature,
-        )
-        for d in _CHILDLESS_BLOCKS
-    ],
+    [(fn, d) for fn in _STRUCTURAL for d in _CHILDLESS_BLOCKS]
+    + [(fn, d) for fn in _STRUCTURAL for d in _NOT_NESTED],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_structural_functions_refuse_a_childless_block(fn, d):
     # The member forest would take the block for a leaf: an exact
     # multiplicity 1 on the first candidate, 2 and |G| = 4 on the second.
-    with pytest.raises(ValueError, match="no children"):
+    # Of the members that are not nested, the overlapping pair would give
+    # lct_datum 1 against lct_lp 3/2, and the repeated set group_order 1
+    # against group_order_lattice 2.
+    with pytest.raises(ValueError, match="no children" if d in _CHILDLESS_BLOCKS else "not nested"):
         fn(d)
+
+
+def test_a_refused_candidate_interns_no_class_node():
+    # The repeated element set would intern a class node of ratio 1.
+    interned = len(NODE_RATIO)
+    for d in _NOT_NESTED:
+        with pytest.raises(ValueError, match="not nested"):
+            member_forest(d)
+    assert len(NODE_RATIO) == interned
 
 
 def test_is_isomorphic_matches_relabelings():

@@ -7,6 +7,7 @@ simplex code.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from helpers import (
     chain,
     multiplier_membership,
     reference_closure_is_power,
-    reference_newton_lp,
     reference_packing_lp,
     star,
     two_stars,
@@ -103,7 +103,7 @@ def test_newton_contains_matches_brute_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# Threshold via the diagonal LP
+# Threshold via the packing LP
 
 
 def test_lct_lp_known_values():
@@ -164,7 +164,7 @@ def test_primitive_columns_keep_the_value_and_every_pivot(monkeypatch):
             got = lct_lp(a)
             scaled = list(pivots)
             pivots.clear()
-            want = reference_packing_lp(a)
+            want = reference_packing_lp(a, [1] * a.n)
             assert got == -want.value == lct_datum(x), x
             assert scaled == pivots, x
 
@@ -174,6 +174,21 @@ def _assert_certificate(a, p, cert):
     assert sum(cert.coefficients.values()) == 1
     for j in range(a.n):
         assert sum(lam * a.generators[i][j] for i, lam in cert.coefficients.items()) <= p[j]
+
+
+def _reference_membership(a, p):
+    """(p in Newt(a), convex weights) by the packing LP on the generators as given.
+
+    At rhs D*p, with D the lcm of p's denominators, p is inside exactly when
+    max sum(mu) >= D, and the weights are mu/sum(mu).
+    """
+    p = [Fraction(x) for x in p]
+    big = math.lcm(*(x.denominator for x in p))
+    sol = reference_packing_lp(a, [int(x * big) for x in p])
+    total = -sol.value
+    if total < big:
+        return False, None
+    return True, {i: mu / total for i, mu in enumerate(sol.x[a.n :]) if mu}
 
 
 def test_newton_certificates_hold_on_a_deep_chain():
@@ -188,9 +203,51 @@ def test_newton_certificates_hold_on_a_deep_chain():
         ok, cert = newton_contains(a, p)
         assert ok, p
         _assert_certificate(a, p, cert)
-        want = reference_newton_lp(a, p).x[: len(a.generators)]
-        assert cert.coefficients == {i: x for i, x in enumerate(want) if x != 0}
+        assert (ok, cert.coefficients) == _reference_membership(a, p)
     assert newton_contains(a, (u * Fraction(99, 100),) * a.n) == (False, None)
+
+
+def test_newton_contains_takes_every_pivot_of_the_packing_lp_as_given(monkeypatch):
+    # newton_contains solves the packing LP at rhs D*p on the primitive
+    # columns at costs -L/gcd(g), a positive rescaling of the LP on the
+    # generators as given: the same pivots, decision and convex weights,
+    # each in one run of the simplex from the slack basis.
+    pivots, runs = [], []
+    pivot, iterate = lp._pivot, lp._iterate
+
+    def recording(tab, basis, obj, d, r, s):
+        pivots.append((r, s))
+        return pivot(tab, basis, obj, d, r, s)
+
+    def counting(*args):
+        runs.append(args[1][:])
+        return iterate(*args)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    monkeypatch.setattr(lp, "_iterate", counting)
+    classes = list(enumerate_data(EnumerationBudget(n_max=6, max_ratio=3)))
+    assert len(classes) == 844
+    outcomes = set()
+    for d in classes:
+        a = monomial_ideal(d)
+        u = 1 / lct_datum(d)
+        diagonal = (u,) * a.n
+        fractional = tuple(u * Fraction(2 * j + 1, a.n) for j in range(a.n))
+        for p in (diagonal, a.generators[-1], fractional):
+            pivots.clear()
+            runs.clear()
+            got = newton_contains(a, p)
+            scaled = list(pivots)
+            pivots.clear()
+            want = _reference_membership(a, p)
+            # One run per solve, each from the n slacks.
+            assert runs == [list(range(a.n))] * 2, d
+            assert scaled == pivots, (d, p)
+            assert (got[0], got[1] and got[1].coefficients) == (want[0], want[1]), (d, p)
+            if got[0]:
+                _assert_certificate(a, p, got[1])
+            outcomes.add((p is fractional, got[0]))
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -573,14 +573,17 @@ def member_forest(d: SpecialDatum) -> MemberForest:
     the structural invariants of one datum share one forest; the
     `MemberForest` is frozen and holds only tuples.  A candidate without
     members, with an empty member or a weight below 1, with members that
-    are not nested (`_links`), or with a childless member of more than one
-    element raises `ValueError`: it has no forest of class nodes.
+    are not nested (`_links`), or with a member of more than one element
+    that has no child or only one (its singletons are missing) raises
+    `ValueError`: it has no forest of class nodes.
     """
     if not d.members or any(not m.elements or m.weight < 1 for m in d.members):
         raise ValueError("a member forest needs members, each nonempty and of weight >= 1")
     roots, kids = _links(d)
     node = [LEAF] * len(kids)
     for j in sorted(range(len(kids)), key=lambda j: len(d.elements_of(j))):
+        if len(kids[j]) == 1:
+            raise ValueError(f"member {d.elements_of(j)} lacks its singletons: it has one child")
         if kids[j]:
             ratio = d.weight_of(kids[j][0]) // d.weight_of(j)
             node[j] = intern_class(ratio, [node[k] for k in kids[j]])

@@ -21,8 +21,8 @@ Both LPs are one packing LP, max{sum(mu) : mu >= 0, sum_g mu_g*g <= rhs}
 with an integer rhs >= 0 (`_packing_lp`): p is in Newt(a) exactly when
 some lam in the simplex has sum_g lam_g*g <= p, so with D*p integral the
 optimum is at least D exactly when p is in Newt(a), and lam = mu/sum(mu).
-Its n slack columns come first, so `lp.solve_min` starts from them, and
-each generator g gets the primitive column g/gcd(g), which changes no value
+`lp.solve_min` solves it on integers from its n slack columns, and each
+generator g gets the primitive column g/gcd(g), which changes no value
 and no pivot and keeps the integer tableau small: with the columns
 w_J*1_J of a datum as given, the tableau's minors are products of weights,
 which grow with the depth of the datum.
@@ -77,33 +77,25 @@ def _check_point(a: MonomialIdeal, p) -> tuple[Fraction, ...]:
     return q
 
 
-def _primitive_rows(a: MonomialIdeal):
-    """([c_g], [row j of the primitive columns g/c_g for each coordinate j])."""
+def _packing_lp(a: MonomialIdeal, rhs) -> tuple[Fraction, lp.LpSolution, list[int]]:
+    """(max sum(mu), the solution, [c_g]) over mu >= 0 with sum_g mu_g*g <= rhs.
+
+    `rhs` holds ints >= 0.  The LP is `lp.solve_min`'s: the n slack columns,
+    then the primitive column g/c_g of each generator, c_g = gcd(g), whose
+    variable is x_g = c_g*mu_g; its cost is -L/c_g with L the lcm of the
+    c_g, so the minimum is -L*max sum(mu).  Against the generators as given
+    (cost -1 each) this rescales columns and the objective by positive
+    numbers, which keeps every pivot: Bland's rule reads the signs of
+    reduced costs, and a ratio test compares entries of one column, all
+    scaled alike.  A generator is never zero, so the optimum is finite.
+    """
     scale = [math.gcd(*g) for g in a.generators]
     columns = [g if c == 1 else [x // c for x in g] for g, c in zip(a.generators, scale)]
-    return scale, list(zip(*columns)) if columns else [()] * a.n
-
-
-def _packing_lp(a: MonomialIdeal, rhs) -> tuple[Fraction, tuple[Fraction, ...], list[int]]:
-    """(max sum(mu), x, [c_g]) over mu >= 0 with sum_g mu_g*g <= rhs (ints >= 0).
-
-    The columns are the n slacks first, then the primitive column g/c_g of
-    each generator, c_g = gcd(g), whose variable is x_g = c_g*mu_g; its cost
-    is -L/c_g with L the lcm of the c_g, so the minimum is -L*max sum(mu).
-    Every entry is an int and rhs >= 0, so `lp.solve_min` starts from the
-    slack basis.  Against the generators as given (cost -1 each) this
-    rescales columns and the objective by positive numbers, which keeps
-    every pivot: Bland's rule reads the signs of reduced costs, and a ratio
-    test compares entries of one column, all scaled alike.  A generator is
-    never zero, so the optimum is finite.
-    """
-    scale, coords = _primitive_rows(a)
-    n, lcm = a.n, math.lcm(*scale)
-    rows = [[0] * j + [1] + [0] * (n - 1 - j) + [*row] for j, row in enumerate(coords)]
-    sol = lp.solve_min([0] * n + [-(lcm // c) for c in scale], rows, rhs)
+    lcm = math.lcm(*scale)
+    sol = lp.solve_min(columns, [-(lcm // c) for c in scale], rhs)
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"the packing LP is {sol.status}")
-    return -sol.value / lcm, sol.x[n:], scale
+    return -sol.value / lcm, sol, scale
 
 
 def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
@@ -111,14 +103,15 @@ def newton_contains(a: MonomialIdeal, p) -> tuple[bool, LpCertificate | None]:
 
     The packing LP (`_packing_lp`) runs at rhs D*p, with D the lcm of p's
     denominators: p is in Newt(a) exactly when its optimum s is at least D.
-    The certificate's convex weights are mu_g/s, with mu_g = x_g/gcd(g).
+    The certificate's convex weights are mu_g/s, with mu_g = x_g/(gcd(g)*d)
+    read from the LP's integer point x over its denominator d.
     """
     q = _check_point(a, p)
     den = math.lcm(*(v.denominator for v in q))
-    total, x, scale = _packing_lp(a, [v.numerator * (den // v.denominator) for v in q])
+    total, sol, scale = _packing_lp(a, [v.numerator * (den // v.denominator) for v in q])
     if total < den:
         return False, None
-    coeffs = {i: v / (c * total) for i, (v, c) in enumerate(zip(x, scale)) if v}
+    coeffs = {i: Fraction(v, c * sol.d) / total for i, (v, c) in enumerate(zip(sol.x, scale)) if v}
     return True, LpCertificate(coeffs)
 
 

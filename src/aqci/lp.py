@@ -1,49 +1,40 @@
-"""Exact linear programming over the rationals, on integers.
+"""Exact linear programming on integers: the packing LP of the package.
 
-A primal simplex with Bland's rule for anti-cycling, on a dense tableau of
-Python integers: no revised updates and no floating point, as exactness is
-the whole point.  It runs one phase, from a starting basis the rows carry:
-every LP of the package is a packing LP max{sum(mu) : mu >= 0,
-sum_g mu_g*g <= rhs} with rhs >= 0, whose slack columns are that basis.
+Every LP the package poses is min c.x over [I | C] x = rhs, x >= 0, with
+integer columns C, integer costs c on them (the n slack columns I cost 0)
+and an integer rhs >= 0: in `lct` the columns are the primitive generators
+g/gcd(g).  `solve_min` builds its tableau once, in Python `int`s, with the
+n slacks as the starting basis, feasible because rhs >= 0, and runs one
+phase of the primal simplex under Bland's rule for anti-cycling: no revised
+updates and no floating point, as exactness is the whole point.  A
+negative right-hand side is refused with `ValueError`.
 
 The tableau is fraction-free (Bareiss's integer-preserving elimination, as
-in Avis's `lrs`).  Each input row i is scaled by its own denominator lcm
-s_i, which gives an integer matrix M; the tableau is T = d * B^-1 M in
-Python `int`s, where B is the current basis of M and d = |det B| is one
-common denominator.  A pivot on p = T[r][s] > 0 replaces every other row k
-by (p * T[k] - T[k][s] * T[r]) / d and makes d = p.  By Cramer's rule
-every entry of the new tableau is a minor of M, so that division is always
+in Avis's `lrs`): T = d * B^-1 M in `int`s, where M = [I | C | rhs], B is
+the current basis of M and d = |det B| is one common denominator, 1 at the
+slack basis.  A pivot on p = T[r][s] > 0 replaces every other row k by
+(p * T[k] - T[k][s] * T[r]) / d and makes d = p.  By Cramer's rule every
+entry of the new tableau is a minor of M, so that division is always
 exact.  Every decision of the simplex compares signs or cross-multiplied
 ratios, which the positive d does not change, so the pivots are the ones a
-rational tableau would make.
-
-Row i starts from the first column that holds 1 in M's row i and 0 in every
-other row (its slack), so the starting basis is the identity, feasible as
-M's right-hand side is >= 0, and d starts at 1.  A row with a negative
-right-hand side or without such a column is refused with `ValueError`.
-Scaling a row by s_i is a positive rescaling, which keeps every sign and
-every ratio comparison and so every pivot.  What it saves against scaling
-every row by the product of all the lcms is interpreter work (no division
-while d == 1), not smaller numbers.  On `lct_lp` of `chain(3,...,3)` with
-n = 20, 40 and 80, d stays 1 and every entry off the objective row is 0 or
-+-1 through all n pivots.
+rational tableau would make.  On `lct_lp` of `chain(3,...,3)` with n = 20,
+40 and 80, d stays 1 and every entry off the objective row is 0 or +-1
+through all n pivots.
 
 When p == d, an entry whose pivot-row entry is 0 keeps its value,
 (a * p - f * 0) / d = a, so the update touches only the pivot row's nonzero
 (column, entry) pairs, listed once per pivot.  On the LPs of `lct` (0/1
-generator columns after each is divided by its gcd) that is nearly every
-pivot, and a pivot row is mostly zeros.  Otherwise every entry
-is updated.
+columns) that is nearly every pivot, and a pivot row is mostly zeros.
+Otherwise every entry is updated.
 
-Before an optimum is returned its point is certified against the scaled
-input: M x = b, x >= 0 and c.x = value are checked exactly in integers, and
-a failure raises `ArithmeticError`.  `Fraction`s are built only for the
-returned value and the nonzero coordinates of the point.
+Before an optimum is returned its point is certified against the input:
+[I | C] x = rhs * d, x >= 0 and c.x = value * d are checked exactly in
+integers, and a failure raises `ArithmeticError`.  The point comes back as
+ints over d; the only `Fraction` built is the optimal value.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -54,10 +45,13 @@ UNBOUNDED = "unbounded"
 
 
 class LpSolution(Record):
-    """`status` is OPTIMAL or UNBOUNDED; the optimal `value` (a `Fraction`)
-    and point `x` (a tuple of `Fraction`s) are None otherwise."""
+    """`status` is OPTIMAL or UNBOUNDED.  At an optimum `value` is the minimum
+    (a `Fraction`) and column j of C has the coordinate x[j]/d in an optimal
+    point, where `solve_min` gives ints x[j] and the positive int d; `value`
+    and `x` are None when the LP is unbounded.  `d` defaults to 1."""
 
-    __slots__ = ("status", "value", "x")
+    __slots__ = ("status", "value", "x", "d")
+    _defaults = {"d": 1}
 
 
 def _eliminate(v, row, nz, p, d, s):
@@ -126,69 +120,46 @@ def _iterate(tab, basis, obj):
         d = _pivot(tab, basis, obj, d, best, enter)
 
 
-_denominator = operator.attrgetter("denominator")
-_numerator = operator.attrgetter("numerator")
 _entry = operator.itemgetter(1)
-_ZERO = Fraction(0)
 
 
-def _integer_rows(rows):
-    """(s_i * row_i for each row, [s_i]) with s_i the lcm of row i's denominators."""
-    out, scales = [], []
-    for row in rows:
-        dens = list(map(_denominator, row))
-        s = math.lcm(*dens)
-        nums = map(_numerator, row)
-        out.append(list(nums) if s == 1 else [a * (s // q) for a, q in zip(nums, dens)])
-        scales.append(s)
-    return out, scales
+def solve_min(columns, costs, rhs) -> LpSolution:
+    """Minimize costs.x over [I | C] (slack, x) = rhs, slack >= 0, x >= 0, exactly.
 
-
-def solve_min(c, A, b) -> LpSolution:
-    """Minimize c.x subject to A x = b, x >= 0, exactly.
-
-    `A` is a list of rows; entries of `c`, `A` and `b` are `int`s or
-    `Fraction`s.  Each row is scaled by its denominator lcm and starts from
-    the first column that is 1 in it and 0 in every other row.  A row with
-    a negative right-hand side or without such a column raises
-    `ValueError`: the LP must carry its feasible starting basis, as a
-    packing LP's slacks are.
+    `columns` are the columns of C, each a sequence of len(rhs) ints,
+    `costs` one int per column and `rhs` ints >= 0; a negative right-hand
+    side raises `ValueError`.  The tableau starts from the slack basis, so
+    an LP without columns still has its len(rhs) slack rows.
     """
-    m, n = len(A), len(c)
-    given, _ = _integer_rows([[*A[i], b[i]] for i in range(m)])
-    tab = [row[:] for row in given]
-    basis = [None] * m
-    for j, col in zip(range(n), zip(*tab)):
-        if col.count(0) == m - 1 and 1 in col and basis[col.index(1)] is None:
-            basis[col.index(1)] = j
-    for i, (row, bv) in enumerate(zip(tab, basis)):
-        if row[-1] < 0:
+    n = len(rhs)
+    tab = []
+    for i, b in enumerate(rhs):
+        if b < 0:
             raise ValueError(f"row {i} has a negative right-hand side")
-        if bv is None:
-            raise ValueError(f"row {i} has no unit column to start from")
-
-    (cost,), (scale,) = _integer_rows([c])
-    obj = cost + [0]
-    for row, bv in zip(tab, basis):
-        f = cost[bv]
-        if f != 0:
-            obj = [o - f * v for o, v in zip(obj, row)]
+        row = [0] * n
+        row[i] = 1
+        row += map(operator.itemgetter(i), columns)
+        row.append(b)
+        tab.append(row)
+    basis = list(range(n))
+    obj = [0] * n + [*costs, 0]
     status, d = _iterate(tab, basis, obj)
     if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None)
+        return LpSolution(UNBOUNDED, None, None, 1)
 
-    # The point is d * x in integers; certify it before trusting it.
-    point = [0] * n
+    # The point is d * (slack, x) in integers; certify it before trusting it.
+    point = [0] * (len(obj) - 1)
     for row, bv in zip(tab, basis):
         point[bv] = row[-1]
+    lhs, x = point[:n], point[n:]
+    for col, v in zip(columns, x):
+        if v:
+            for i, a in enumerate(col):
+                lhs[i] += a * v
     if (
-        any(v < 0 for v in point)
-        or any(sum(map(operator.mul, row, point)) != row[-1] * d for row in given)
-        or sum(map(operator.mul, cost, point)) != -obj[-1]
+        min(point, default=0) < 0
+        or lhs != [b * d for b in rhs]
+        or sum(map(operator.mul, costs, x)) != -obj[-1]
     ):
         raise ArithmeticError("simplex optimum fails its certificate A x = b, x >= 0, c.x = value")
-    return LpSolution(
-        OPTIMAL,
-        Fraction(-obj[-1], scale * d),
-        tuple(Fraction(v, d) if v else _ZERO for v in point),
-    )
+    return LpSolution(OPTIMAL, Fraction(-obj[-1], d), tuple(x), d)

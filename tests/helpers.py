@@ -365,14 +365,12 @@ def reference_packing_lp(a, rhs) -> LpSolution:
     """The packing LP of `lct._packing_lp` on the generators as given.
 
     min -sum(mu) over mu >= 0 with sum_g mu_g*g + slack = rhs: the n slack
-    columns first, then one column g (not g/gcd(g)) of cost -1 per
-    generator, so the value is -max sum(mu).  `lct._packing_lp` rescales
-    those columns and the objective by positive numbers, which changes no
-    pivot.
+    columns, then one column g (not g/gcd(g)) of cost -1 per generator, so
+    the value is -max sum(mu) and mu_g = x[g]/d.  `lct._packing_lp`
+    rescales those columns and the objective by positive numbers, which
+    changes no pivot.
     """
-    gens, n = a.generators, a.n
-    rows = [[int(j == k) for k in range(n)] + [g[j] for g in gens] for j in range(n)]
-    return lp.solve_min([0] * n + [-1] * len(gens), rows, rhs)
+    return lp.solve_min(a.generators, [-1] * len(a.generators), rhs)
 
 
 def multiplier_membership(a, t, m) -> bool:

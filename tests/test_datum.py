@@ -468,16 +468,29 @@ def test_apply_permutation_refuses_elements_outside_the_ground_set():
 
 
 @pytest.mark.parametrize(
-    "sets",
+    "sets, match",
     [
-        [((1, 2, 3), 1), ((1,), 2)],  # singletons missing: the walk names only 1
-        [((1, 2), 1), ((1,), 2)],
-        [((0, 1), 1), ((1,), 2), ((3,), 1)],  # a leaf 0
-        [((1, 2, 4), 1), ((1,), 2), ((2,), 2), ((4,), 2)],  # a leaf n + 1
+        # Singletons missing: the walk would name only 1 (only 1 and 3 on
+        # the third), but the member forest refuses the member with one
+        # child first.
+        pytest.param([((1, 2, 3), 1), ((1,), 2)], "has one child", id="sets0"),
+        pytest.param([((1, 2), 1), ((1,), 2)], "has one child", id="sets1"),
+        pytest.param([((0, 1), 1), ((1,), 2), ((3,), 1)], "has one child", id="sets2"),
+        # A leaf n + 1, and a leaf 0 under a member with two children.
+        pytest.param(
+            [((1, 2, 4), 1), ((1,), 2), ((2,), 2), ((4,), 2)],
+            r"is not a permutation of 1\.\.3",
+            id="sets3",
+        ),
+        pytest.param(
+            [((0, 1), 1), ((0,), 2), ((1,), 2), ((3,), 1)],
+            r"is not a permutation of 1\.\.3",
+            id="sets4",
+        ),
     ],
 )
-def test_canonical_form_refuses_a_walk_that_is_not_a_permutation(sets):
-    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+def test_canonical_form_refuses_a_walk_that_is_not_a_permutation(sets, match):
+    with pytest.raises(ValueError, match=match):
         canonical_form(make_datum(3, sets))
 
 
@@ -527,6 +540,8 @@ _NOT_NESTED = [
     make_datum(3, [((1, 2), 1), ((2, 3), 1), ((1,), 2), ((2,), 2), ((3,), 2)]),
     make_datum(2, [((1, 2), 1), ((1, 2), 1), ((1,), 2), ((2,), 2)]),
 ]
+# A member with one child: the singleton {2} is missing.
+_ONE_CHILD = [make_datum(2, [((1, 2), 1), ((1,), 2)])]
 _STRUCTURAL = (
     multiplicity,
     lct_datum,
@@ -541,7 +556,8 @@ _STRUCTURAL = (
 @pytest.mark.parametrize(
     "fn, d",
     [(fn, d) for fn in _STRUCTURAL for d in _CHILDLESS_BLOCKS]
-    + [(fn, d) for fn in _STRUCTURAL for d in _NOT_NESTED],
+    + [(fn, d) for fn in _STRUCTURAL for d in _NOT_NESTED]
+    + [(fn, d) for fn in _STRUCTURAL for d in _ONE_CHILD],
     ids=lambda v: getattr(v, "__name__", None),
 )
 def test_structural_functions_refuse_a_childless_block(fn, d):
@@ -549,16 +565,25 @@ def test_structural_functions_refuse_a_childless_block(fn, d):
     # multiplicity 1 on the first candidate, 2 and |G| = 4 on the second.
     # Of the members that are not nested, the overlapping pair would give
     # lct_datum 1 against lct_lp 3/2, and the repeated set group_order 1
-    # against group_order_lattice 2.
-    with pytest.raises(ValueError, match="no children" if d in _CHILDLESS_BLOCKS else "not nested"):
+    # against group_order_lattice 2.  The member with one child would give
+    # lct_datum, group_order and an exact multiplicity 1.
+    if d in _CHILDLESS_BLOCKS:
+        match = "no children"
+    else:
+        match = "one child" if d in _ONE_CHILD else "not nested"
+    with pytest.raises(ValueError, match=match):
         fn(d)
 
 
 def test_a_refused_candidate_interns_no_class_node():
-    # The repeated element set would intern a class node of ratio 1.
+    # The repeated element set would intern a class node of ratio 1, and
+    # the member with one child a class node with one kid.
     interned = len(NODE_RATIO)
     for d in _NOT_NESTED:
         with pytest.raises(ValueError, match="not nested"):
+            member_forest(d)
+    for d in _ONE_CHILD:
+        with pytest.raises(ValueError, match="one child"):
             member_forest(d)
     assert len(NODE_RATIO) == interned
 

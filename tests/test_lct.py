@@ -188,7 +188,15 @@ def _reference_membership(a, p):
     total = -sol.value
     if total < big:
         return False, None
-    return True, {i: mu / total for i, mu in enumerate(sol.x[a.n :]) if mu}
+    return True, {i: Fraction(mu, sol.d) / total for i, mu in enumerate(sol.x) if mu}
+
+
+def test_newton_contains_on_an_ideal_without_generators():
+    # Newt of the zero ideal is empty.  The packing LP still has its n
+    # slack rows, and its optimum 0 is below D for every point.
+    a = MonomialIdeal(2, ())
+    for p in [(0, 0), (1, 1), (Fraction(1, 2), 3)]:
+        assert newton_contains(a, p) == (False, None)
 
 
 def test_newton_certificates_hold_on_a_deep_chain():

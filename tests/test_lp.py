@@ -1,16 +1,15 @@
 """Exact simplex solver tests.
 
-Every LP given to the solver carries its starting basis: a column per row
-that is 1 in the row scaled by its denominator lcm and 0 elsewhere, and a
-right-hand side >= 0.  Optimal values are cross-checked against
-basic-solution enumeration, and whole solutions, field for field and pivot
-for pivot, against the two-phase `Fraction`-tableau simplex kept in the
-test helpers as the reference.
+Every LP the solver takes is the packing LP min c.x over [I | C] x = rhs,
+x >= 0: integer columns C, integer costs on them and an integer rhs >= 0,
+solved from the slack basis I.  Optimal values are cross-checked against
+basic-solution enumeration, and whole solutions and every pivot against
+the two-phase `Fraction`-tableau simplex kept in the test helpers as the
+reference, run on the same LP written out as [I | C] x = rhs.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -33,130 +32,110 @@ import helpers
 from helpers import brute_lp_min, compositions, reference_solve_min
 
 
+def _dense(columns, costs, rhs):
+    """(c, A, b) of min c.x, A x = b with A = [I | C]: the LP the references take."""
+    n = len(rhs)
+    A = [[int(i == j) for j in range(n)] + [g[i] for g in columns] for i in range(n)]
+    return [0] * n + list(costs), A, list(rhs)
+
+
+def _exact(sol):
+    """(status, value, C's coordinates as `Fraction`s) of a `solve_min` solution."""
+    return sol.status, sol.value, sol.x and tuple(Fraction(v, sol.d) for v in sol.x)
+
+
+def _reference(columns, costs, rhs):
+    """`_exact` of the reference solver's solution of the same LP."""
+    ref = reference_solve_min(*_dense(columns, costs, rhs))
+    return ref.status, ref.value, ref.x and ref.x[len(rhs) :]
+
+
 def test_single_variable_equation():
-    sol = solve_min([Fraction(1)], [[Fraction(1)]], [Fraction(5)])
-    assert sol.status == OPTIMAL
-    assert sol.value == 5
-    assert sol.x == (Fraction(5),)
+    # min -x subject to s + x = 5.
+    sol = solve_min([(1,)], [-1], [5])
+    assert (sol.status, sol.value, sol.x, sol.d) == (OPTIMAL, -5, (5,), 1)
+    assert type(sol.value) is Fraction and type(sol.x[0]) is int
 
 
 def test_two_variable_optimum_picks_cheaper_vertex():
-    # min x + y subject to x + 2y = 4: vertices (4,0) and (0,2).
-    sol = solve_min(
-        [Fraction(1), Fraction(1)],
-        [[Fraction(1), Fraction(2)]],
-        [Fraction(4)],
-    )
-    assert sol.status == OPTIMAL
-    assert sol.value == 2
-    assert sol.x == (Fraction(0), Fraction(2))
+    # min -x - 3y subject to s + x + 2y = 4: vertices (4, 0) and (0, 2).
+    # Bland's rule brings in x first, then y at the pivot 2.
+    sol = solve_min([(1,), (2,)], [-1, -3], [4])
+    assert (sol.status, sol.value, sol.x, sol.d) == (OPTIMAL, -6, (0, 4), 2)
+    assert _exact(sol) == (OPTIMAL, -6, (0, 2))
 
 
 @pytest.mark.parametrize(
-    "A, b, match",
+    "columns, rhs, match",
     [
-        ([[1, 1]], [-1], "row 0 has a negative right-hand side"),
-        ([[-1, 2]], [-3], "row 0 has a negative right-hand side"),  # flipped, column 0 would do
-        ([[2, 3]], [6], "row 0 has no unit column"),
-        ([[1, 0], [1, 1]], [1, 1], "row 0 has no unit column"),  # column 0 is 1 in both rows
+        ([(1,), (1,)], [-1], "row 0 has a negative right-hand side"),
+        # Flipped, the row would start from column 0 of C.
+        ([(-1,), (2,)], [-3], "row 0 has a negative right-hand side"),
+        ([(1, 0), (0, 1)], [1, -1], "row 1 has a negative right-hand side"),
     ],
-    ids=["negative-rhs", "negative-rhs-flippable", "no-entry-one", "one-shared"],
+    ids=["negative-rhs", "negative-rhs-flippable", "negative-second-row"],
 )
-def test_a_row_without_a_start_is_refused(A, b, match):
+def test_a_row_without_a_start_is_refused(columns, rhs, match):
     with pytest.raises(ValueError, match=match):
-        solve_min([1, 1], A, b)
+        solve_min(columns, [1, 1], rhs)
 
 
 def test_unbounded_direction_detected():
-    # min -x subject to x - y = 0: push x = y to infinity.
-    sol = solve_min(
-        [Fraction(-1), Fraction(0)],
-        [[Fraction(1), Fraction(-1)]],
-        [Fraction(0)],
-    )
-    assert sol.status == UNBOUNDED
+    # min -x subject to s + x - y = 0: push x = y to infinity.
+    sol = solve_min([(1,), (-1,)], [-1, 0], [0])
+    assert (sol.status, sol.value, sol.x) == (UNBOUNDED, None, None)
 
 
 def test_degenerate_zero_rhs():
-    # x + y + s = 0 forces x = y = s = 0, and then t = 0: only the origin
+    # s + x + y = 0 forces x = y = s = 0, and then t = 0: only the origin
     # is feasible, and every ratio test ties at 0.
-    sol = solve_min(
-        [Fraction(-3), Fraction(-5), Fraction(0), Fraction(0)],
-        [[Fraction(1), Fraction(1), Fraction(1), Fraction(0)],
-         [Fraction(1), Fraction(-1), Fraction(0), Fraction(1)]],
-        [Fraction(0), Fraction(0)],
-    )
-    assert sol.status == OPTIMAL
-    assert sol.value == 0
-    assert sol.x == (Fraction(0),) * 4
-
-
-def test_fractional_data_stays_exact():
-    # Scaled by 5 the row is [2, 3, 1 | 5]: the third column starts.
-    sol = solve_min(
-        [Fraction(1, 3), Fraction(1, 7), Fraction(1)],
-        [[Fraction(2, 5), Fraction(3, 5), Fraction(1, 5)]],
-        [Fraction(1)],
-    )
-    assert sol.status == OPTIMAL
-    # Vertex (5/2, 0, 0) costs 5/6, (0, 5/3, 0) 5/21 and (0, 0, 5) 5.
-    assert sol.value == Fraction(5, 21)
+    sol = solve_min([(1, 1), (1, -1)], [-3, -5], [0, 0])
+    assert _exact(sol) == (OPTIMAL, 0, (0, 0))
 
 
 def test_cycling_prone_instance_terminates_at_optimum():
     # A classic degenerate instance on which naive pivoting cycles forever
-    # (Beale's), its first two rows times 100 and 50 to clear their
-    # denominators: the slacks stay unit columns, and no pivot changes.
-    c = [Fraction(-3, 4), Fraction(150), Fraction(-1, 50), Fraction(6), 0, 0, 0]
-    A = [
-        [25, -6000, -4, 900, 1, 0, 0],
-        [25, -4500, -1, 150, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-    ]
-    b = [0, 0, 1]
-    sol = solve_min(c, A, b)
+    # (Beale's): its first two rows times 100 and 50 and its costs times
+    # 100, to clear their denominators, with its slacks first.
+    columns = [(25, 25, 0), (-6000, -4500, 0), (-4, -1, 1), (900, 150, 0)]
+    costs = [-75, 15000, -2, 600]
+    sol = solve_min(columns, costs, [0, 0, 1])
     assert sol.status == OPTIMAL
-    assert sol.value == Fraction(-1, 20)
-    assert sol.value == brute_lp_min(c, A, b)
+    assert sol.value == -5
+    assert sol.value == brute_lp_min(*_dense(columns, costs, [0, 0, 1]))
 
 
 def test_solution_vector_satisfies_constraints():
-    c = [Fraction(2), Fraction(1), Fraction(3), Fraction(-1)]
-    A = [
-        [Fraction(1), Fraction(1), Fraction(2), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(1), Fraction(1)],
-    ]
-    b = [Fraction(4), Fraction(1)]
-    sol = solve_min(c, A, b)
+    columns, costs, rhs = [(1, 1), (2, 1), (1, 0), (0, 1)], [-1, -3, 2, -1], [4, 1]
+    sol = solve_min(columns, costs, rhs)
     assert sol.status == OPTIMAL
-    for row, rhs in zip(A, b):
-        assert sum(r * x for r, x in zip(row, sol.x)) == rhs
-    assert all(x >= 0 for x in sol.x)
-    assert sum(ci * xi for ci, xi in zip(c, sol.x)) == sol.value
+    _, value, x = _exact(sol)
+    for i, b in enumerate(rhs):
+        assert sum(g[i] * v for g, v in zip(columns, x)) <= b
+    assert all(v >= 0 for v in x)
+    assert sum(c * v for c, v in zip(costs, x)) == value == -3
 
 
 def test_random_instances_match_basis_enumeration():
-    # Each row gets a slack: full row rank, and the slacks are feasible.
+    # The slacks give full row rank and a feasible point.
     rng = random.Random(0)
     statuses = set()
     for _ in range(60):
         m = rng.randint(1, 3)
-        n = rng.randint(0, 3)
-        A = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(n)] + [int(i == k) for k in range(m)]
-            for i in range(m)
-        ]
-        b = [Fraction(rng.randint(0, 5)) for _ in range(m)]
-        c = [Fraction(rng.randint(-4, 4)) for _ in range(n + m)]
-        sol = solve_min(c, A, b)
-        expected = brute_lp_min(c, A, b)
+        k = rng.randint(0, 3)
+        columns = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(k)]
+        costs = [rng.randint(-4, 4) for _ in range(k)]
+        rhs = [rng.randint(0, 5) for _ in range(m)]
+        sol = solve_min(columns, costs, rhs)
+        expected = brute_lp_min(*_dense(columns, costs, rhs))
         assert expected is not None
         statuses.add(sol.status)
         if sol.status == OPTIMAL:
-            assert expected == sol.value
-            for row, rhs in zip(A, b):
-                assert sum(r * x for r, x in zip(row, sol.x)) == rhs
-            assert all(x >= 0 for x in sol.x)
+            _, value, x = _exact(sol)
+            assert expected == value
+            for i, b in enumerate(rhs):
+                assert sum(g[i] * v for g, v in zip(columns, x)) <= b
+            assert all(v >= 0 for v in x)
         else:
             assert sol.status == UNBOUNDED
     assert statuses == {OPTIMAL, UNBOUNDED}
@@ -166,41 +145,30 @@ def test_random_instances_match_basis_enumeration():
 # Equality with the reference `Fraction` simplex
 
 
-_INTEGER = st.integers(-3, 3)
-_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
-def _unit_entry(row, rhs):
-    """1/s with s the lcm of the row's denominators: 1 once the row is scaled."""
-    return Fraction(1, math.lcm(*(Fraction(v).denominator for v in (*row, rhs))))
+_ENTRY = st.integers(-3, 3)
 
 
 @st.composite
-def _small_lps(draw, anywhere=False):
-    """min c.x, A x = b with b >= 0: integer or rational rows and a unit block.
+def _small_lps(draw, unit_columns=False):
+    """(columns, costs, rhs) with rhs >= 0.
 
-    Row i gets one column that is 1/s_i in it and 0 in every other row, s_i
-    the lcm of the row's denominators, so that column scales to a unit
-    column; the block comes last (the slacks of a <=-form LP), or at a drawn
-    position when `anywhere`.  Small entries make zero right-hand sides
-    (degenerate ties), other unit columns before the block and unbounded
+    With `unit_columns` C also holds the m unit columns, in a block at a
+    drawn position, so every row has unit columns after its slack.  Small
+    entries make zero right-hand sides (degenerate ties) and unbounded
     instances common.
     """
-    entry = draw(st.sampled_from([_INTEGER, _RATIONAL]))
     m = draw(st.integers(0, 4))
-    n = draw(st.integers(1, 5))
-    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    b = [abs(draw(entry)) for _ in range(m)]
-    at = draw(st.integers(0, n)) if anywhere else n
-    A = [
-        row[:at] + [_unit_entry(row, rhs) if k == i else 0 for k in range(m)] + row[at:]
-        for i, (row, rhs) in enumerate(zip(A, b))
-    ]
-    c = [draw(st.one_of(_INTEGER, _RATIONAL)) for _ in range(n + m)]
-    return c, A, b
+    k = draw(st.integers(1, 5))
+    columns = [tuple(draw(_ENTRY) for _ in range(m)) for _ in range(k)]
+    if unit_columns:
+        at = draw(st.integers(0, k))
+        columns[at:at] = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    costs = [draw(_ENTRY) for _ in columns]
+    rhs = [abs(draw(_ENTRY)) for _ in range(m)]
+    return columns, costs, rhs
 
 
-def _solve_recording_pivots(module, pivot_name, solve, c, A, b):
+def _solve_recording_pivots(module, pivot_name, solve, *args):
     """(solution, [(row, column) for each pivot])."""
     pivots = []
     pivot = getattr(module, pivot_name)
@@ -210,10 +178,10 @@ def _solve_recording_pivots(module, pivot_name, solve, c, A, b):
         return pivot(tab, basis, obj, *args)
 
     with mock.patch.object(module, pivot_name, spy):
-        return solve(c, A, b), pivots
+        return solve(*args), pivots
 
 
-def _starts(c, A, b):
+def _starts(columns, costs, rhs):
     """(solution, [(columns, basis) as each `lp._iterate` run begins], pivots).
 
     Checks the solution and every pivot against the reference on the way.
@@ -226,46 +194,41 @@ def _starts(c, A, b):
         return iterate(tab, basis, obj)
 
     with mock.patch.object(lp, "_iterate", spy):
-        sol, pivots = _solve_recording_pivots(lp, "_pivot", solve_min, c, A, b)
-    want = _solve_recording_pivots(helpers, "_reference_pivot", reference_solve_min, c, A, b)
-    assert (sol, pivots) == want
+        sol, pivots = _solve_recording_pivots(lp, "_pivot", solve_min, columns, costs, rhs)
+    ref, ref_pivots = _solve_recording_pivots(
+        helpers, "_reference_pivot", _reference, columns, costs, rhs
+    )
+    assert (_exact(sol), pivots) == (ref, ref_pivots)
     return sol, runs, pivots
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_small_lps())
 def test_solutions_and_pivots_equal_the_reference_solver(instance):
+    columns, _, rhs = instance
     _, runs, _ = _starts(*instance)
-    assert len(runs) == 1
+    assert runs == [(len(rhs) + len(columns), list(range(len(rhs))))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_small_lps(anywhere=True))
+@given(_small_lps(unit_columns=True))
 def test_unit_columns_start_as_the_reference_solver_does(instance):
+    # The reference starts each row from its first unit column: the slack,
+    # as `solve_min` does, though C has unit columns too.
+    columns, _, rhs = instance
     _, runs, _ = _starts(*instance)
-    assert len(runs) == 1
+    assert runs == [(len(rhs) + len(columns), list(range(len(rhs))))]
 
 
 def test_rows_that_all_have_unit_columns_skip_phase_one():
-    # Column 1 is the unit column of row 0 and column 2 that of row 1: the
-    # simplex runs once, from them, as the reference's phase 2 does.
-    sol, runs, pivots = _starts([-3, 0, 0, -1], [[2, 1, 0, 1], [1, 0, 1, 3]], [4, 3])
-    assert runs == [(4, [1, 2])]
-    assert pivots
-    assert sol.value == brute_lp_min([-3, 0, 0, -1], [[2, 1, 0, 1], [1, 0, 1, 3]], [4, 3])
-
-
-@pytest.mark.parametrize(
-    "row, rhs, start",
-    [
-        ([Fraction(1, 2), 1], 1, 0),  # scaled by 2 the row is [1, 2 | 2]
-        ([1, Fraction(1, 3)], Fraction(2, 3), 1),  # scaled by 3 it is [3, 1 | 2]
-    ],
-)
-def test_a_row_starts_from_a_column_that_scales_to_one(row, rhs, start):
-    sol, runs, _ = _starts([1, 1], [row], [rhs])
-    assert sol.status == OPTIMAL
-    assert runs == [(2, [start])]
+    # Columns 1 and 2 of C are unit columns of rows 0 and 1, but the slacks
+    # come first: the simplex runs once, from them, as the reference's
+    # phase 2 does after a phase 1 without artificials.
+    columns, costs, rhs = [(2, 1), (1, 0), (0, 1), (1, 3)], [-3, 0, 0, -1], [4, 3]
+    sol, runs, pivots = _starts(columns, costs, rhs)
+    assert runs == [(6, [0, 1])]
+    assert pivots == [(0, 2)]
+    assert sol.value == -6 == brute_lp_min(*_dense(columns, costs, rhs))
 
 
 def _pivot_denominators(solve, *args):
@@ -282,35 +245,18 @@ def _pivot_denominators(solve, *args):
 
 
 def test_the_first_pivot_sees_denominator_one():
-    # Row i is scaled by its own lcm and starts from its unit column, so the
-    # starting basis is the identity, on integer and on rational rows (the
-    # second row scales to [0, 2, 2, 1 | 1], and its first pivot is 2).
-    c, A, b = [2, -1, 3, 0], [[1, 1, 2, 0], [0, 1, 1, Fraction(1, 2)]], [4, Fraction(1, 2)]
-    sol, seen = _pivot_denominators(solve_min, c, A, b)
-    assert sol == reference_solve_min(c, A, b)
-    assert seen == [1]
+    # The starting basis is the slacks' identity, so d starts at 1; the
+    # second pivot runs at d = 2, the first pivot's entry.
+    columns, costs, rhs = [(2, 1), (1, 3)], [-1, -1], [4, 3]
+    sol, seen = _pivot_denominators(solve_min, columns, costs, rhs)
+    want = (OPTIMAL, Fraction(-11, 5), (Fraction(9, 5), Fraction(2, 5)))
+    assert _exact(sol) == _reference(columns, costs, rhs) == want
+    assert (seen, sol.d) == ([1, 2], 5)
     a = monomial_ideal(helpers.chain(3, 3, 3))
     value, seen = _pivot_denominators(lct_lp, a)
     assert value == 1 and seen[0] == 1
     (inside, _), seen = _pivot_denominators(newton_contains, a, (Fraction(3, 2),) * a.n)
     assert inside and seen[0] == 1
-
-
-def test_rows_with_denominators_two_and_three_keep_every_pivot():
-    # s = (2, 3): the rows scale to [1, 2, 0, 3, 1, 0 | 2] and
-    # [3, 1, 3, 2, 0, 1 | 2], which start from columns 4 and 5.  The first
-    # pivot is 2, so the second runs at d = 2, as the `Fraction` reference
-    # pivots.
-    c = [1, -1, 1, -2, 0, 0]
-    A = [
-        [Fraction(1, 2), 1, 0, Fraction(3, 2), Fraction(1, 2), 0],
-        [1, Fraction(1, 3), 1, Fraction(2, 3), 0, Fraction(1, 3)],
-    ]
-    b = [1, Fraction(2, 3)]
-    sol, runs, pivots = _starts(c, A, b)
-    assert runs == [(6, [4, 5])]
-    assert pivots == [(0, 1), (0, 3)]
-    assert sol.value == Fraction(-4, 3) == brute_lp_min(c, A, b)
 
 
 def _dense_bareiss(tab, obj, d, r, s):
@@ -374,18 +320,6 @@ def test_sparse_pivot_equals_a_dense_bareiss_step():
     assert cases == {True, False}
 
 
-def test_int_fraction_and_mixed_input_agree():
-    c = [2, 1, 3, -1]
-    A = [[1, 1, 2, 0], [0, 1, 1, 1]]
-    b = [4, 1]
-    frac = ([Fraction(v) for v in c], [[Fraction(v) for v in row] for row in A], [Fraction(v) for v in b])
-    mixed = (frac[0][:1] + c[1:], [A[0], frac[1][1]], [b[0], frac[2][1]])
-    solutions = {solve_min(c, A, b), solve_min(*frac), solve_min(*mixed)}
-    assert solutions == {reference_solve_min(c, A, b)}
-    (sol,) = solutions
-    assert sol.status == OPTIMAL and all(type(v) is Fraction for v in (sol.value, *sol.x))
-
-
 def _lct_lp_results(data):
     out = []
     for d in data:
@@ -396,12 +330,18 @@ def _lct_lp_results(data):
     return out
 
 
+def _reference_packing_solution(columns, costs, rhs):
+    """`solve_min`'s solution by the reference, C's point as `Fraction`s over d = 1."""
+    status, value, x = _reference(columns, costs, rhs)
+    return lp.LpSolution(status, value, x)
+
+
 def test_lct_lp_callers_match_the_reference_solver(monkeypatch):
     # The reference turns every entry into a `Fraction`, as the callers did
-    # before they passed plain integer rows.
+    # before they passed plain integer columns.
     data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)))
     got = _lct_lp_results(data)
-    monkeypatch.setattr(lp, "solve_min", reference_solve_min)
+    monkeypatch.setattr(lp, "solve_min", _reference_packing_solution)
     assert _lct_lp_results(data) == got
 
 
@@ -431,8 +371,8 @@ def test_corrupted_pivot_fails_the_certificate(monkeypatch, call, corrupt):
         pivots.append((r, s))
         return d
 
-    assert solve_min([0, -1, -2], [[1, 2, 3]], [6]).value == -4
+    assert solve_min([(2,), (3,)], [-1, -2], [6]).value == -4
     monkeypatch.setattr(lp, "_pivot", corrupted)
     with pytest.raises(ArithmeticError, match="certificate"):
-        solve_min([0, -1, -2], [[1, 2, 3]], [6])
+        solve_min([(2,), (3,)], [-1, -2], [6])
     assert len(pivots) == 2

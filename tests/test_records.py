@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -70,7 +69,7 @@ RECORDS = [
         ),
     ),
     (newton_contains(monomial_ideal(star(2, 2)), (2, 2))[1], ("coefficients",)),
-    (solve_min([Fraction(1)], [[Fraction(1)]], [Fraction(2)]), ("status", "value", "x")),
+    (solve_min([(1,)], [-1], [2]), ("status", "value", "x", "d")),
     (VerificationReport({"all_passed": True}, ({"id": "x"},)), ("summary", "records")),
 ]
 CLASSES = [

@@ -21,14 +21,18 @@ Two routes are provided and never mixed:
     packed into single integers (one field per coordinate, then the degree
     and a second positive functional phi on top, so a generator step is
     one add), and its longest-decomposition DP is an unbounded knapsack,
-    one pass per generator that walks each ray of that generator once, in
-    place in one dict.  The walk covers only the points that can reach the
-    histogram, a set closed under subtracting generators, so the knapsack
-    is exact on it; a run-time certificate (the semigroup is its residues
-    mod the pure powers a_i*e_i plus the multiples of those powers) bounds
-    that set.  Data without the certificate walk the whole semigroup up to
-    the bound.  The point ceiling bounds the entries of every table stored,
-    a wide entry counting once per started 256 bits.  Tables are cached per
+    one pass per generator, in place in one dict.  A pass walks the rays
+    of its generator upward from the ray starts only (the stored points
+    whose predecessor on the ray is not stored) and touches every point
+    once; the last pass stores none of its new points and counts each
+    point's final length straight into the histogram.  The walk covers
+    only the points that can reach the histogram, a set closed under
+    subtracting generators, so the knapsack is exact on it; a run-time
+    certificate (the semigroup is its residues mod the pure powers a_i*e_i
+    plus the multiples of those powers) bounds that set.  Data without the
+    certificate walk the whole semigroup up to the bound.  The point
+    ceiling bounds the entries of every table, stored or counted, a wide
+    entry counting once per started 256 bits.  Tables are cached per
     isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` return the two
@@ -279,10 +283,10 @@ class HilbertSamuelTable(Record):
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
     table is `stabilized` when the last `STABLE_RUN` (three) n-th finite
     differences agree; `e` is then that common value.  `points` is the
-    number of entries of the knapsack table, the semigroup points that
-    were stored (see `_tabulate`).  `aborted` means a table would exceed
-    the point ceiling: then values is empty, e is None and points is
-    point_ceiling + 1 for any ceiling >= 0.
+    number of entries of the knapsack table, |D| (see `_tabulate`): the
+    last pass of `_longest` counts its new points but stores none of them.
+    `aborted` means a table would exceed the point ceiling: then values is
+    empty, e is None and points is point_ceiling + 1 for any ceiling >= 0.
     """
 
     __slots__ = ("n", "values", "stabilized", "e", "points", "aborted")
@@ -401,8 +405,10 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
     return residues
 
 
-def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | None:
-    """Longest decompositions on D = S ∩ {deg <= top} ∩ {phi <= cap}, or None.
+def _longest(
+    n: int, gens, weights, top: int, cap: int, ceiling: int, k_max: int
+) -> tuple[list[int], int] | None:
+    """(histogram of longest lengths, |D|) on D = S ∩ {deg <= top} ∩ {phi <= cap}, or None.
 
     phi is the functional of `weights`.  A point is one int: a field of
     w = top.bit_length() bits per coordinate, then its degree, then phi on
@@ -414,20 +420,32 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
 
     With l_j(q) the longest decomposition of q into the first j generators
     (none if q is not their sum), l_j(q) = max(l_{j-1}(q), l_j(q - g_j) + 1).
-    Pass j visits the points of the first j - 1 generators in phi order and
-    walks each g_j-ray upward once, while it stays in D (two floor
-    divisions and a compare give its length): a point whose predecessor
-    q - g_j is a point was reached by the walk through that predecessor,
-    which has lower phi, so each ray is walked from its lowest point, and
-    along it the recurrence is a running maximum.  One dict is both the
-    point set and the DP table, updated in place.  A value is
-    2 * length + the parity of the pass that wrote it: every point is
-    either the lowest of its ray or on a walk, so each pass rewrites every
-    value, and a point that already holds this pass's parity was walked and
-    is skipped.  More points than the ceiling admits at
-    pshift + cap.bit_length() bits a point returns None: a countdown of the
-    free entries, taken only when a point is stored, stops the walk at the
-    first point past the limit.
+    One dict is both the point set and the DP table, updated in place.
+    Pass j walks g_j-rays upward while they stay in D (two floor divisions
+    and a compare give a walk's length), keeping the running maximum.  A
+    walk begins only at a ray start: a stored point p with p - g_j not
+    stored, taken in phi order.  It passes the stored points of its
+    segment, rewriting a length only when it grows, then stores the new
+    points beyond; a stored point right after a new one is the next start,
+    so the walk hands it max(v, old) and stops.  Every point is thus
+    touched once per pass.  The lookup of p - g_j never hits by a borrow:
+    if r + g_j = p as integers, with C carries out of coordinate fields and
+    c out of the degree field, p's degree field exceeds the sum of its
+    coordinate fields by (2^w - 1)·C + 2·(carry out of the last
+    coordinate) - 2^w·c.  On a stored p that is 0, so C = c = 0, or w = 1
+    and c = 1, where p's degree field is 0 and p is the origin, not
+    r + g_j.
+
+    The last pass stores none of its new points.  It touches each point of
+    D once, with its final length l, and counts it straight into the
+    histogram: bin l for l < k_max, the last bin for the rest.  The bins
+    are min(k_max, limit) + 1, filled before the table is known to finish.
+    That is enough: a point of length l ends a chain of l + 1 distinct
+    points of D, so in a finished table l < |D| <= limit.  More points
+    than the ceiling admits at pshift + cap.bit_length() bits a point
+    returns None: a countdown of the free entries, taken at every new
+    point, stored or counted, stops the walk at the first point past the
+    limit, and what it leaves gives |D|.
     """
     w = top.bit_length()
     dshift = n * w
@@ -440,38 +458,71 @@ def _longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | 
         if dg <= top and fg <= cap:
             packed.append((dg, fg, fg << pshift | dg << dshift | _pack(g, w)))
 
-    longest = {0: 0}
-    get = longest.get
     free = limit - 1  # entries the limit still admits
     if free < 0:
         return None
-    for j, (dg, fg, g) in enumerate(packed, 1):
-        parity = j & 1
-        for p in sorted(longest):
+    last = min(k_max, limit)  # the overflow bin
+    histogram = [0] * (last + 1)
+    if not packed:
+        histogram[0] = 1
+        return histogram, 1
+    longest = {0: 0}
+    get = longest.get
+    for dg, fg, g in packed[:-1]:
+        for p in sorted([q for q in longest if q - g not in longest]):
             v = longest[p]
-            if v & 1 == parity:
-                continue
-            v ^= 1
-            longest[p] = v
             steps = (top - (p >> dshift & dmask)) // dg
             by_phi = (cap - (p >> pshift)) // fg
             if by_phi < steps:
                 steps = by_phi
+            new = False
             for _ in range(steps):
                 p += g
-                v += 2
+                v += 1
                 old = get(p)
                 if old is None:
                     longest[p] = v
                     free -= 1
                     if free < 0:
                         return None
-                else:
-                    old ^= 1
-                    if old > v:
-                        v = old
+                    new = True
+                elif new:
+                    if old < v:
+                        longest[p] = v
+                    break
+                elif old < v:
                     longest[p] = v
-    return longest
+                else:
+                    v = old
+
+    # The last pass: the same walk, counting every point and storing no new
+    # one.  A loop of its own keeps flag tests off the storing passes' steps.
+    dg, fg, g = packed[-1]
+    for p in sorted([q for q in longest if q - g not in longest]):
+        v = longest[p]
+        histogram[v if v < last else last] += 1
+        steps = (top - (p >> dshift & dmask)) // dg
+        by_phi = (cap - (p >> pshift)) // fg
+        if by_phi < steps:
+            steps = by_phi
+        new = False
+        for _ in range(steps):
+            p += g
+            v += 1
+            old = get(p)
+            if old is None:
+                free -= 1
+                if free < 0:
+                    return None
+                new = True
+            elif new:
+                if old < v:
+                    longest[p] = v
+                break
+            elif old > v:
+                v = old
+            histogram[v if v < last else last] += 1
+    return histogram, limit - free
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -485,15 +536,16 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     phi(q) = Σ q_i·L/a_i and c = min((k_max - 1)·max phi(g),
     (k_max - 1)·L + max phi(r) over r in R): on q = r + a∘k (see
     `_residues`) l(q) >= |k|, so phi(q) = phi(r) + L·|k| <= c.  `_longest`
-    is exact on D, so only D is stored and walked.  This route needs the
+    is exact on D, so only D is walked, and it returns the histogram of
+    lengths (the last bin holds l >= k_max) and |D|.  This route needs the
     certificate of `_residues`; valid data pass it (their rings are normal
     semigroup rings), but it is checked, not assumed.  R is dropped once c
     is known, so at most one of R and D is held at a time.
 
     Data without it (a coordinate with no pure power, or a generator set
     whose residues mod a leave R) walk all of S ∩ {deg <= bound} instead,
-    with phi = deg.  Either way `points` is the size of the knapsack table,
-    and `point_ceiling` bounds every table built (R, then D): one that
+    with phi = deg.  Either way `points` is |D|, the size of the knapsack
+    table, and `point_ceiling` bounds every table built (R, then D): one that
     would hold more entries than the ceiling admits at its entry width (see
     `_entry_limit`) aborts with points = ceiling + 1.
     """
@@ -511,27 +563,22 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
         weights = [lcm // x for x in a]
         residues = _residues(gens, a, weights, bound, ceiling)
     if residues is None:
-        longest = _longest(n, gens, (1,) * n, bound, bound, ceiling)
+        counted = _longest(n, gens, (1,) * n, bound, bound, ceiling, k_max)
     elif residues:
         cap = min(
             (k_max - 1) * max(sum(x * w for x, w in zip(g, weights)) for g in gens),
             (k_max - 1) * lcm + max(f for _, f in residues.values()),
         )
         del residues
-        longest = _longest(n, gens, weights, (k_max - 1) * maxdeg, cap, ceiling)
+        counted = _longest(n, gens, weights, (k_max - 1) * maxdeg, cap, ceiling, k_max)
     else:
-        longest = None
-    if longest is None:
+        counted = None
+    if counted is None:
         return HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
 
     # A finished table holds at least k_max points (multiples of one
-    # generator), so the histogram is no larger than the point set.
-    histogram = [0] * k_max
-    for v in longest.values():
-        v >>= 1
-        if v < k_max:
-            histogram[v] += 1
-
+    # generator), so its histogram has k_max bins and the overflow bin.
+    histogram, points = counted
     values = []
     total = 0
     for k in range(k_max):
@@ -544,7 +591,7 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     run = diffs[-STABLE_RUN:]
     stabilized = len(run) == STABLE_RUN and len(set(run)) == 1
     e = diffs[-1] if stabilized else None
-    return HilbertSamuelTable(n, tuple(values), stabilized, e, len(longest), False)
+    return HilbertSamuelTable(n, tuple(values), stabilized, e, points, False)
 
 
 def table_payload(table: HilbertSamuelTable) -> dict:

@@ -3,14 +3,16 @@
 Nothing here imports the solver code under test beyond plain data types,
 the label-level operations `restrict` and `reduce`, Newton-polyhedron
 membership for the two closure-power references, `lp.solve_min` for the
-packing LP on the generators as given, `format_fraction` for the grid
-witnesses, `intern_class` and `class_datum` to turn the reference
+packing LP on the generators as given, the oracle's point packing
+(`_pack`, `_entry_limit`) for its previous kernel, `format_fraction` for
+the grid witnesses, `intern_class` and `class_datum` to turn the reference
 enumeration's tuple trees into data, and `ClassMemo` with the class-node
 tables for the seven-candidate envelope:
 the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
-generation, the tuple-tree enumeration order, colength tabulation on coordinate tuples, the structural
+generation, the tuple-tree enumeration order, colength tabulation on
+coordinate tuples, the oracle's previous packed kernel, the structural
 recursions on relabeled sub-data, the cubic containment tests of the
 axioms, one membership LP per vertex of Newt(m^q) and a membership sweep
 over a whole degree slice where the package reads member degrees, the
@@ -40,6 +42,7 @@ from aqci import (
 from aqci import datum as _datum
 from aqci import lp
 from aqci.lp import OPTIMAL, UNBOUNDED, LpSolution
+from aqci.multiplicity import _entry_limit, _pack
 
 # The status `reference_solve_min` gives an LP without a feasible point; the
 # package's solver starts from a feasible basis and has no such status.
@@ -553,6 +556,81 @@ def reference_table(d, budget=OracleBudget()):
     stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
     e = diffs[-1] if stabilized else None
     return HilbertSamuelTable(n, tuple(values), stabilized, e, len(points), False)
+
+
+# The oracle's packed kernel before it walked from ray starts only and
+# counted its last pass: every pass sorts and visits the whole table.
+def reference_longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -> dict | None:
+    """Longest decompositions on D = S ∩ {deg <= top} ∩ {phi <= cap}, or None.
+
+    phi is the functional of `weights`.  A point is one int: a field of
+    w = top.bit_length() bits per coordinate, then its degree, then phi on
+    top.  No field exceeds w bits within D, so adding a generator (packed
+    the same way) is one integer add that never carries between fields, and
+    sorting points sorts them by phi.  D is closed under subtracting a
+    generator (deg and phi are positive on each), so the knapsack below is
+    exact on it.
+
+    With l_j(q) the longest decomposition of q into the first j generators
+    (none if q is not their sum), l_j(q) = max(l_{j-1}(q), l_j(q - g_j) + 1).
+    Pass j visits the points of the first j - 1 generators in phi order and
+    walks each g_j-ray upward once, while it stays in D (two floor
+    divisions and a compare give its length): a point whose predecessor
+    q - g_j is a point was reached by the walk through that predecessor,
+    which has lower phi, so each ray is walked from its lowest point, and
+    along it the recurrence is a running maximum.  One dict is both the
+    point set and the DP table, updated in place.  A value is
+    2 * length + the parity of the pass that wrote it: every point is
+    either the lowest of its ray or on a walk, so each pass rewrites every
+    value, and a point that already holds this pass's parity was walked and
+    is skipped.  More points than the ceiling admits at
+    pshift + cap.bit_length() bits a point returns None: a countdown of the
+    free entries, taken only when a point is stored, stops the walk at the
+    first point past the limit.
+    """
+    w = top.bit_length()
+    dshift = n * w
+    pshift = dshift + w
+    dmask = (1 << w) - 1
+    limit = _entry_limit(ceiling, pshift + cap.bit_length())
+    packed = []
+    for g in gens:
+        dg, fg = sum(g), sum(x * y for x, y in zip(g, weights))
+        if dg <= top and fg <= cap:
+            packed.append((dg, fg, fg << pshift | dg << dshift | _pack(g, w)))
+
+    longest = {0: 0}
+    get = longest.get
+    free = limit - 1  # entries the limit still admits
+    if free < 0:
+        return None
+    for j, (dg, fg, g) in enumerate(packed, 1):
+        parity = j & 1
+        for p in sorted(longest):
+            v = longest[p]
+            if v & 1 == parity:
+                continue
+            v ^= 1
+            longest[p] = v
+            steps = (top - (p >> dshift & dmask)) // dg
+            by_phi = (cap - (p >> pshift)) // fg
+            if by_phi < steps:
+                steps = by_phi
+            for _ in range(steps):
+                p += g
+                v += 2
+                old = get(p)
+                if old is None:
+                    longest[p] = v
+                    free -= 1
+                    if free < 0:
+                        return None
+                else:
+                    old ^= 1
+                    if old > v:
+                        v = old
+                    longest[p] = v
+    return longest
 
 
 def without_points(table):

@@ -1,8 +1,10 @@
 """The packed-integer colength oracle against an independent tuple tabulation.
 
-On the certified route the oracle stores only its knapsack table, so it is
-compared with the reference on every field but `points`; on the walk route
-the two store the same points and must be equal.
+On the certified route the oracle's `points` counts only its knapsack
+table D, so it is compared with the reference on every field but `points`;
+on the walk route D is the reference's point set and the two must be equal.
+The kernel `_longest` is also compared, call by call, with the previous
+packed kernel `reference_longest`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from helpers import (
     INTERVAL_FIXTURE,
     chain,
     loose_points,
+    reference_longest,
     reference_table,
     replaced,
     star,
@@ -87,7 +90,7 @@ def test_datum_without_members_is_refused():
 def test_finished_table_memory_per_point():
     # A finished table keeps its k_max colengths, not the knapsack table it
     # was counted from: after a cold call the memory still held, cache entry
-    # included, is under one byte per stored point (about 2.7 KB for 9,043
+    # included, is under one byte per point of D (about 2.7 KB for 9,043
     # points).  Keeping the knapsack table would hold tens of bytes per point.
     oracle = importlib.import_module("aqci.multiplicity")
     oracle._tabulate.cache_clear()
@@ -104,12 +107,13 @@ def test_finished_table_memory_per_point():
 
 
 def test_table_memory_follows_the_histogram_not_the_semigroup():
-    # The walk stores only the points that can reach the histogram, 9,043
-    # of the 89,901 semigroup points up to the degree bound, so it peaks at
-    # about 8 bytes per point of that semigroup.  The bound is in those
-    # absolute bytes, not scaled by the stored `points`: a table holding
-    # the whole semigroup would exceed it.  The cache is cleared first, so
-    # the call measured is a cold one (a cache hit peaks at a few KB).
+    # The walk covers only the points that can reach the histogram, 9,043
+    # of the 89,901 semigroup points up to the degree bound, and stores
+    # those of every pass but the last, so it peaks at about 4 bytes per
+    # point of that semigroup.  The bound is in those absolute bytes, not
+    # scaled by `points`: a table holding the whole semigroup would exceed
+    # it.  The cache is cleared first, so the call measured is a cold one
+    # (a cache hit peaks at a few KB).
     oracle = importlib.import_module("aqci.multiplicity")
     oracle._tabulate.cache_clear()
     tracemalloc.start()
@@ -198,27 +202,42 @@ def _route(d, budget=OracleBudget()):
     return "certified" if found and found[0] else "walk"
 
 
-def test_every_table_verify_needs_takes_the_certified_route():
-    # The class, its reduced datum (connected, n >= 2) and its components
-    # (disconnected), each as `hilbert_samuel_table` keys it.  The reduced
-    # data and components are smaller classes of the same budget.
+def _verify_keys(n_max: int, max_ratio: int) -> set:
+    """Every table verify needs on the budget, keyed as `hilbert_samuel_table` keys it.
+
+    The class, its reduced datum (connected, n >= 2) and its components
+    (disconnected).  The reduced data and components are smaller classes of
+    the same budget.
+    """
     keys = set()
-    for d in enumerate_data(EnumerationBudget(n_max=5, max_ratio=3)):
+    for d in enumerate_data(EnumerationBudget(n_max=n_max, max_ratio=max_ratio)):
         keys.add(canonical_form(d)[0])
         comps = member_forest(d).root_nodes
         if len(comps) > 1:
             keys.update(canonical_form(class_datum([x]))[0] for x in comps)
         elif d.n >= 2:
             keys.add(canonical_form(class_datum(NODE_KIDS[comps[0]]))[0])
+    return keys
+
+
+def test_every_table_verify_needs_takes_the_certified_route():
+    keys = _verify_keys(5, 3)
     assert len(keys) == 193
     assert {_route(k) for k in keys} == {"certified"}
 
 
+# Every singleton is there, but the top weight 3 does not divide the
+# singleton weight 2: (3,3,3) mod (2,3,3) = (1,0,0) is not in the semigroup,
+# so its residues mod the pure powers are not closed.
+WALK_DATUM = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
+
+# The generators are (0,1), (1,0) and (2,2), in that order.  At k_max 4 the
+# cap on phi = deg is 3, so the last one does not fit in D.
+DROPPED_LAST = make_datum(2, [((1, 2), 2), ((1,), 1), ((2,), 1)])
+
+
 def test_generator_set_outside_the_certificate_takes_the_old_walk():
-    # Every singleton is there, but the top weight 3 does not divide the
-    # singleton weight 2: (3,3,3) mod (2,3,3) = (1,0,0) is not in the
-    # semigroup, so its residues mod the pure powers are not closed.
-    d = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
+    d = WALK_DATUM
     budget = OracleBudget(k_max=6)
     assert _route(d, budget) == "walk"
     assert _route(star(3, 2), budget) == "certified"
@@ -228,7 +247,7 @@ def test_generator_set_outside_the_certificate_takes_the_old_walk():
 def test_walk_route_aborts_exactly_past_its_ceiling():
     # The route of the test above: the whole semigroup up to the degree
     # bound is the table, and a ceiling one short of it aborts.
-    d = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
+    d = WALK_DATUM
     points = hilbert_samuel_table(d, OracleBudget(k_max=6)).points
     short = hilbert_samuel_table(d, OracleBudget(k_max=6, point_ceiling=points - 1))
     assert short.aborted and short.points == points
@@ -236,30 +255,116 @@ def test_walk_route_aborts_exactly_past_its_ceiling():
     assert not exact.aborted and exact.points == points
 
 
-def test_every_pass_rewrites_every_stored_point():
-    # A value carries the parity of the pass that wrote it, so after the
-    # last pass every value has that pass's parity: no point was skipped
-    # and none was walked twice.  The tables of verify's n <= 4, ratio <= 2
-    # classes and of chain(3,2,2).
+def _kernel_calls(cases) -> list[tuple]:
+    """The arguments of every `_longest` call made by tabulating each (key, budget) cold."""
     oracle = importlib.import_module("aqci.multiplicity")
     longest = oracle._longest
-    tables = []
+    calls = []
 
-    def record(n, gens, weights, top, cap, ceiling):
-        passes = sum(
-            1 for g in gens if sum(g) <= top and sum(x * w for x, w in zip(g, weights)) <= cap
-        )
-        tables.append((passes, longest(n, gens, weights, top, cap, ceiling)))
-        return tables[-1][1]
+    def record(*args):
+        calls.append(args)
+        return longest(*args)
 
-    data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=2))) + [chain(3, 2, 2)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_longest", record)
-        for d in data:
-            oracle._tabulate.__wrapped__(canonical_form(d)[0], OracleBudget())
-    assert len(tables) == 18
-    for passes, table in tables:
-        assert {v & 1 for v in table.values()} == {passes & 1}
+        for key, budget in cases:
+            oracle._tabulate.__wrapped__(key, budget)
+    return calls
+
+
+def _reference_counts(n, gens, weights, top, cap, ceiling, k_max):
+    """(histogram, |D|) from `reference_longest`: bins 0..k_max - 1, then the rest."""
+    table = reference_longest(n, gens, weights, top, cap, ceiling)
+    if table is None:
+        return None
+    histogram = [0] * (k_max + 1)
+    for v in table.values():
+        histogram[min(v >> 1, k_max)] += 1
+    return histogram, len(table)
+
+
+def test_kernel_matches_the_reference_kernel():
+    # Every table verify needs at n <= 4, ratio <= 3, chain(3,3,3) among
+    # them, the walk route and a dropped last generator; each also at the
+    # ceilings |D| - 1, which aborts, and |D|, which finishes.  No entry of
+    # these tables is wider than 256 bits, so the ceiling counts entries.
+    oracle = importlib.import_module("aqci.multiplicity")
+    keys = _verify_keys(4, 3)
+    assert canonical_form(chain(3, 3, 3))[0] in keys
+    cases = [(k, OracleBudget()) for k in keys]
+    cases += [(WALK_DATUM, OracleBudget(k_max=6)), (DROPPED_LAST, OracleBudget(k_max=4))]
+    calls = _kernel_calls(cases)
+    assert len(calls) == len(cases)
+    for n, gens, weights, top, cap, ceiling, k_max in calls:
+        expected = _reference_counts(n, gens, weights, top, cap, ceiling, k_max)
+        assert oracle._longest(n, gens, weights, top, cap, ceiling, k_max) == expected
+        size = expected[1]
+        for at, result in ((size - 1, None), (size, expected)):
+            assert oracle._longest(n, gens, weights, top, cap, at, k_max) == result
+            assert _reference_counts(n, gens, weights, top, cap, at, k_max) == result
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_kernel_matches_the_reference_on_any_generator_order(data):
+    # Generators in any order, pure powers or not: a later generator can
+    # lengthen a point an earlier one reached ((3), (2), (7): 6 = 2+2+2),
+    # so a hand-off must raise the next start.  D holds the first k_max
+    # multiples of one generator, as every table `_tabulate` builds does.
+    oracle = importlib.import_module("aqci.multiplicity")
+    n = data.draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = tuple(data.draw(st.lists(vector, min_size=1, max_size=5, unique=True)))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    k_max = data.draw(st.integers(1, 8))
+    g = data.draw(st.sampled_from(gens))
+    top = (k_max - 1) * sum(g) + data.draw(st.integers(0, 6))
+    cap = (k_max - 1) * sum(x * y for x, y in zip(g, weights)) + data.draw(st.integers(0, 6))
+    ceiling = data.draw(st.sampled_from([5, 50, 10**6]))
+    args = (n, gens, weights, top, cap, ceiling, k_max)
+    assert oracle._longest(*args) == _reference_counts(*args)
+
+
+def test_counting_pass_aborts_at_the_first_point_past_the_ceiling():
+    # One generator, so the only pass is the counting one: it stores
+    # nothing, and a check once per walk would walk all 10^8 points of D.
+    start = time.perf_counter()
+    t = hilbert_samuel_table(loose_points(1), OracleBudget(k_max=10**8, point_ceiling=1000))
+    assert time.perf_counter() - start < 1
+    assert t.aborted and t.values == () and t.points == 1001
+
+
+def test_each_point_of_the_table_is_counted_once():
+    # The last pass counts every point of D once, with its final length:
+    # the k_max bins and the overflow bin sum to `points`.  The tables of
+    # verify's n <= 4, ratio <= 2 classes and of chain(3,2,2).
+    oracle = importlib.import_module("aqci.multiplicity")
+    data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=2))) + [chain(3, 2, 2)]
+    calls = _kernel_calls((canonical_form(d)[0], OracleBudget()) for d in data)
+    assert len(calls) == 18
+    for args in calls:
+        histogram, points = oracle._longest(*args)
+        assert len(histogram) == args[-1] + 1 and sum(histogram) == points
+
+
+def test_budget_where_no_generator_fits_keeps_the_origin_only():
+    # At k_max 1, D is the degree-0 slice: no generator fits and no pass runs.
+    budget = OracleBudget(k_max=1)
+    [(_, _, _, top, _, _, _)] = _kernel_calls([(star(2, 2), budget)])
+    assert top == 0
+    t = hilbert_samuel_table(star(2, 2), budget)
+    assert t.values == (1,) and t.points == 1 and not t.aborted
+    assert without_points(t) == without_points(reference_table(star(2, 2), budget))
+
+
+def test_last_generator_outside_the_bound_is_dropped():
+    # phi((2,2)) = 4 passes the cap of 3, so the last pass walks (1,0).
+    budget = OracleBudget(k_max=4)
+    [(_, gens, weights, _, cap, _, _)] = _kernel_calls([(DROPPED_LAST, budget)])
+    assert gens[-1] == (2, 2) and weights == [1, 1] and cap == 3
+    t = hilbert_samuel_table(DROPPED_LAST, budget)
+    assert t.values == (1, 3, 6, 10) and t.points == 10
+    assert without_points(t) == without_points(reference_table(DROPPED_LAST, budget))
 
 
 def test_residues_past_the_ceiling_abort_before_the_knapsack():
@@ -363,6 +468,8 @@ def test_counted_points_abort_for_any_degree_bound():
 
 
 def test_exact_ceiling_does_not_abort():
+    short = hilbert_samuel_table(two_stars(2, 2), OracleBudget(k_max=12, point_ceiling=4081))
+    assert short.aborted and short.points == 4082
     t = hilbert_samuel_table(two_stars(2, 2), OracleBudget(k_max=12, point_ceiling=4082))
     assert not t.aborted and t.points == 4082
 

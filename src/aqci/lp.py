@@ -60,8 +60,8 @@ def _eliminate(v, row, nz, p, d, s):
     `nz` lists the pivot row's nonzero (column, entry) pairs.  When p == d an
     entry whose pivot-row entry b is 0 keeps its value, (a*p - f*0)/d = a, so
     only the columns in `nz` change, in place: a - f*b/d, exact because the
-    new entry is an integer.  Otherwise every entry changes and a new list is
-    made.  While d == 1 nothing is divided.
+    new entry is an integer; while d == 1 nothing is divided.  Otherwise
+    every entry changes and a new list is made, (a*p - f*b)/d each.
     """
     f = v[s]
     if p == d:
@@ -73,10 +73,6 @@ def _eliminate(v, row, nz, p, d, s):
                 for j, b in nz:
                     v[j] -= f * b // d
         return v
-    if d == 1:
-        return [a * p - f * b for a, b in zip(v, row)] if f else [a * p for a in v]
-    if f == 0:
-        return [a * p // d for a in v]
     return [(a * p - f * b) // d for a, b in zip(v, row)]
 
 

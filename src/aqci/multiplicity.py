@@ -26,11 +26,12 @@ Two routes are provided and never mixed:
     whose predecessor on the ray is not stored) and touches every point
     once; the last pass stores none of its new points and counts each
     point's final length straight into the histogram.  The walk covers
-    only the points that can reach the histogram, a set closed under
-    subtracting generators, so the knapsack is exact on it; a run-time
-    certificate (the semigroup is its residues mod the pure powers a_i*e_i
-    plus the multiples of those powers) bounds that set.  Data without the
-    certificate walk the whole semigroup up to the bound.  The point
+    only the points within a cap on the degree and one on phi that every
+    sum of fewer than k_max generators meets: a set closed under
+    subtracting generators, so the knapsack is exact on it.  One rule
+    gives the caps for every generator set; a run-time certificate
+    (the semigroup is its residues mod the pure powers a_i*e_i plus the
+    multiples of those powers) only tightens the cap on phi.  The point
     ceiling bounds the entries of every table, stored or counted, a wide
     entry counting once per started 256 bits.  Tables are cached per
     isomorphism class and budget.
@@ -301,10 +302,10 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     longest decomposition into generators has fewer than k parts.  The
     longest-decomposition length is an unbounded knapsack over the
     generators, taken in the order of `monomial_ideal(d).generators`.  Only
-    semigroup points are generated, and, under a certificate that
-    `_tabulate` checks at run time, only those that can have fewer than
-    k_max parts.  A datum without members has no generators and raises
-    `ValueError`.
+    semigroup points are generated, and only within caps that every point
+    with fewer than k_max parts meets; a certificate that `_tabulate`
+    checks at run time tightens one of them.  A datum without members has
+    no generators and raises `ValueError`.
 
     The table depends only on the isomorphism class and the budget, so it is
     cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
@@ -348,14 +349,14 @@ def _pure_powers(gens) -> list[int] | None:
     return a if all(a) else None
 
 
-def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) -> dict | None:
-    """R = S ∩ Π[0, a_i) ∩ {deg <= bound}, if it certifies S = R + Σ a_i·N·e_i.
+def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | None:
+    """R = S ∩ Π[0, a_i), if it certifies S = R + Σ a_i·N·e_i.
 
     R is closed from 0 under adding a generator while the sum stays in the
     box; every point of S in the box is reached, as its partial sums stay
     below it.  A point is keyed by its packed coordinates, `rw` bits each
-    (one more than the largest a_i needs), and maps to its (degree, phi),
-    phi the functional of `weights`.  With guard offsets
+    (one more than the largest a_i needs), and maps to its phi, the
+    functional of `weights`.  With guard offsets
     C_i = 2^(rw-1) - a_i, a field s_i < 2*a_i holds s_i >= a_i exactly when
     s_i + C_i sets its top bit, so both the box test and the reduction mod
     a are a few integer operations.
@@ -363,7 +364,8 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
     An empty dict is returned as soon as R holds more points than the
     ceiling admits at n·rw bits a point (R holds 0, so empty means abort).
     Otherwise R is returned when (r + g) mod a lies in R for every r in R
-    and every generator g, and None when not.  That certificate gives
+    and every generator g, and None when not, which leaves `_tabulate`'s
+    cap as it is.  That certificate gives
     S = R + Σ a_i·N·e_i with disjoint translates: by induction on the
     number of generators, s + g = ((r + g) mod a) + a∘(k + (r + g) div a)
     for s = r + a∘k.
@@ -377,20 +379,20 @@ def _residues(gens, a: list[int], weights: list[int], bound: int, ceiling: int) 
     limit = _entry_limit(ceiling, len(a) * rw)
 
     steps = [
-        (_pack(g, rw), sum(g), sum(x * w for x, w in zip(g, weights)))
+        (_pack(g, rw), sum(x * w for x, w in zip(g, weights)))
         for g in gens
         if all(x < m for x, m in zip(g, a))
     ]
-    residues = {0: (0, 0)}
+    residues = {0: 0}
     todo = [0]
     while todo and len(residues) <= limit:
         r = todo.pop()
-        dr, fr = residues[r]
-        for g, dg, fg in steps:
+        fr = residues[r]
+        for g, fg in steps:
             s = r + g
-            if (s + offsets) & guards or s in residues or dr + dg > bound:
+            if (s + offsets) & guards or s in residues:
                 continue
-            residues[s] = (dr + dg, fr + fg)
+            residues[s] = fr + fg
             todo.append(s)
     if len(residues) > limit:
         return {}
@@ -529,50 +531,41 @@ def _longest(
 def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     """The colength table of `d`: a knapsack on the points that can count.
 
-    With bound = k_max * maxdeg, the histogram counts the points of length
-    l < k_max.  Such a point is a sum of at most k_max - 1 generators, so it
-    lies in D = S ∩ {deg <= (k_max - 1)·maxdeg} ∩ {phi <= c}, where a_i is
-    the least pure power a_i·e_i among the generators, L = lcm(a),
-    phi(q) = Σ q_i·L/a_i and c = min((k_max - 1)·max phi(g),
-    (k_max - 1)·L + max phi(r) over r in R): on q = r + a∘k (see
-    `_residues`) l(q) >= |k|, so phi(q) = phi(r) + L·|k| <= c.  `_longest`
-    is exact on D, so only D is walked, and it returns the histogram of
-    lengths (the last bin holds l >= k_max) and |D|.  This route needs the
-    certificate of `_residues`; valid data pass it (their rings are normal
-    semigroup rings), but it is checked, not assumed.  R is dropped once c
-    is known, so at most one of R and D is held at a time.
+    The histogram counts the points of length l < k_max.  Such a point is a
+    sum of at most m = max(k_max - 1, 0) generators, so it lies in
+    D = S ∩ {deg <= m·maxdeg} ∩ {phi <= c} with c = m·max phi(g), for any
+    functional phi positive on every generator.  phi(q) = Σ q_i·L/a_i when
+    every coordinate has a pure power among the generators (a_i the least,
+    L = lcm(a)), and phi = deg otherwise.  When `_residues` certifies
+    S = R + Σ a_i·N·e_i, c becomes min(c, m·L + max phi(r) over r in R):
+    on q = r + a∘k, l(q) >= |k|, so phi(q) = phi(r) + L·|k| <= m·L +
+    phi(r).  Valid data pass the certificate (their rings are normal
+    semigroup rings), but it is checked, not assumed; R is dropped once c is
+    known, so at most one of R and D is held at a time.
 
-    Data without it (a coordinate with no pure power, or a generator set
-    whose residues mod a leave R) walk all of S ∩ {deg <= bound} instead,
-    with phi = deg.  Either way `points` is |D|, the size of the knapsack
-    table, and `point_ceiling` bounds every table built (R, then D): one that
-    would hold more entries than the ceiling admits at its entry width (see
-    `_entry_limit`) aborts with points = ceiling + 1.
+    D is closed under subtracting a generator, so `_longest` is exact on it,
+    walks only D, and returns the histogram of lengths (the last bin holds
+    l >= k_max) and |D|, which is `points`.  `point_ceiling` bounds every
+    table built (R, then D): one that would hold more entries than the
+    ceiling admits at its entry width (see `_entry_limit`) aborts with
+    points = ceiling + 1.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
     if not gens:
         raise ValueError("the datum has no generators (no members)")
-    maxdeg = max(sum(g) for g in gens)
-    bound = k_max * maxdeg
-
+    m = max(k_max - 1, 0)
     a = _pure_powers(gens)
-    residues = None
-    if a is not None:
-        lcm = math.lcm(*a)
-        weights = [lcm // x for x in a]
-        residues = _residues(gens, a, weights, bound, ceiling)
-    if residues is None:
-        counted = _longest(n, gens, (1,) * n, bound, bound, ceiling, k_max)
-    elif residues:
-        cap = min(
-            (k_max - 1) * max(sum(x * w for x, w in zip(g, weights)) for g in gens),
-            (k_max - 1) * lcm + max(f for _, f in residues.values()),
-        )
+    lcm = 1 if a is None else math.lcm(*a)
+    weights = [1] * n if a is None else [lcm // x for x in a]
+    cap = m * max(sum(x * w for x, w in zip(g, weights)) for g in gens)
+    residues = None if a is None else _residues(gens, a, weights, ceiling)
+    counted = None
+    if residues != {}:
+        if residues:
+            cap = min(cap, m * lcm + max(residues.values()))
         del residues
-        counted = _longest(n, gens, weights, (k_max - 1) * maxdeg, cap, ceiling, k_max)
-    else:
-        counted = None
+        counted = _longest(n, gens, weights, m * max(sum(g) for g in gens), cap, ceiling, k_max)
     if counted is None:
         return HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
 

@@ -12,7 +12,8 @@ the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
 generation, the tuple-tree enumeration order, colength tabulation on
-coordinate tuples, the oracle's previous packed kernel, the structural
+coordinate tuples, the oracle's table size by its rule on tuples, the
+oracle's previous packed kernel, the structural
 recursions on relabeled sub-data, the cubic containment tests of the
 axioms, one membership LP per vertex of Newt(m^q) and a membership sweep
 over a whole degree slice where the package reads member degrees, the
@@ -494,6 +495,17 @@ def reference_enumerate(budget):
             yield _datum.class_datum([reference_class_node(tree) for tree in forest])
 
 
+def _reference_generators(d) -> list[tuple[int, ...]]:
+    """The exponent vectors x_J^{w(J)} of the members, sorted, without repeats."""
+    gens = set()
+    for m in d.members:
+        v = [0] * d.n
+        for e in m.elements:
+            v[e - 1] = m.weight
+        gens.add(tuple(v))
+    return sorted(gens)
+
+
 def reference_table(d, budget=OracleBudget()):
     """The colength table of `d`, tabulated on plain coordinate tuples.
 
@@ -504,13 +516,7 @@ def reference_table(d, budget=OracleBudget()):
     counts the points of the whole layer that crossed the ceiling.
     """
     n = d.n
-    gens = set()
-    for m in d.members:
-        v = [0] * n
-        for e in m.elements:
-            v[e - 1] = m.weight
-        gens.add(tuple(v))
-    gens = sorted(gens)
+    gens = _reference_generators(d)
     bound = budget.k_max * max(sum(g) for g in gens)
     zero = (0,) * n
 
@@ -633,12 +639,50 @@ def reference_longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -
     return longest
 
 
+def reference_points(d, budget=OracleBudget()) -> int:
+    """|D|, the size of the oracle's knapsack table, from its rule on tuples.
+
+    With m = max(k_max - 1, 0), D = S ∩ {deg <= m·maxdeg} ∩ {phi <= cap}.
+    phi(q) = Σ q_i·L/a_i when every coordinate i has a pure power among the
+    generators (a_i the least, L = lcm(a)), and deg otherwise.
+    cap = m·max phi(g), lowered to m·L + max phi(R) when the box points
+    R = S ∩ Π[0, a_i), closed here on tuples, contain (r + g) mod a for
+    every r in R and generator g.  D is counted by `reference_longest`.
+    """
+    n = d.n
+    gens = _reference_generators(d)
+    m = max(budget.k_max - 1, 0)
+    pure = [[g[i] for g in gens if g[i] == sum(g) > 0] for i in range(n)]
+    a = [min(p) for p in pure] if all(pure) else None
+    lcm = math.lcm(*a) if a else 1
+    weights = [lcm // x for x in a] if a else [1] * n
+
+    def phi(q):
+        return sum(x * w for x, w in zip(q, weights))
+
+    cap = m * max(phi(g) for g in gens)
+    if a:
+        box = {(0,) * n}
+        todo = list(box)
+        while todo:
+            r = todo.pop()
+            for g in gens:
+                q = tuple(x + y for x, y in zip(r, g))
+                if all(x < y for x, y in zip(q, a)) and q not in box:
+                    box.add(q)
+                    todo.append(q)
+        if all(tuple((x + y) % z for x, y, z in zip(r, g, a)) in box for r in box for g in gens):
+            cap = min(cap, m * lcm + max(map(phi, box)))
+    top = m * max(sum(g) for g in gens)
+    return len(reference_longest(n, gens, weights, top, cap, 10**9))
+
+
 def without_points(table):
     """`table` with `points` blanked.
 
     The reference stores every point up to the degree bound, the oracle only
-    its knapsack table, so on the oracle's certified route the two tables
-    agree on every field but `points`.
+    its knapsack table, so the two tables agree on every field but `points`
+    (see `reference_points` for the oracle's).
     """
     return replaced(table, points=None)
 

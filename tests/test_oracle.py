@@ -1,8 +1,8 @@
 """The packed-integer colength oracle against an independent tuple tabulation.
 
-On the certified route the oracle's `points` counts only its knapsack
-table D, so it is compared with the reference on every field but `points`;
-on the walk route D is the reference's point set and the two must be equal.
+The oracle's `points` counts only its knapsack table D, so it is compared
+with the reference on every field but `points`, and with |D| as
+`reference_points` counts it from the oracle's rule on tuples.
 The kernel `_longest` is also compared, call by call, with the previous
 packed kernel `reference_longest`.
 """
@@ -40,6 +40,7 @@ from helpers import (
     chain,
     loose_points,
     reference_longest,
+    reference_points,
     reference_table,
     replaced,
     star,
@@ -199,7 +200,7 @@ def _route(d, budget=OracleBudget()):
         mp.setattr(oracle, "_longest", _stop)
         with pytest.raises(_Stop):
             oracle._tabulate.__wrapped__(d, budget)
-    return "certified" if found and found[0] else "walk"
+    return "certified" if found and found[0] else "uncertified"
 
 
 def _verify_keys(n_max: int, max_ratio: int) -> set:
@@ -236,17 +237,36 @@ WALK_DATUM = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
 DROPPED_LAST = make_datum(2, [((1, 2), 2), ((1,), 1), ((2,), 1)])
 
 
-def test_generator_set_outside_the_certificate_takes_the_old_walk():
-    d = WALK_DATUM
+def _assert_uncertified_table(d, budget):
+    """The table of `d` without the certificate: the reference's values, |D| points.
+
+    D is never larger than the semigroup up to the degree bound
+    k_max·maxdeg, which the reference stores.
+    """
+    assert _route(d, budget) == "uncertified"
+    t, expected = hilbert_samuel_table(d, budget), reference_table(d, budget)
+    assert without_points(t) == without_points(expected)
+    assert t.points == reference_points(d, budget) <= expected.points
+    return t
+
+
+def test_generator_set_outside_the_certificate_keeps_the_uncertified_cap():
     budget = OracleBudget(k_max=6)
-    assert _route(d, budget) == "walk"
     assert _route(star(3, 2), budget) == "certified"
-    assert hilbert_samuel_table(d, budget) == reference_table(d, budget)
+    assert _assert_uncertified_table(WALK_DATUM, budget).points == 1565
 
 
-def test_walk_route_aborts_exactly_past_its_ceiling():
-    # The route of the test above: the whole semigroup up to the degree
-    # bound is the table, and a ceiling one short of it aborts.
+@pytest.mark.parametrize("k_max", [0, 1])
+def test_uncertified_table_below_two_parts_keeps_the_origin_only(k_max):
+    # m = 0 caps degree and phi at 0, with or without pure powers.
+    invalid = make_datum(3, [((1, 2, 3), 1), ((1,), 2)])
+    for d in (WALK_DATUM, invalid):
+        assert _assert_uncertified_table(d, OracleBudget(k_max=k_max)).points == 1
+
+
+def test_uncertified_table_aborts_exactly_past_its_ceiling():
+    # The data of the test above: D under the uncertified cap is the
+    # table, and a ceiling one short of it aborts.
     d = WALK_DATUM
     points = hilbert_samuel_table(d, OracleBudget(k_max=6)).points
     short = hilbert_samuel_table(d, OracleBudget(k_max=6, point_ceiling=points - 1))
@@ -285,9 +305,10 @@ def _reference_counts(n, gens, weights, top, cap, ceiling, k_max):
 
 def test_kernel_matches_the_reference_kernel():
     # Every table verify needs at n <= 4, ratio <= 3, chain(3,3,3) among
-    # them, the walk route and a dropped last generator; each also at the
-    # ceilings |D| - 1, which aborts, and |D|, which finishes.  No entry of
-    # these tables is wider than 256 bits, so the ceiling counts entries.
+    # them, an uncertified generator set and a dropped last generator; each
+    # also at the ceilings |D| - 1, which aborts, and |D|, which finishes.
+    # No entry of these tables is wider than 256 bits, so the ceiling
+    # counts entries.
     oracle = importlib.import_module("aqci.multiplicity")
     keys = _verify_keys(4, 3)
     assert canonical_form(chain(3, 3, 3))[0] in keys
@@ -400,8 +421,8 @@ def _near_power_of_two(bound: int) -> bool:
     ids=["loose_points(1)", "loose_points(2)", "star(2,2)", "star(3,2)"],
 )
 def test_degree_bounds_around_powers_of_two(d):
-    # The certified route stores points up to (k_max - 1) times the top
-    # degree, the walk up to k_max times it: both bounds are probed.
+    # The oracle's table D reaches (k_max - 1) times the top degree, the
+    # reference's closure k_max times it: both bounds are probed.
     top = max(len(m.elements) * m.weight for m in d.members)
     budgets = [
         OracleBudget(k_max=k)
@@ -412,6 +433,7 @@ def test_degree_bounds_around_powers_of_two(d):
     for budget in budgets:
         t = hilbert_samuel_table(d, budget)
         assert without_points(t) == without_points(reference_table(d, budget)), (d, budget)
+        assert t.points == reference_points(d, budget), (d, budget)
 
 
 def test_empty_budget_keeps_the_origin_only():
@@ -476,18 +498,20 @@ def test_exact_ceiling_does_not_abort():
 
 def test_invalid_data_are_keyed_by_their_own_labels():
     # Both miss singletons, so they have no canonical form, and they present
-    # different ideals, so they must not share a cache entry.
+    # different ideals, so they must not share a cache entry.  Their values
+    # agree, so the entries are told apart by the cache itself.
+    oracle = importlib.import_module("aqci.multiplicity")
     a = make_datum(3, [((1, 2, 3), 1), ((1,), 2)])
     b = make_datum(3, [((1, 2), 1), ((1,), 2)])
     for x in (a, b):
         with pytest.raises(ValueError):
             canonical_form(x)
     budget = OracleBudget(k_max=6)
+    oracle._tabulate.cache_clear()
     ta, tb = hilbert_samuel_table(a, budget), hilbert_samuel_table(b, budget)
-    assert ta == reference_table(a, budget)
-    assert tb == reference_table(b, budget)
-    assert ta != tb
-
+    assert oracle._tabulate.cache_info().misses == 2 and ta is not tb
+    assert _assert_uncertified_table(a, budget) is ta
+    assert _assert_uncertified_table(b, budget) is tb
 
 
 def test_time_follows_the_points_not_the_degree_bound():
@@ -566,7 +590,9 @@ def test_packed_table_matches_reference_on_arbitrary_generator_sets(d, extra, ce
         assert t.points == ceiling + 1
         assert reference_table(d, budget).aborted
     else:
-        assert without_points(t) == without_points(_finished_reference(d, budget))
+        expected = _finished_reference(d, budget)
+        assert without_points(t) == without_points(expected)
+        assert t.points == reference_points(d, budget) <= expected.points
 
 
 def _run_oracle_cli(path, *extra):

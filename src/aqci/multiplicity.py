@@ -17,23 +17,30 @@ Two routes are provided and never mixed:
     directly on the semigroup of the ring and extracts the multiplicity from
     stabilized finite differences.  It is the ground truth the verification
     suite compares everything against, and it reports honestly when its
-    budget was too small to stabilize (never a wrong value).  Its points are
-    packed into single integers (one field per coordinate, then the degree
-    and a second positive functional phi on top, so a generator step is
-    one add), and its longest-decomposition DP is an unbounded knapsack,
-    one pass per generator, in place in one dict.  A pass walks the rays
-    of its generator upward from the ray starts only (the stored points
-    whose predecessor on the ray is not stored) and touches every point
-    once; the last pass stores none of its new points and counts each
-    point's final length straight into the histogram.  The walk covers
-    only the points within a cap on the degree and one on phi that every
-    sum of fewer than k_max generators meets: a set closed under
-    subtracting generators, so the knapsack is exact on it.  One rule
-    gives the caps for every generator set; a run-time certificate
-    (the semigroup is its residues mod the pure powers a_i*e_i plus the
-    multiples of those powers) only tightens the cap on phi.  The point
-    ceiling bounds the entries of every table, stored or counted, a wide
-    entry counting once per started 256 bits.  Tables are cached per
+    budget was too small to stabilize (never a wrong value).  It counts
+    the points of D, those within a cap on the degree and one on a second
+    positive functional phi that every sum of fewer than k_max generators
+    meets: a set closed under subtracting generators.  One rule gives the
+    caps for every generator set; a run-time certificate (the semigroup S
+    is R + Σ a_i·N·e_i, its residues mod the pure powers a_i*e_i plus the
+    multiples of those powers) tightens the cap on phi.  With the
+    certificate, three steps follow, in this order: |D| is counted from R
+    and decides the abort; a finite check over R × generators tries to
+    prove the longest length linear, l(r + a∘κ) = l(r) + |κ|, and where it
+    does the colengths are the h-vector sum Σ_r C(k - 1 - l(r) + n, n)
+    (the form of a Hilbert function over a system of parameters; Stanley,
+    Hilbert functions of graded algebras, 1978) and the stop rule is proved
+    exact; otherwise, and without the certificate, the lengths on D come
+    from a knapsack.  Its points are packed into single integers (one
+    field per coordinate, then the degree and phi on top, so a generator
+    step is one add), and it runs one pass per generator, in place in one
+    dict.  A pass walks the rays of its generator upward from the ray
+    starts only (the stored points whose predecessor on the ray is not
+    stored) and touches every point once; the last pass stores none of
+    its new points and counts each point's final length straight into the
+    histogram.  A walk after a count must find the counted |D|.  The
+    point ceiling bounds the entries of every table, stored or counted, a
+    wide entry counting once per started 256 bits.  Tables are cached per
     isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` return the two
@@ -283,9 +290,11 @@ class HilbertSamuelTable(Record):
 
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
     table is `stabilized` when the last `STABLE_RUN` (three) n-th finite
-    differences agree; `e` is then that common value.  `points` is the
-    number of entries of the knapsack table, |D| (see `_tabulate`): the
-    last pass of `_longest` counts its new points but stores none of them.
+    differences agree; `e` is then that common value.  `points` is |D|,
+    the number of points the knapsack table holds or would hold (see
+    `_tabulate`): the last pass of `_longest` counts its new points but
+    stores none of them, and a certified table counts D from its residues,
+    so a closed-form table has `points` without walking D.
     `aborted` means a table would exceed the point ceiling: then values is
     empty, e is None and points is point_ceiling + 1 for any ceiling >= 0.
     """
@@ -304,8 +313,13 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     generators, taken in the order of `monomial_ideal(d).generators`.  Only
     semigroup points are generated, and only within caps that every point
     with fewer than k_max parts meets; a certificate that `_tabulate`
-    checks at run time tightens one of them.  A datum without members has
-    no generators and raises `ValueError`.
+    checks at run time tightens one of them.  With the certificate, |D| is
+    counted first and decides the abort, then a finite check may prove the
+    longest length linear, l(r + a∘κ) = l(r) + |κ|, and the colengths are
+    then the h-vector sum Σ_r C(k - 1 - l(r) + n, n) with no knapsack;
+    otherwise the knapsack walks D and must find the counted |D| (see
+    `_tabulate` for the three steps and `_h_vector` for the proof).  A
+    datum without members has no generators and raises `ValueError`.
 
     The table depends only on the isomorphism class and the budget, so it is
     cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
@@ -330,6 +344,12 @@ def _entry_limit(ceiling: int, bits: int) -> int:
     return ceiling // max(1, -(-bits // _ENTRY_BITS))
 
 
+def _table_limit(n: int, top: int, cap: int, ceiling: int) -> int:
+    """How many points of D the ceiling admits: a point packs n + 1 fields
+    of top.bit_length() bits (coordinates, degree), then phi (see `_longest`)."""
+    return _entry_limit(ceiling, (n + 1) * top.bit_length() + cap.bit_length())
+
+
 def _pack(v: tuple[int, ...], width: int) -> int:
     """One integer with coordinate i in bits [i*width, (i+1)*width)."""
     packed = 0
@@ -349,17 +369,35 @@ def _pure_powers(gens) -> list[int] | None:
     return a if all(a) else None
 
 
+def _box(a: list[int]) -> tuple[int, int, int, int, int]:
+    """(rw, offsets, guards, moduli, field): the packing of the box Π[0, a_i).
+
+    A point of the box is packed in fields of rw bits, one more than the
+    largest a_i needs.  With guard offsets C_i = 2^(rw-1) - a_i, a field
+    s_i < 2*a_i holds s_i >= a_i exactly when s_i + C_i sets its top bit
+    (`guards` holds those bits), so for s = r + h with r and h in the box,
+    `(s + offsets) & guards` is the box test and
+    s - (moduli & ((s + offsets) & guards) >> (rw - 1) * field) is s mod a.
+    """
+    rw = max(a).bit_length() + 1
+    guard = 1 << (rw - 1)
+    return (
+        rw,
+        _pack([guard - x for x in a], rw),
+        _pack([guard] * len(a), rw),
+        _pack(a, rw),
+        (1 << rw) - 1,
+    )
+
+
 def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | None:
     """R = S ∩ Π[0, a_i), if it certifies S = R + Σ a_i·N·e_i.
 
     R is closed from 0 under adding a generator while the sum stays in the
     box; every point of S in the box is reached, as its partial sums stay
-    below it.  A point is keyed by its packed coordinates, `rw` bits each
-    (one more than the largest a_i needs), and maps to its phi, the
-    functional of `weights`.  With guard offsets
-    C_i = 2^(rw-1) - a_i, a field s_i < 2*a_i holds s_i >= a_i exactly when
-    s_i + C_i sets its top bit, so both the box test and the reduction mod
-    a are a few integer operations.
+    below it.  A point is keyed by its coordinates packed as `_box` packs
+    them, and maps to its phi, the functional of `weights`; both the box
+    test and the reduction mod a are a few integer operations.
 
     An empty dict is returned as soon as R holds more points than the
     ceiling admits at n·rw bits a point (R holds 0, so empty means abort).
@@ -370,12 +408,7 @@ def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | No
     number of generators, s + g = ((r + g) mod a) + a∘(k + (r + g) div a)
     for s = r + a∘k.
     """
-    rw = max(a).bit_length() + 1
-    guard = 1 << (rw - 1)
-    offsets = _pack([guard - x for x in a], rw)
-    guards = _pack([guard] * len(a), rw)
-    moduli = _pack(a, rw)
-    field = (1 << rw) - 1
+    rw, offsets, guards, moduli, field = _box(a)
     limit = _entry_limit(ceiling, len(a) * rw)
 
     steps = [
@@ -405,6 +438,96 @@ def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | No
             if s not in residues:
                 return None
     return residues
+
+
+def _count(a: list[int], i: int, k: int, t: int, limit: int) -> int:
+    """#{κ ∈ N^(len(a) - i) : |κ| <= k, a[i:]·κ <= t}, for k, t >= 0.
+
+    a is sorted largest first.  Past `limit` the count may stop, returning
+    some number above `limit`.  Since a·κ >= min(a)·|κ|, k drops to
+    min(k, t // min(a)); then the count is C(k + n, n) when max(a)·k <= t,
+    as the degree bound follows from the other.  Otherwise the largest a_i
+    is peeled: κ_i = j for each j <= t // a_i, the rest counted the same
+    way.  Each term counts at least one point (κ_i = j, the rest 0), so a
+    loop runs at most limit + 1 times before it stops.
+    """
+    n = len(a) - i
+    if not n:
+        return 1
+    k = min(k, t // a[-1])
+    if a[i] * k <= t:
+        return math.comb(k + n, n)
+    total = 0
+    for j in range(t // a[i] + 1):
+        total += _count(a, i + 1, k - j, t - a[i] * j, limit - total)
+        if total > limit:
+            break
+    return total
+
+
+def _size(residues: dict, a: list[int], lcm: int, top: int, cap: int, limit: int) -> int:
+    """|D| when S = R + Σ a_i·N·e_i, or some number above `limit` once it passes it.
+
+    A point r + a∘κ of S has degree deg(r) + a·κ and phi(r) + L·|κ|, so
+    |D| = Σ_r #{κ ∈ N^n : L·|κ| <= cap - phi(r), a·κ <= top - deg(r)},
+    each term counted by `_count` and the sum stopped past `limit`.
+    """
+    rw, *_, field = _box(a)
+    order = sorted(a, reverse=True)
+    total = 0
+    for r, fr in residues.items():
+        dr = sum(r >> (i * rw) & field for i in range(len(a)))
+        if fr <= cap and dr <= top:
+            total += _count(order, 0, (cap - fr) // lcm, top - dr, limit - total)
+            if total > limit:
+                break
+    return total
+
+
+def _h_vector(gens, a: list[int], residues: dict) -> list[int] | None:
+    """h[j] = #{r in R : l(r) = j}, if l(r + a∘κ) = l(r) + |κ| on all of S; else None.
+
+    R must certify S = R + Σ a_i·N·e_i (`_residues`).  l is the longest
+    decomposition into generators.  On R it is one relaxation in phi order
+    over the generators inside the box: a decomposition of a box point has
+    its partial sums in the box, so they lie in R and have lower phi.
+
+    Then l(r + a∘κ) = l(r) + |κ| on all of S, proved by a finite check:
+    for every r in R and generator g, with g = h + a∘q, h = g mod a, and
+    r + h = s + a∘c, s = (r + h) mod a, c a 0/1 vector,
+    l(s) + |q| + |c| >= l(r) + 1.  Write F(r + a∘κ) = l(r) + |κ|.
+    F <= l always, adding |κ| pure powers to a decomposition of r.  The
+    check says F(p + g) >= F(p) + 1 for every p in S and generator g, as
+    p + g = s + a∘(κ + q + c) for p = r + a∘κ.  So along an optimal
+    decomposition g_1 + ... + g_l of p, F grows by at least one a step from
+    F(0) = 0, and F(p) >= l(p).
+    """
+    rw, offsets, guards, moduli, field = _box(a)
+    steps = [_pack(g, rw) for g in gens if all(x < m for x, m in zip(g, a))]
+    length = dict.fromkeys(residues, 0)
+    for r in sorted(residues, key=residues.__getitem__):
+        v = length[r] + 1
+        for g in steps:
+            s = r + g
+            if not (s + offsets) & guards and length[s] < v:
+                length[s] = v
+
+    # The fewest pure-power multiples |q| of any generator with each h.
+    carries: dict[int, int] = {}
+    for g in gens:
+        h = _pack([x % m for x, m in zip(g, a)], rw)
+        q = sum(x // m for x, m in zip(g, a))
+        carries[h] = min(q, carries.get(h, q))
+    for r, v in length.items():
+        for h, q in carries.items():
+            s = r + h
+            c = (s + offsets) & guards
+            if length[s - (moduli & (c >> (rw - 1)) * field)] + q + c.bit_count() <= v:
+                return None
+    h = [0] * (max(length.values()) + 1)
+    for v in length.values():
+        h[v] += 1
+    return h
 
 
 def _longest(
@@ -453,7 +576,7 @@ def _longest(
     dshift = n * w
     pshift = dshift + w
     dmask = (1 << w) - 1
-    limit = _entry_limit(ceiling, pshift + cap.bit_length())
+    limit = _table_limit(n, top, cap, ceiling)
     packed = []
     for g in gens:
         dg, fg = sum(g), sum(x * y for x, y in zip(g, weights))
@@ -529,49 +652,87 @@ def _longest(
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
-    """The colength table of `d`: a knapsack on the points that can count.
+    """The colength table of `d`: in closed form where that is proved, else a knapsack.
 
     The histogram counts the points of length l < k_max.  Such a point is a
     sum of at most m = max(k_max - 1, 0) generators, so it lies in
     D = S ∩ {deg <= m·maxdeg} ∩ {phi <= c} with c = m·max phi(g), for any
     functional phi positive on every generator.  phi(q) = Σ q_i·L/a_i when
     every coordinate has a pure power among the generators (a_i the least,
-    L = lcm(a)), and phi = deg otherwise.  When `_residues` certifies
-    S = R + Σ a_i·N·e_i, c becomes min(c, m·L + max phi(r) over r in R):
-    on q = r + a∘k, l(q) >= |k|, so phi(q) = phi(r) + L·|k| <= m·L +
-    phi(r).  Valid data pass the certificate (their rings are normal
-    semigroup rings), but it is checked, not assumed; R is dropped once c is
-    known, so at most one of R and D is held at a time.
+    L = lcm(a)), and phi = deg otherwise.  `points` is |D|, and
+    `point_ceiling` bounds every table built (R, then D): one that would
+    hold more entries than the ceiling admits at its entry width (see
+    `_entry_limit`) aborts with points = ceiling + 1.
 
-    D is closed under subtracting a generator, so `_longest` is exact on it,
+    When `_residues` certifies S = R + Σ a_i·N·e_i, c becomes
+    min(c, m·L + max phi(r) over r in R): on q = r + a∘k, l(q) >= |k|, so
+    phi(q) = phi(r) + L·|k| <= m·L + phi(r).  Valid data pass the
+    certificate (their rings are normal semigroup rings), but it is
+    checked, not assumed.  Then three steps, in this order:
+
+      1. `_size` counts |D| from R and decides the abort, as the walk would
+         (|D| above the entry limit), without walking.
+      2. `_h_vector` computes l on R and checks l(r + a∘κ) = l(r) + |κ| on
+         all of S.  When that holds, the points of length j are the
+         r + a∘κ with |κ| = j - l(r), C(j - l(r) + n - 1, n - 1) of them
+         for each r, so the colengths are the h-vector sum
+         Σ_r C(k - 1 - l(r) + n, n) and no knapsack is walked.
+      3. Otherwise R is dropped, so R and D are never held together, and
+         `_longest` walks D.  Its |D| must equal the count of step 1, or
+         `ArithmeticError` is raised.
+
+    Without the certificate `_longest` walks D under the first cap.  D is
+    closed under subtracting a generator, so `_longest` is exact on it,
     walks only D, and returns the histogram of lengths (the last bin holds
-    l >= k_max) and |D|, which is `points`.  `point_ceiling` bounds every
-    table built (R, then D): one that would hold more entries than the
-    ceiling admits at its entry width (see `_entry_limit`) aborts with
-    points = ceiling + 1.
+    l >= k_max) and |D|.
+
+    On a closed-form table the stop rule is exact: the i-th n-th difference
+    (of the colengths at k = i + 1 .. i + n + 1) is #{r : l(r) <= i + n},
+    and the lengths on R fill 0..max l (the partial sums of an optimal
+    decomposition of r take every length up to l(r)).  So two equal
+    differences mean every r is counted: they equal e = |R|.
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
     if not gens:
         raise ValueError("the datum has no generators (no members)")
+    aborted = HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     m = max(k_max - 1, 0)
     a = _pure_powers(gens)
     lcm = 1 if a is None else math.lcm(*a)
     weights = [1] * n if a is None else [lcm // x for x in a]
+    top = m * max(sum(g) for g in gens)
     cap = m * max(sum(x * w for x, w in zip(g, weights)) for g in gens)
     residues = None if a is None else _residues(gens, a, weights, ceiling)
-    counted = None
-    if residues != {}:
-        if residues:
-            cap = min(cap, m * lcm + max(residues.values()))
-        del residues
-        counted = _longest(n, gens, weights, m * max(sum(g) for g in gens), cap, ceiling, k_max)
-    if counted is None:
-        return HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
+    if residues == {}:
+        return aborted
+    size = h = None
+    if residues:
+        cap = min(cap, m * lcm + max(residues.values()))
+        limit = _table_limit(n, top, cap, ceiling)
+        size = _size(residues, a, lcm, top, cap, limit)
+        if size > limit:
+            return aborted
+        h = _h_vector(gens, a, residues)
+    del residues
 
-    # A finished table holds at least k_max points (multiples of one
-    # generator), so its histogram has k_max bins and the overflow bin.
-    histogram, points = counted
+    if h is None:
+        counted = _longest(n, gens, weights, top, cap, ceiling, k_max)
+        if size is not None and (counted is None or counted[1] != size):
+            walked = "more" if counted is None else counted[1]
+            raise ArithmeticError(f"the knapsack walked {walked} points of D, the residues count {size}")
+        if counted is None:
+            return aborted
+        histogram, points = counted
+    else:
+        histogram = [
+            sum(c * math.comb(j - l + n - 1, n - 1) for l, c in enumerate(h[: j + 1]))
+            for j in range(k_max)
+        ]
+        points = size
+
+    # A finished knapsack table holds at least k_max points (multiples of
+    # one generator), so its histogram has k_max bins and the overflow bin.
     values = []
     total = 0
     for k in range(k_max):

@@ -12,7 +12,7 @@ the point is to recompute expected values by a different route (exact
 linear-system enumeration, a simplex on a `Fraction` tableau,
 breadth-first group closure on integer numerators, exhaustive labeled
 generation, the tuple-tree enumeration order, colength tabulation on
-coordinate tuples, the oracle's table size by its rule on tuples, the
+coordinate tuples, the oracle's table and its size by its rule on tuples, the
 oracle's previous packed kernel, the structural
 recursions on relabeled sub-data, the cubic containment tests of the
 axioms, one membership LP per vertex of Newt(m^q) and a membership sweep
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from aqci import (
     HilbertSamuelTable,
@@ -642,16 +642,29 @@ def reference_longest(n: int, gens, weights, top: int, cap: int, ceiling: int) -
 def reference_points(d, budget=OracleBudget()) -> int:
     """|D|, the size of the oracle's knapsack table, from its rule on tuples.
 
+    The size of `reference_rule_table` at a ceiling it never reaches.
+    """
+    return reference_rule_table(d, replaced(budget, point_ceiling=10**9)).points
+
+
+def reference_rule_table(d, budget=OracleBudget()) -> HilbertSamuelTable:
+    """The oracle's table by its rule on tuples, D tabulated by `reference_longest`.
+
     With m = max(k_max - 1, 0), D = S ∩ {deg <= m·maxdeg} ∩ {phi <= cap}.
     phi(q) = Σ q_i·L/a_i when every coordinate i has a pure power among the
     generators (a_i the least, L = lcm(a)), and deg otherwise.
     cap = m·max phi(g), lowered to m·L + max phi(R) when the box points
     R = S ∩ Π[0, a_i), closed here on tuples, contain (r + g) mod a for
-    every r in R and generator g.  D is counted by `reference_longest`.
+    every r in R and generator g.  The table aborts (points = ceiling + 1)
+    when R holds more points than the ceiling admits at n fields of
+    max(a).bit_length() + 1 bits, or when `reference_longest` aborts on D.
+    Every point of length below k_max lies in D, so the colengths come from
+    D's lengths; `points` is |D|.
     """
-    n = d.n
+    n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
+    aborted = HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     gens = _reference_generators(d)
-    m = max(budget.k_max - 1, 0)
+    m = max(k_max - 1, 0)
     pure = [[g[i] for g in gens if g[i] == sum(g) > 0] for i in range(n)]
     a = [min(p) for p in pure] if all(pure) else None
     lcm = math.lcm(*a) if a else 1
@@ -671,10 +684,24 @@ def reference_points(d, budget=OracleBudget()) -> int:
                 if all(x < y for x, y in zip(q, a)) and q not in box:
                     box.add(q)
                     todo.append(q)
+        if len(box) > _entry_limit(ceiling, n * (max(a).bit_length() + 1)):
+            return aborted
         if all(tuple((x + y) % z for x, y, z in zip(r, g, a)) in box for r in box for g in gens):
             cap = min(cap, m * lcm + max(map(phi, box)))
     top = m * max(sum(g) for g in gens)
-    return len(reference_longest(n, gens, weights, top, cap, 10**9))
+    table = reference_longest(n, gens, weights, top, cap, ceiling)
+    if table is None:
+        return aborted
+    histogram = [0] * k_max
+    for v in table.values():
+        if v >> 1 < k_max:
+            histogram[v >> 1] += 1
+    values = tuple(accumulate(histogram))
+    diffs = values
+    for _ in range(n):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    stabilized = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
+    return HilbertSamuelTable(n, values, stabilized, diffs[-1] if stabilized else None, len(table), False)
 
 
 def without_points(table):

@@ -9,6 +9,7 @@ packed kernel `reference_longest`.
 
 from __future__ import annotations
 
+import collections
 import importlib
 import json
 import os
@@ -41,6 +42,7 @@ from helpers import (
     loose_points,
     reference_longest,
     reference_points,
+    reference_rule_table,
     reference_table,
     replaced,
     star,
@@ -186,7 +188,13 @@ def _stop(*args):
 
 
 def _route(d, budget=OracleBudget()):
-    """The route `_tabulate` takes on `d`: certified when `_residues` returns a table."""
+    """The route `_tabulate` takes on `d`.
+
+    "closed" when the table finishes without the knapsack (`_residues`
+    certifies S and the lengths are linear), "certified" when `_residues`
+    certifies S but `_longest` walks D, "uncertified" when `_longest` walks
+    D without the certificate, "aborted" when the table aborts unwalked.
+    """
     oracle = importlib.import_module("aqci.multiplicity")
     residues = oracle._residues
     found = []
@@ -198,9 +206,11 @@ def _route(d, budget=OracleBudget()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_residues", record)
         mp.setattr(oracle, "_longest", _stop)
-        with pytest.raises(_Stop):
-            oracle._tabulate.__wrapped__(d, budget)
-    return "certified" if found and found[0] else "uncertified"
+        try:
+            t = oracle._tabulate.__wrapped__(d, budget)
+        except _Stop:
+            return "certified" if found and found[0] else "uncertified"
+    return "aborted" if t.aborted else "closed"
 
 
 def _verify_keys(n_max: int, max_ratio: int) -> set:
@@ -222,9 +232,11 @@ def _verify_keys(n_max: int, max_ratio: int) -> set:
 
 
 def test_every_table_verify_needs_takes_the_certified_route():
+    # Closed or walked, every table is certified: 62 of the 193 have
+    # linear lengths and skip the knapsack.
     keys = _verify_keys(5, 3)
     assert len(keys) == 193
-    assert {_route(k) for k in keys} == {"certified"}
+    assert collections.Counter(_route(k) for k in keys) == {"closed": 62, "certified": 131}
 
 
 # Every singleton is there, but the top weight 3 does not divide the
@@ -252,7 +264,8 @@ def _assert_uncertified_table(d, budget):
 
 def test_generator_set_outside_the_certificate_keeps_the_uncertified_cap():
     budget = OracleBudget(k_max=6)
-    assert _route(star(3, 2), budget) == "certified"
+    assert _route(star(3, 2), budget) == "closed"
+    assert _route(chain(3, 2, 2), budget) == "certified"
     assert _assert_uncertified_table(WALK_DATUM, budget).points == 1565
 
 
@@ -276,7 +289,12 @@ def test_uncertified_table_aborts_exactly_past_its_ceiling():
 
 
 def _kernel_calls(cases) -> list[tuple]:
-    """The arguments of every `_longest` call made by tabulating each (key, budget) cold."""
+    """The arguments of every `_longest` call made by tabulating each (key, budget) cold.
+
+    The closed form is switched off (`_h_vector` finds no linear lengths),
+    so every table that does not abort reaches the kernel with the
+    arguments `_tabulate` computes for it.
+    """
     oracle = importlib.import_module("aqci.multiplicity")
     longest = oracle._longest
     calls = []
@@ -287,6 +305,7 @@ def _kernel_calls(cases) -> list[tuple]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_longest", record)
+        mp.setattr(oracle, "_h_vector", lambda *args: None)
         for key, budget in cases:
             oracle._tabulate.__wrapped__(key, budget)
     return calls
@@ -386,6 +405,58 @@ def test_last_generator_outside_the_bound_is_dropped():
     t = hilbert_samuel_table(DROPPED_LAST, budget)
     assert t.values == (1, 3, 6, 10) and t.points == 10
     assert without_points(t) == without_points(reference_table(DROPPED_LAST, budget))
+
+
+def test_closed_route_matches_the_references_on_every_class_up_to_dimension_four():
+    # The 22 classes at n <= 4, ratio <= 3 whose lengths are linear, each
+    # at k_max 0, 1, 2, n + 3, 12 and 17 and at the ceilings |D| - 1, |D|
+    # and the default: every field equals the oracle's rule run on tuples,
+    # and the colengths equal the whole-semigroup reference up to k_max 12
+    # (5 s; at 17 it alone takes about 22 s, so there the rule on tuples
+    # stands in for it).
+    data = list(enumerate_data(EnumerationBudget(n_max=4, max_ratio=3)))
+    closed = [d for d in data if _route(d) == "closed"]
+    assert len(data) == 49 and len(closed) == 22
+    for d in closed:
+        for k_max in sorted({0, 1, 2, d.n + 3, 12, 17}):
+            budget = OracleBudget(k_max=k_max)
+            t = hilbert_samuel_table(d, budget)
+            assert t == reference_rule_table(d, budget), (d, budget)
+            assert not t.aborted and t.points == reference_points(d, budget)
+            if k_max <= 12:
+                assert without_points(t) == without_points(reference_table(d, budget))
+            for ceiling in (t.points - 1, t.points):
+                at = replaced(budget, point_ceiling=ceiling)
+                assert hilbert_samuel_table(d, at) == reference_rule_table(d, at), (d, at)
+        assert t.stabilized
+
+
+def test_closed_table_aborts_exactly_past_its_ceiling():
+    # chain(2,2,2) never reaches the knapsack: the count of D from its
+    # residues decides the abort.
+    d = chain(2, 2, 2)
+    assert _route(d) == "closed"
+    short = hilbert_samuel_table(d, OracleBudget(point_ceiling=7007))
+    assert short.aborted and short.points == 7008
+    t = hilbert_samuel_table(d, OracleBudget(point_ceiling=7008))
+    assert not t.aborted and t.points == 7008 and t.stabilized and t.e == 8
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_knapsack_size_must_equal_the_residue_count(shift):
+    # chain(3,2,2) is certified but its lengths are not linear, so the
+    # walk of D runs after the count; a count off by one either way is
+    # refused, whether the walk finishes (ceiling 10^6) or aborts at the
+    # ceiling |D| - 1 that the low count claims to fit.
+    oracle = importlib.import_module("aqci.multiplicity")
+    size = oracle._size
+    ceiling = 10**6 if shift > 0 else 9_042
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_size", lambda *args: size(*args) + shift)
+        with pytest.raises(ArithmeticError, match="residues count"):
+            oracle._tabulate.__wrapped__(chain(3, 2, 2), OracleBudget(point_ceiling=ceiling))
+    t = oracle._tabulate.__wrapped__(chain(3, 2, 2), OracleBudget(point_ceiling=ceiling))
+    assert t.points == 9_043 and (t.aborted == (shift < 0))
 
 
 def test_residues_past_the_ceiling_abort_before_the_knapsack():

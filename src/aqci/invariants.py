@@ -8,8 +8,9 @@ finite abelian group acting diagonally.  This module computes:
     non-singleton members, which bounds the multiplicity from above;
   * `group_order` via structural recursion, and `group_order_lattice` via an
     independent integer lattice-index computation from `group_generators`,
-    which gives |J| - 1 label-level triples (i, r, w), each standing for
-    the vector (e_i - e_r)/w, per non-singleton member J;
+    which gives one label-level triple (i, r, w), standing for the vector
+    (e_i - e_r)/w, per edge of the member forest past each member's first
+    child (n - #roots in all);
   * the floor factor min(threshold of the reduced datum, top child weight)
     of every member (1 for a singleton), in `summarize` next to the child
     weight factor, and `floor_factor_product`, their product over all
@@ -84,19 +85,25 @@ def group_generators(d: SpecialDatum) -> list[tuple[int, int, int]]:
     """Generators of the acting group, as integer triples (i, r, w).
 
     A triple (i, r, w) stands for the vector (e_i - e_r)/w in (Q/Z)^n.  For
-    every member J whose children have common weight w, the group contains
-    (e_i - e_j)/w for i and j in distinct children.  With r = min J, the
-    |J| - 1 vectors (e_i - e_r)/w, i in J - {r}, span the same subgroup:
-    if i and r lie in one child, take s in another child, and then
-    (e_i - e_r)/w = (e_i - e_s)/w - (e_r - e_s)/w; conversely
-    (e_i - e_j)/w = (e_i - e_r)/w - (e_j - e_r)/w.
+    every member J whose children K_1, ..., K_c (by smallest element) have
+    common weight w, the group contains (e_i - e_j)/w for i and j in
+    distinct children.  One triple per forest edge past the first child,
+    (min K_k, min K_1, w) for k = 2..c, spans the same subgroup on valid
+    data: n - #roots triples in all (`edge_count_identity`).  By induction
+    over the forest, the subgroup of J holds (e_i - e_j)/w for all i, j in
+    J.  For i and j in one child K whose children have weight w' = r*w,
+    (e_i - e_j)/w = r*(e_i - e_j)/w' lies in K's subgroup, as the ratio r
+    is an integer (0 when K is a singleton).  For i in K_a and j in K_b,
+    (e_i - e_j)/w is (e_i - e_a)/w + (e_a - e_b)/w + (e_b - e_j)/w with
+    a = min K_a and b = min K_b, and (e_a - e_b)/w is the difference of the
+    triples of K_a and K_b (a triple of K_1 being 0).
     """
     gens: list[tuple[int, int, int]] = []
-    for jdx, kids in enumerate(member_forest(d).kids):
+    for kids in member_forest(d).kids:
         if len(kids) < 2:
             continue
         w = d.weight_of(kids[0])
-        r, *rest = d.elements_of(jdx)
+        r, *rest = (d.elements_of(k)[0] for k in kids)
         gens.extend((i, r, w) for i in rest)
     return gens
 
@@ -122,7 +129,8 @@ def _lattice_rows(d: SpecialDatum) -> tuple[int, list[dict[int, int]]]:
     """(M, rows): M = lcm of the w's of `group_generators`, and sparse integer
     rows (column -> nonzero entry, columns 1..n) spanning M*L, where L is
     generated by Z^n and the vectors (e_i - e_r)/w: n rows M*e_i, then per
-    triple M/w at i and -M/w at r.
+    triple (one per forest edge past a member's first child) M/w at i and
+    -M/w at r.
     """
     gens = group_generators(d)
     m = math.lcm(*[w for _, _, w in gens])
@@ -131,26 +139,27 @@ def _lattice_rows(d: SpecialDatum) -> tuple[int, list[dict[int, int]]]:
     return m, rows
 
 
-def _row_lattice_index(rows: list[dict[int, int]], n: int) -> int:
-    """Index in Z^n of the lattice spanned by sparse integer rows over columns 1..n.
+def _row_lattice_index(rows: list[dict[int, int]], n: int) -> list[int]:
+    """The diagonal of a triangular basis of the lattice spanned by sparse
+    integer rows over columns 1..n: one pivot per column, column 1 first.
 
     Unimodular row reduction, one column at a time from the last: the row
     with the least |entry| in the column reduces every other row with a
-    nonzero there, until it is alone; it then leaves with that entry as a
-    pivot of a triangular basis, so the index is the product of the pivots.
-    A column -> rows index keeps each step on nonzeros, and a row that
-    reaches zero drops out of the index.  The rows are reduced in place.
-    The last column goes first because the r of a triple is the least label
-    of its member: the columns most rows share come last, so a step adds
-    entries only there (20-200 times faster than first column first on
-    `chain(2,...,2)` with n = 200 and on `star(1000, 2)`).
+    nonzero there, until it is alone; it then leaves with that entry as the
+    column's pivot, so the lattice's index in Z^n is the product of the
+    pivots.  A column -> rows index keeps each step on nonzeros, and a row
+    that reaches zero drops out of the index.  The rows are reduced in
+    place.  The last column goes first because the r of a triple is the
+    least label of its member: the columns most rows share come last, so a
+    step adds entries only there (20-200 times faster than first column
+    first on `chain(2,...,2)` with n = 200 and on `star(1000, 2)`).
     Raises ArithmeticError if they do not span a full-rank sublattice.
     """
     holding: dict[int, set[int]] = {c: set() for c in range(1, n + 1)}
     for k, row in enumerate(rows):
         for c in row:
             holding[c].add(k)
-    index = 1
+    pivots = [0] * n
     for col in range(n, 0, -1):
         ids = holding.pop(col)
         if not ids:
@@ -174,10 +183,10 @@ def _row_lattice_index(rows: list[dict[int, int]], n: int) -> int:
             # Remainders are smaller than the pivot, so the loop terminates
             # by infinite descent.
         (p,) = ids
-        index *= abs(rows[p].pop(col))
+        pivots[col - 1] = abs(rows[p].pop(col))
         for c in rows[p]:
             holding[c].discard(p)
-    return index
+    return pivots
 
 
 def group_order_lattice(d: SpecialDatum) -> int:
@@ -186,19 +195,21 @@ def group_order_lattice(d: SpecialDatum) -> int:
     The dual description: the group is L/Z^n where L is generated by Z^n and
     the vectors (e_i - e_r)/w of the triples from `group_generators`.
     Clearing denominators by M = lcm of the w's gives an integer row lattice
-    M*L containing M*Z^n, and |L/Z^n| = M^n / [Z^n : M*L].
+    M*L containing M*Z^n, and |L/Z^n| = M^n / [Z^n : M*L] = Π_c M / p_c over
+    the pivots p_c of `_row_lattice_index`.  Each p_c divides M: once the
+    columns after c are eliminated, the rows left span
+    M*L ∩ {x_k = 0 for k > c}, which holds M*e_c, so every column-c entry
+    of that lattice, M among them, is a multiple of p_c.  A pivot that does
+    not divide M raises ArithmeticError.
     """
     m, rows = _lattice_rows(d)
-    if m == 1:
-        # No generator, or only integral ones: L = Z^n.
-        return 1
-    det = _row_lattice_index(rows, d.n)
-    q, rem = divmod(m**d.n, det)
-    if rem:
-        raise ArithmeticError(
-            f"lattice index {det} does not divide the cleared-denominator volume {m}^{d.n}"
-        )
-    return q
+    order = 1
+    for col, p in enumerate(_row_lattice_index(rows, d.n), 1):
+        q, rem = divmod(m, p)
+        if rem:
+            raise ArithmeticError(f"pivot {p} of column {col} does not divide M = {m}")
+        order *= q
+    return order
 
 
 def class_top_weight(x: int) -> Fraction:

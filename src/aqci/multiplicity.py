@@ -501,7 +501,16 @@ def _h_vector(gens, a: list[int], residues: dict) -> list[int] | None:
     p + g = s + a∘(κ + q + c) for p = r + a∘κ.  So along an optimal
     decomposition g_1 + ... + g_l of p, F grows by at least one a step from
     F(0) = 0, and F(p) >= l(p).
+
+    A test that reads no R comes first.  With L = lcm(a) and
+    phi(g) = Σ g_i·L/a_i, L·g = a∘κ with κ_i = g_i·L/a_i and |κ| = phi(g),
+    so linearity from 0 in R gives l(L·g) = phi(g), while L copies of g give
+    l(L·g) >= L.  A generator with phi(g) < L thus rules linearity out
+    before the relaxation (pure powers have phi = L).
     """
+    lcm = math.lcm(*a)
+    if any(sum(x * (lcm // m) for x, m in zip(g, a)) < lcm for g in gens):
+        return None
     rw, offsets, guards, moduli, field = _box(a)
     steps = [_pack(g, rw) for g in gens if all(x < m for x, m in zip(g, a))]
     length = dict.fromkeys(residues, 0)

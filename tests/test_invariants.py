@@ -32,6 +32,7 @@ from aqci.invariants import _lattice_rows, _row_lattice_index
 from helpers import (
     chain,
     closure_mod,
+    reference_children,
     reference_group_generators,
     star,
     subgroup_closure,
@@ -96,10 +97,18 @@ def test_group_generators_of_a_two_point_star():
 
 
 def test_group_generators_count_one_less_than_each_member():
+    # One triple per child past the first: n - #roots in all, each linking
+    # the smallest element of another child to that of the first child
+    # (children found by pairwise containment, not by the member forest).
     for d in (star(5, 2), chain(3, 2, 2), two_stars(2, 3), INTERVAL_FIXTURE):
-        expected = sum(len(m.elements) - 1 for m in d.members)
         gens = group_generators(d)
-        assert len(gens) == expected
+        assert len(gens) == edge_count_identity(d)[1]
+        expected = []
+        for j in range(len(d.members)):
+            kids = reference_children(d, j)
+            firsts = [d.elements_of(k)[0] for k in kids]
+            expected += [(i, firsts[0], d.weight_of(k)) for i, k in zip(firsts[1:], kids[1:])]
+        assert sorted(gens) == sorted(expected)
         assert all(type(x) is int for g in gens for x in g)
 
 
@@ -141,6 +150,8 @@ def test_group_order_lattice_closed_forms_at_scale():
     assert group_order_lattice(chain(*[2] * 79)) == 2**3160
     assert group_order_lattice(chain(*[3] * 79)) == 3**3160
     assert group_order_lattice(star(1000, 2)) == 2**999
+    assert group_order_lattice(chain(*[2] * 399)) == 2**79800
+    assert group_order_lattice(chain(*[3] * 199)) == 3**19900
 
 
 def test_rank_deficient_rows_raise():
@@ -149,6 +160,14 @@ def test_rank_deficient_rows_raise():
         _row_lattice_index([{1: 2}, {1: 3}], 2)
     with pytest.raises(ArithmeticError):
         _row_lattice_index([{1: 2, 2: -2}, {1: 1, 2: -1}], 2)
+
+
+def test_pivot_not_dividing_m_raises(monkeypatch):
+    # Pivots 4 and 9 under M = 6: their product 36 divides M^2, but the
+    # column factors 6/4 and 6/9 are not integers.
+    monkeypatch.setattr("aqci.invariants._lattice_rows", lambda d: (6, [{1: 4}, {2: 9}]))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        group_order_lattice(star(2, 2))
 
 
 def test_group_order_matches_subgroup_closure():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from aqci import (
     enumerate_data,
     hilbert_samuel_table,
     make_datum,
+    monomial_ideal,
     to_json,
 )
 from aqci.cli import main
@@ -237,6 +239,21 @@ def test_every_table_verify_needs_takes_the_certified_route():
     keys = _verify_keys(5, 3)
     assert len(keys) == 193
     assert collections.Counter(_route(k) for k in keys) == {"closed": 62, "certified": 131}
+
+
+def test_generator_below_the_lcm_rejects_linearity_before_the_relaxation():
+    # chain(3,2,2), the knapsack table of the scale workload: a generator
+    # with phi(g) < L = lcm(a) rules out linear lengths, so `_h_vector`
+    # answers None without reading R (an object that is no mapping stands
+    # in for it).  Pure powers have phi = L and pass the test.
+    oracle = importlib.import_module("aqci.multiplicity")
+    gens = monomial_ideal(chain(3, 2, 2)).generators
+    a = oracle._pure_powers(gens)
+    lcm = math.lcm(*a)
+    phis = [sum(x * (lcm // m) for x, m in zip(g, a)) for g in gens]
+    assert min(phis) < lcm
+    assert all(p == lcm for g, p in zip(gens, phis) if len(g) - g.count(0) == 1)
+    assert oracle._h_vector(gens, a, object()) is None
 
 
 # Every singleton is there, but the top weight 3 does not divide the

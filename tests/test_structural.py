@@ -151,8 +151,9 @@ def test_forest_links_match_pairwise_containment():
 
 
 def test_group_generators_match_pairwise_containment():
-    # The |J| - 1 differences per member against the all-pairs generators of
-    # pairwise containment: one subgroup, whichever set (or both) spans it.
+    # One triple per forest edge past a first child against the all-pairs
+    # generators of pairwise containment: one subgroup, whichever set (or
+    # both) spans it.
     rng = random.Random(0)
     for d in CLASSES:
         if d.n > 4:

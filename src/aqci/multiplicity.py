@@ -17,30 +17,29 @@ Two routes are provided and never mixed:
     directly on the semigroup of the ring and extracts the multiplicity from
     stabilized finite differences.  It is the ground truth the verification
     suite compares everything against, and it reports honestly when its
-    budget was too small to stabilize (never a wrong value).  It counts
-    the points of D, those within a cap on the degree and one on a second
-    positive functional phi that every sum of fewer than k_max generators
-    meets: a set closed under subtracting generators.  One rule gives the
-    caps for every generator set; a run-time certificate (the semigroup S
-    is R + Σ a_i·N·e_i, its residues mod the pure powers a_i*e_i plus the
-    multiples of those powers) tightens the cap on phi.  With the
-    certificate, three steps follow, in this order: |D| is counted from R
-    and decides the abort; a finite check over R × generators tries to
-    prove the longest length linear, l(r + a∘κ) = l(r) + |κ|, and where it
-    does the colengths are the h-vector sum Σ_r C(k - 1 - l(r) + n, n)
-    (the form of a Hilbert function over a system of parameters; Stanley,
-    Hilbert functions of graded algebras, 1978) and the stop rule is proved
-    exact; otherwise, and without the certificate, the lengths on D come
-    from a knapsack.  Its points are packed into single integers (one
-    field per coordinate, then the degree and phi on top, so a generator
-    step is one add), and it runs one pass per generator, in place in one
-    dict.  A pass walks the rays of its generator upward from the ray
-    starts only (the stored points whose predecessor on the ray is not
-    stored) and touches every point once; the last pass stores none of
+    budget was too small to stabilize (never a wrong value).  It takes
+    valid data only.  It counts the points of D, those within a cap on the
+    degree and one on a second positive functional phi that every sum of
+    fewer than k_max generators meets: a set closed under subtracting
+    generators.  A certificate checked at run time (the semigroup S is
+    R + Σ a_i·N·e_i, its residues mod the pure powers a_i*e_i plus the
+    multiples of those powers) tightens the cap on phi.  Then three steps
+    follow, in this order: |D| is counted from R and decides the abort; a
+    finite check over R × generators tries to prove the longest length
+    linear, l(r + a∘κ) = l(r) + |κ|, and where it does the colengths are
+    the h-vector sum Σ_r C(k - 1 - l(r) + n, n) (the form of a Hilbert
+    function over a system of parameters; Stanley, Hilbert functions of
+    graded algebras, 1978) and the stop rule is proved exact; otherwise the
+    lengths on D come from a knapsack.  Its points are packed into single
+    integers (one field per coordinate, then the degree and phi on top, so
+    a generator step is one add), and it runs one pass per generator, in
+    place in one dict.  A pass walks the rays of its generator upward from
+    the ray starts only (the stored points whose predecessor on the ray is
+    not stored) and touches every point once; the last pass stores none of
     its new points and counts each point's final length straight into the
-    histogram.  A walk after a count must find the counted |D|.  The
-    point ceiling bounds the entries of every table, stored or counted, a
-    wide entry counting once per started 256 bits.  Tables are cached per
+    histogram.  A walk after a count must find the counted |D|.  The point
+    ceiling bounds the entries of every table, stored or counted, a wide
+    entry counting once per started 256 bits.  Tables are cached per
     isomorphism class and budget.
 
 `multiplicity_lower_bound` / `multiplicity_upper_bound` return the two
@@ -64,7 +63,7 @@ from .datum import (
     exact_decimal,
     member_forest,
     monomial_ideal,
-    validate,
+    require_valid,
 )
 from .invariants import class_branching
 from .lct import reduced_lct
@@ -291,10 +290,9 @@ class HilbertSamuelTable(Record):
     values[k-1] is the colength of the k-th power for k = 1..k_max.  The
     table is `stabilized` when the last `STABLE_RUN` (three) n-th finite
     differences agree; `e` is then that common value.  `points` is |D|,
-    the number of points the knapsack table holds or would hold (see
-    `_tabulate`): the last pass of `_longest` counts its new points but
-    stores none of them, and a certified table counts D from its residues,
-    so a closed-form table has `points` without walking D.
+    the number of points of the knapsack's domain (see `_tabulate`),
+    counted from the residues, so a closed-form table has it without
+    walking D.
     `aborted` means a table would exceed the point ceiling: then values is
     empty, e is None and points is point_ceiling + 1 for any ceiling >= 0.
     """
@@ -313,23 +311,22 @@ def hilbert_samuel_table(d: SpecialDatum, budget: OracleBudget = OracleBudget())
     generators, taken in the order of `monomial_ideal(d).generators`.  Only
     semigroup points are generated, and only within caps that every point
     with fewer than k_max parts meets; a certificate that `_tabulate`
-    checks at run time tightens one of them.  With the certificate, |D| is
-    counted first and decides the abort, then a finite check may prove the
-    longest length linear, l(r + a∘κ) = l(r) + |κ|, and the colengths are
-    then the h-vector sum Σ_r C(k - 1 - l(r) + n, n) with no knapsack;
-    otherwise the knapsack walks D and must find the counted |D| (see
-    `_tabulate` for the three steps and `_h_vector` for the proof).  A
-    datum without members has no generators and raises `ValueError`.
+    checks at run time tightens one of them.  |D| is counted first and
+    decides the abort, then a finite check may prove the longest length
+    linear, l(r + a∘κ) = l(r) + |κ|, and the colengths are then the
+    h-vector sum Σ_r C(k - 1 - l(r) + n, n) with no knapsack; otherwise the
+    knapsack walks D and must find the counted |D| (see `_tabulate` for
+    the three steps and `_h_vector` for the proof).  A datum that fails
+    validation raises `InvalidDatumError`, which names its violations.
 
     The table depends only on the isomorphism class and the budget, so it is
     cached (least recently used, `_TABLE_CACHE_SIZE` entries) under the key
-    (canonical form, budget).  Relabelings of one valid datum share an
-    entry.  A datum that fails validation has no trustworthy canonical form
-    and is keyed by its own labels instead.  See `_tabulate` for the
-    certificate and `_longest` for the packed encoding of the points.
+    (canonical form, budget): relabelings of one datum share an entry.  See
+    `_tabulate` for the certificate and `_longest` for the packed encoding
+    of the points.
     """
-    key = canonical_form(d)[0] if validate(d).ok else d
-    return _tabulate(key, budget)
+    require_valid(d)
+    return _tabulate(canonical_form(d)[0], budget)
 
 
 _TABLE_CACHE_SIZE = 1024
@@ -358,15 +355,14 @@ def _pack(v: tuple[int, ...], width: int) -> int:
     return packed
 
 
-def _pure_powers(gens) -> list[int] | None:
-    """a_i, the least a with a generator a*e_i, per coordinate; None if one lacks it."""
+def _pure_powers(gens) -> list[int]:
+    """a_i, the a of the generator a*e_i (the singleton {i}'s weight), per coordinate."""
     a = [0] * len(gens[0])
     for g in gens:
         if len(g) - g.count(0) == 1:
             i = next(i for i, x in enumerate(g) if x)
-            if not a[i] or g[i] < a[i]:
-                a[i] = g[i]
-    return a if all(a) else None
+            a[i] = g[i]
+    return a
 
 
 def _box(a: list[int]) -> tuple[int, int, int, int, int]:
@@ -391,7 +387,7 @@ def _box(a: list[int]) -> tuple[int, int, int, int, int]:
 
 
 def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | None:
-    """R = S ∩ Π[0, a_i), if it certifies S = R + Σ a_i·N·e_i.
+    """R = S ∩ Π[0, a_i), checked to certify S = R + Σ a_i·N·e_i; None past the ceiling.
 
     R is closed from 0 under adding a generator while the sum stays in the
     box; every point of S in the box is reached, as its partial sums stay
@@ -399,14 +395,14 @@ def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | No
     them, and maps to its phi, the functional of `weights`; both the box
     test and the reduction mod a are a few integer operations.
 
-    An empty dict is returned as soon as R holds more points than the
-    ceiling admits at n·rw bits a point (R holds 0, so empty means abort).
-    Otherwise R is returned when (r + g) mod a lies in R for every r in R
-    and every generator g, and None when not, which leaves `_tabulate`'s
-    cap as it is.  That certificate gives
+    None is returned as soon as R holds more points than the ceiling
+    admits at n·rw bits a point.  Otherwise R is returned when
+    (r + g) mod a lies in R for every r in R and every generator g, and
+    `ArithmeticError` is raised when not.  That certificate gives
     S = R + Σ a_i·N·e_i with disjoint translates: by induction on the
     number of generators, s + g = ((r + g) mod a) + a∘(k + (r + g) div a)
-    for s = r + a∘k.
+    for s = r + a∘k.  Valid data always pass it (their rings are normal
+    semigroup rings), but it is checked, not assumed.
     """
     rw, offsets, guards, moduli, field = _box(a)
     limit = _entry_limit(ceiling, len(a) * rw)
@@ -428,7 +424,7 @@ def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | No
             residues[s] = fr + fg
             todo.append(s)
     if len(residues) > limit:
-        return {}
+        return None
 
     shifts = {_pack([x % m for x, m in zip(g, a)], rw) for g in gens}
     for r in residues:
@@ -436,7 +432,7 @@ def _residues(gens, a: list[int], weights: list[int], ceiling: int) -> dict | No
             s = r + h
             s -= moduli & (((s + offsets) & guards) >> (rw - 1)) * field
             if s not in residues:
-                return None
+                raise ArithmeticError("the residues mod the pure powers are not closed")
     return residues
 
 
@@ -666,18 +662,17 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     The histogram counts the points of length l < k_max.  Such a point is a
     sum of at most m = max(k_max - 1, 0) generators, so it lies in
     D = S ∩ {deg <= m·maxdeg} ∩ {phi <= c} with c = m·max phi(g), for any
-    functional phi positive on every generator.  phi(q) = Σ q_i·L/a_i when
-    every coordinate has a pure power among the generators (a_i the least,
-    L = lcm(a)), and phi = deg otherwise.  `points` is |D|, and
-    `point_ceiling` bounds every table built (R, then D): one that would
-    hold more entries than the ceiling admits at its entry width (see
-    `_entry_limit`) aborts with points = ceiling + 1.
+    functional phi positive on every generator; here
+    phi(q) = Σ q_i·L/a_i, with a_i*e_i the pure powers (the singletons)
+    and L = lcm(a).  `points` is |D|, and `point_ceiling` bounds every
+    table built (R, then D): one that would hold more entries than the
+    ceiling admits at its entry width (see `_entry_limit`) aborts with
+    points = ceiling + 1.
 
-    When `_residues` certifies S = R + Σ a_i·N·e_i, c becomes
+    `_residues` certifies S = R + Σ a_i·N·e_i, and c becomes
     min(c, m·L + max phi(r) over r in R): on q = r + a∘k, l(q) >= |k|, so
-    phi(q) = phi(r) + L·|k| <= m·L + phi(r).  Valid data pass the
-    certificate (their rings are normal semigroup rings), but it is
-    checked, not assumed.  Then three steps, in this order:
+    phi(q) = phi(r) + L·|k| <= m·L + phi(r).  Then three steps, in this
+    order:
 
       1. `_size` counts |D| from R and decides the abort, as the walk would
          (|D| above the entry limit), without walking.
@@ -687,13 +682,10 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
          for each r, so the colengths are the h-vector sum
          Σ_r C(k - 1 - l(r) + n, n) and no knapsack is walked.
       3. Otherwise R is dropped, so R and D are never held together, and
-         `_longest` walks D.  Its |D| must equal the count of step 1, or
-         `ArithmeticError` is raised.
-
-    Without the certificate `_longest` walks D under the first cap.  D is
-    closed under subtracting a generator, so `_longest` is exact on it,
-    walks only D, and returns the histogram of lengths (the last bin holds
-    l >= k_max) and |D|.
+         `_longest` walks D.  D is closed under subtracting a generator,
+         so `_longest` is exact on it and returns the histogram of lengths
+         (the last bin holds l >= k_max) and |D|, which must equal the
+         count of step 1, or `ArithmeticError` is raised.
 
     On a closed-form table the stop rule is exact: the i-th n-th difference
     (of the colengths at k = i + 1 .. i + n + 1) is #{r : l(r) <= i + n},
@@ -703,42 +695,37 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     """
     n, k_max, ceiling = d.n, budget.k_max, budget.point_ceiling
     gens = monomial_ideal(d).generators
-    if not gens:
-        raise ValueError("the datum has no generators (no members)")
     aborted = HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     m = max(k_max - 1, 0)
     a = _pure_powers(gens)
-    lcm = 1 if a is None else math.lcm(*a)
-    weights = [1] * n if a is None else [lcm // x for x in a]
-    top = m * max(sum(g) for g in gens)
-    cap = m * max(sum(x * w for x, w in zip(g, weights)) for g in gens)
-    residues = None if a is None else _residues(gens, a, weights, ceiling)
-    if residues == {}:
+    lcm = math.lcm(*a)
+    weights = [lcm // x for x in a]
+    residues = _residues(gens, a, weights, ceiling)
+    if not residues:  # None: R alone passes the ceiling
         return aborted
-    size = h = None
-    if residues:
-        cap = min(cap, m * lcm + max(residues.values()))
-        limit = _table_limit(n, top, cap, ceiling)
-        size = _size(residues, a, lcm, top, cap, limit)
-        if size > limit:
-            return aborted
-        h = _h_vector(gens, a, residues)
+    top = m * max(sum(g) for g in gens)
+    cap = min(
+        m * max(sum(x * w for x, w in zip(g, weights)) for g in gens),
+        m * lcm + max(residues.values()),
+    )
+    limit = _table_limit(n, top, cap, ceiling)
+    size = _size(residues, a, lcm, top, cap, limit)
+    if size > limit:
+        return aborted
+    h = _h_vector(gens, a, residues)
     del residues
 
     if h is None:
         counted = _longest(n, gens, weights, top, cap, ceiling, k_max)
-        if size is not None and (counted is None or counted[1] != size):
+        if counted is None or counted[1] != size:
             walked = "more" if counted is None else counted[1]
             raise ArithmeticError(f"the knapsack walked {walked} points of D, the residues count {size}")
-        if counted is None:
-            return aborted
-        histogram, points = counted
+        histogram = counted[0]
     else:
         histogram = [
             sum(c * math.comb(j - l + n - 1, n - 1) for l, c in enumerate(h[: j + 1]))
             for j in range(k_max)
         ]
-        points = size
 
     # A finished knapsack table holds at least k_max points (multiples of
     # one generator), so its histogram has k_max bins and the overflow bin.
@@ -754,7 +741,7 @@ def _tabulate(d: SpecialDatum, budget: OracleBudget) -> HilbertSamuelTable:
     run = diffs[-STABLE_RUN:]
     stabilized = len(run) == STABLE_RUN and len(set(run)) == 1
     e = diffs[-1] if stabilized else None
-    return HilbertSamuelTable(n, tuple(values), stabilized, e, points, False)
+    return HilbertSamuelTable(n, tuple(values), stabilized, e, size, False)
 
 
 def table_payload(table: HilbertSamuelTable) -> dict:

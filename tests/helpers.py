@@ -650,13 +650,13 @@ def reference_points(d, budget=OracleBudget()) -> int:
 def reference_rule_table(d, budget=OracleBudget()) -> HilbertSamuelTable:
     """The oracle's table by its rule on tuples, D tabulated by `reference_longest`.
 
-    With m = max(k_max - 1, 0), D = S ∩ {deg <= m·maxdeg} ∩ {phi <= cap}.
-    phi(q) = Σ q_i·L/a_i when every coordinate i has a pure power among the
-    generators (a_i the least, L = lcm(a)), and deg otherwise.
-    cap = m·max phi(g), lowered to m·L + max phi(R) when the box points
-    R = S ∩ Π[0, a_i), closed here on tuples, contain (r + g) mod a for
-    every r in R and generator g.  The table aborts (points = ceiling + 1)
-    when R holds more points than the ceiling admits at n fields of
+    `d` is valid.  With m = max(k_max - 1, 0), D = S ∩ {deg <= m·maxdeg} ∩ {phi <= cap}.
+    phi(q) = Σ q_i·L/a_i, with a_i the pure power on coordinate i (the
+    weight of the singleton {i}) and L = lcm(a).  cap = m·max phi(g),
+    lowered to m·L + max phi(R) over the box points R = S ∩ Π[0, a_i),
+    closed here on tuples; they must contain (r + g) mod a for every r in R
+    and generator g.  The table aborts (points = ceiling + 1) when R holds
+    more points than the ceiling admits at n fields of
     max(a).bit_length() + 1 bits, or when `reference_longest` aborts on D.
     Every point of length below k_max lies in D, so the colengths come from
     D's lengths; `points` is |D|.
@@ -665,29 +665,27 @@ def reference_rule_table(d, budget=OracleBudget()) -> HilbertSamuelTable:
     aborted = HilbertSamuelTable(n, (), False, None, ceiling + 1, True)
     gens = _reference_generators(d)
     m = max(k_max - 1, 0)
-    pure = [[g[i] for g in gens if g[i] == sum(g) > 0] for i in range(n)]
-    a = [min(p) for p in pure] if all(pure) else None
-    lcm = math.lcm(*a) if a else 1
-    weights = [lcm // x for x in a] if a else [1] * n
+    a = [min(g[i] for g in gens if g[i] == sum(g) > 0) for i in range(n)]
+    lcm = math.lcm(*a)
+    weights = [lcm // x for x in a]
 
     def phi(q):
         return sum(x * w for x, w in zip(q, weights))
 
-    cap = m * max(phi(g) for g in gens)
-    if a:
-        box = {(0,) * n}
-        todo = list(box)
-        while todo:
-            r = todo.pop()
-            for g in gens:
-                q = tuple(x + y for x, y in zip(r, g))
-                if all(x < y for x, y in zip(q, a)) and q not in box:
-                    box.add(q)
-                    todo.append(q)
-        if len(box) > _entry_limit(ceiling, n * (max(a).bit_length() + 1)):
-            return aborted
-        if all(tuple((x + y) % z for x, y, z in zip(r, g, a)) in box for r in box for g in gens):
-            cap = min(cap, m * lcm + max(map(phi, box)))
+    box = {(0,) * n}
+    todo = list(box)
+    while todo:
+        r = todo.pop()
+        for g in gens:
+            q = tuple(x + y for x, y in zip(r, g))
+            if all(x < y for x, y in zip(q, a)) and q not in box:
+                box.add(q)
+                todo.append(q)
+    if len(box) > _entry_limit(ceiling, n * (max(a).bit_length() + 1)):
+        return aborted
+    if not all(tuple((x + y) % z for x, y, z in zip(r, g, a)) in box for r in box for g in gens):
+        raise ArithmeticError("the box points are not closed")
+    cap = min(m * max(phi(g) for g in gens), m * lcm + max(map(phi, box)))
     top = m * max(sum(g) for g in gens)
     table = reference_longest(n, gens, weights, top, cap, ceiling)
     if table is None:

@@ -165,6 +165,30 @@ def test_big_exact_numbers_print_past_the_digit_limit(tmp_path, capsys, default_
     assert Fraction(bound) == power_lower
 
 
+def test_top_level_big_ints_are_dumped_once(monkeypatch):
+    # A big int among a payload's top-level fields, as `aqci info` has
+    # them, is swapped before the first dump; one nested deeper still
+    # takes the walk, after a first dump that refuses it.
+    dumps = json.dumps
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    big = 10**4620
+    digits = exact_decimal(big)
+    monkeypatch.setattr(json, "dumps", counting)
+    text = exact_json({"b": [1, 2], "group_order": big, "n": 3}, sort_keys=True, indent=2)
+    assert len(calls) == 1
+    assert text == dumps({"b": [1, 2], "group_order": 0, "n": 3}, sort_keys=True, indent=2).replace(
+        '"group_order": 0', f'"group_order": {digits}'
+    )
+    calls.clear()
+    assert exact_json({"a": big, "b": {"c": big}}, sort_keys=True) == f'{{"a": {digits}, "b": {{"c": {digits}}}}}'
+    assert len(calls) == 2
+
+
 def test_validate_huge_n_is_one_quick_message(tmp_path, capsys):
     # Validation would list a missing singleton per element: 10^9 lines.
     path = tmp_path / "huge.json"

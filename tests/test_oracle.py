@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from aqci import (
     EnumerationBudget,
+    InvalidDatumError,
     OracleBudget,
     apply_permutation,
     canonical_form,
@@ -34,9 +35,16 @@ from aqci import (
     make_datum,
     monomial_ideal,
     to_json,
+    validate,
 )
 from aqci.cli import main
-from aqci.datum import NODE_KIDS, class_datum, member_forest
+from aqci.datum import (
+    MAXIMAL_WEIGHT,
+    NODE_KIDS,
+    WEIGHT_DIVISIBILITY,
+    class_datum,
+    member_forest,
+)
 
 from helpers import (
     INTERVAL_FIXTURE,
@@ -88,8 +96,33 @@ def test_packed_table_matches_reference_on_every_class_up_to_dimension_four():
 
 
 def test_datum_without_members_is_refused():
-    with pytest.raises(ValueError, match="no generators"):
+    with pytest.raises(InvalidDatumError, match="no members"):
         hilbert_samuel_table(make_datum(2, []))
+
+
+def test_invalid_datum_is_refused_with_its_violations():
+    # The top weight 3 is not 1 and does not divide the singleton weight 2.
+    d = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
+    with pytest.raises(InvalidDatumError) as refused:
+        hilbert_samuel_table(d)
+    assert refused.value.report == validate(d)
+    assert set(refused.value.report.kinds()) >= {MAXIMAL_WEIGHT, WEIGHT_DIVISIBILITY}
+
+
+def test_residues_that_do_not_close_are_refused():
+    # chain(2,2) without its member {1,2}: (1,1,1) is the one generator
+    # inside the box Π[0, (4,4,2)), and (2,2,2) mod (4,4,2) = (2,2,0) is
+    # not a box point of the smaller semigroup, so the certificate fails.
+    oracle = importlib.import_module("aqci.multiplicity")
+    d = chain(2, 2)
+    ideal = monomial_ideal(d)
+    assert (2, 2, 0) in ideal.generators
+    lost = replaced(ideal, generators=tuple(g for g in ideal.generators if g != (2, 2, 0)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "monomial_ideal", lambda _: lost)
+        with pytest.raises(ArithmeticError, match="not closed") as refused:
+            oracle._tabulate.__wrapped__(canonical_form(d)[0], OracleBudget())
+    assert refused.traceback[-1].name == "_residues"
 
 
 def test_finished_table_memory_per_point():
@@ -192,26 +225,17 @@ def _stop(*args):
 def _route(d, budget=OracleBudget()):
     """The route `_tabulate` takes on `d`.
 
-    "closed" when the table finishes without the knapsack (`_residues`
-    certifies S and the lengths are linear), "certified" when `_residues`
-    certifies S but `_longest` walks D, "uncertified" when `_longest` walks
-    D without the certificate, "aborted" when the table aborts unwalked.
+    "closed" when the table finishes without the knapsack (the lengths are
+    linear), "certified" when `_longest` walks D, "aborted" when the table
+    aborts unwalked.
     """
     oracle = importlib.import_module("aqci.multiplicity")
-    residues = oracle._residues
-    found = []
-
-    def record(*args):
-        found.append(residues(*args))
-        return found[-1]
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_residues", record)
         mp.setattr(oracle, "_longest", _stop)
         try:
             t = oracle._tabulate.__wrapped__(d, budget)
         except _Stop:
-            return "certified" if found and found[0] else "uncertified"
+            return "certified"
     return "aborted" if t.aborted else "closed"
 
 
@@ -256,55 +280,6 @@ def test_generator_below_the_lcm_rejects_linearity_before_the_relaxation():
     assert oracle._h_vector(gens, a, object()) is None
 
 
-# Every singleton is there, but the top weight 3 does not divide the
-# singleton weight 2: (3,3,3) mod (2,3,3) = (1,0,0) is not in the semigroup,
-# so its residues mod the pure powers are not closed.
-WALK_DATUM = make_datum(3, [((1,), 2), ((1, 2, 3), 3), ((2,), 3), ((3,), 3)])
-
-# The generators are (0,1), (1,0) and (2,2), in that order.  At k_max 4 the
-# cap on phi = deg is 3, so the last one does not fit in D.
-DROPPED_LAST = make_datum(2, [((1, 2), 2), ((1,), 1), ((2,), 1)])
-
-
-def _assert_uncertified_table(d, budget):
-    """The table of `d` without the certificate: the reference's values, |D| points.
-
-    D is never larger than the semigroup up to the degree bound
-    k_max·maxdeg, which the reference stores.
-    """
-    assert _route(d, budget) == "uncertified"
-    t, expected = hilbert_samuel_table(d, budget), reference_table(d, budget)
-    assert without_points(t) == without_points(expected)
-    assert t.points == reference_points(d, budget) <= expected.points
-    return t
-
-
-def test_generator_set_outside_the_certificate_keeps_the_uncertified_cap():
-    budget = OracleBudget(k_max=6)
-    assert _route(star(3, 2), budget) == "closed"
-    assert _route(chain(3, 2, 2), budget) == "certified"
-    assert _assert_uncertified_table(WALK_DATUM, budget).points == 1565
-
-
-@pytest.mark.parametrize("k_max", [0, 1])
-def test_uncertified_table_below_two_parts_keeps_the_origin_only(k_max):
-    # m = 0 caps degree and phi at 0, with or without pure powers.
-    invalid = make_datum(3, [((1, 2, 3), 1), ((1,), 2)])
-    for d in (WALK_DATUM, invalid):
-        assert _assert_uncertified_table(d, OracleBudget(k_max=k_max)).points == 1
-
-
-def test_uncertified_table_aborts_exactly_past_its_ceiling():
-    # The data of the test above: D under the uncertified cap is the
-    # table, and a ceiling one short of it aborts.
-    d = WALK_DATUM
-    points = hilbert_samuel_table(d, OracleBudget(k_max=6)).points
-    short = hilbert_samuel_table(d, OracleBudget(k_max=6, point_ceiling=points - 1))
-    assert short.aborted and short.points == points
-    exact = hilbert_samuel_table(d, OracleBudget(k_max=6, point_ceiling=points))
-    assert not exact.aborted and exact.points == points
-
-
 def _kernel_calls(cases) -> list[tuple]:
     """The arguments of every `_longest` call made by tabulating each (key, budget) cold.
 
@@ -339,20 +314,27 @@ def _reference_counts(n, gens, weights, top, cap, ceiling, k_max):
     return histogram, len(table)
 
 
+# Kernel arguments (n, gens, weights, top, cap, ceiling, k_max) that no
+# valid datum yields.  WALK_ARGS: a top generator (3,3,3) with the pure
+# powers (2,3,3), under the cap m·max phi(g) at k_max 6.  DROPPED_LAST_ARGS:
+# the generators (0,1), (1,0) and (2,2) under a cap of 3 on phi = deg at
+# k_max 4, so the last one does not fit in D.
+WALK_ARGS = (3, ((0, 0, 3), (0, 3, 0), (2, 0, 0), (3, 3, 3)), [3, 2, 2], 45, 105, 5_000_000, 6)
+DROPPED_LAST_ARGS = (2, ((0, 1), (1, 0), (2, 2)), [1, 1], 12, 3, 5_000_000, 4)
+
+
 def test_kernel_matches_the_reference_kernel():
     # Every table verify needs at n <= 4, ratio <= 3, chain(3,3,3) among
-    # them, an uncertified generator set and a dropped last generator; each
-    # also at the ceilings |D| - 1, which aborts, and |D|, which finishes.
-    # No entry of these tables is wider than 256 bits, so the ceiling
-    # counts entries.
+    # them, a generator set outside the certificate and a dropped last
+    # generator; each also at the ceilings |D| - 1, which aborts, and |D|,
+    # which finishes.  No entry of these tables is wider than 256 bits, so
+    # the ceiling counts entries.
     oracle = importlib.import_module("aqci.multiplicity")
     keys = _verify_keys(4, 3)
     assert canonical_form(chain(3, 3, 3))[0] in keys
-    cases = [(k, OracleBudget()) for k in keys]
-    cases += [(WALK_DATUM, OracleBudget(k_max=6)), (DROPPED_LAST, OracleBudget(k_max=4))]
-    calls = _kernel_calls(cases)
-    assert len(calls) == len(cases)
-    for n, gens, weights, top, cap, ceiling, k_max in calls:
+    calls = _kernel_calls((k, OracleBudget()) for k in keys)
+    assert len(calls) == len(keys)
+    for n, gens, weights, top, cap, ceiling, k_max in calls + [WALK_ARGS, DROPPED_LAST_ARGS]:
         expected = _reference_counts(n, gens, weights, top, cap, ceiling, k_max)
         assert oracle._longest(n, gens, weights, top, cap, ceiling, k_max) == expected
         size = expected[1]
@@ -385,7 +367,12 @@ def test_kernel_matches_the_reference_on_any_generator_order(data):
 def test_counting_pass_aborts_at_the_first_point_past_the_ceiling():
     # One generator, so the only pass is the counting one: it stores
     # nothing, and a check once per walk would walk all 10^8 points of D.
+    # The table of loose_points(1) aborts on the count from its residues.
+    oracle = importlib.import_module("aqci.multiplicity")
+    m = 10**8 - 1
     start = time.perf_counter()
+    assert oracle._longest(1, ((1,),), [1], m, m, 1000, 10**8) is None
+    assert time.perf_counter() - start < 1
     t = hilbert_samuel_table(loose_points(1), OracleBudget(k_max=10**8, point_ceiling=1000))
     assert time.perf_counter() - start < 1
     assert t.aborted and t.values == () and t.points == 1001
@@ -415,13 +402,14 @@ def test_budget_where_no_generator_fits_keeps_the_origin_only():
 
 
 def test_last_generator_outside_the_bound_is_dropped():
-    # phi((2,2)) = 4 passes the cap of 3, so the last pass walks (1,0).
-    budget = OracleBudget(k_max=4)
-    [(_, gens, weights, _, cap, _, _)] = _kernel_calls([(DROPPED_LAST, budget)])
+    # phi((2,2)) = 4 passes the cap of 3, so the last pass walks (1,0):
+    # colengths 1, 3, 6, 10 on the 10 points of degree at most 3.
+    oracle = importlib.import_module("aqci.multiplicity")
+    n, gens, weights, top, cap, ceiling, k_max = DROPPED_LAST_ARGS
     assert gens[-1] == (2, 2) and weights == [1, 1] and cap == 3
-    t = hilbert_samuel_table(DROPPED_LAST, budget)
-    assert t.values == (1, 3, 6, 10) and t.points == 10
-    assert without_points(t) == without_points(reference_table(DROPPED_LAST, budget))
+    expected = ([1, 2, 3, 4, 0], 10)
+    assert oracle._longest(*DROPPED_LAST_ARGS) == expected == _reference_counts(*DROPPED_LAST_ARGS)
+    assert oracle._longest(n, gens[:-1], weights, top, cap, ceiling, k_max) == expected
 
 
 def test_closed_route_matches_the_references_on_every_class_up_to_dimension_four():
@@ -538,42 +526,57 @@ def test_aborted_points_stop_at_the_ceiling(ceiling):
 
 
 def test_large_weights_abort_in_memory_bounded_by_the_ceiling():
-    # bound = 12 * 10^5, but the closure stops after ceiling + 1 points.
+    # The generators of star(2, 10^5) under degree and phi = deg bounds of
+    # 11 * 10^5: the walk stops after ceiling + 1 points.  The table stops
+    # earlier, as its 10^5 residues alone pass the ceiling.
+    oracle = importlib.import_module("aqci.multiplicity")
+    gens = monomial_ideal(star(2, 10**5)).generators
+    bound = 11 * 10**5
     tracemalloc.start()
     try:
+        counted = oracle._longest(2, gens, [1, 1], bound, bound, 1000, 12)
         t = hilbert_samuel_table(star(2, 10**5), OracleBudget(k_max=12, point_ceiling=1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert counted is None
     assert t.aborted and t.values == () and t.points == 1001
     assert peak < 1_000_000
 
 
 def test_huge_k_max_aborts_in_memory_bounded_by_the_ceiling():
-    # The histogram of longest lengths is sized by the ceiling, not by k_max.
+    # The histogram of longest lengths is sized by the ceiling, not by
+    # k_max: the kernel on star(2,2)'s generators at k_max 10^7, and its
+    # table, which aborts on the count from its residues.
+    oracle = importlib.import_module("aqci.multiplicity")
+    gens = monomial_ideal(star(2, 2)).generators
+    bound = 2 * (10**7 - 1)
     tracemalloc.start()
     try:
+        counted = oracle._longest(2, gens, [1, 1], bound, bound, 1000, 10**7)
         t = hilbert_samuel_table(star(2, 2), OracleBudget(k_max=10**7, point_ceiling=1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert counted is None
     assert t.aborted and t.values == () and t.points == 1001
     assert peak < 1_000_000
 
 
 def test_counted_points_abort_for_any_degree_bound():
-    # Pure powers 2 and 1: the knapsack's degree bound is about 2 * 10^7,
-    # but it stops after ceiling + 1 stored points.
+    # Pure powers 2 and 1, phi = (1, 2): the knapsack's degree bound is
+    # about 2 * 10^7, but it stops after ceiling + 1 stored points.
+    oracle = importlib.import_module("aqci.multiplicity")
+    bound = 2 * (10**7 - 1)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        d = make_datum(2, [((1,), 2), ((2,), 1)])
-        t = hilbert_samuel_table(d, OracleBudget(k_max=10**7, point_ceiling=1000))
+        counted = oracle._longest(2, ((0, 1), (2, 0)), [1, 2], bound, bound, 1000, 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert time.perf_counter() - start < 1
-    assert t.aborted and t.values == () and t.points == 1001
+    assert counted is None
     assert peak < 1_000_000
 
 
@@ -584,34 +587,17 @@ def test_exact_ceiling_does_not_abort():
     assert not t.aborted and t.points == 4082
 
 
-def test_invalid_data_are_keyed_by_their_own_labels():
-    # Both miss singletons, so they have no canonical form, and they present
-    # different ideals, so they must not share a cache entry.  Their values
-    # agree, so the entries are told apart by the cache itself.
-    oracle = importlib.import_module("aqci.multiplicity")
-    a = make_datum(3, [((1, 2, 3), 1), ((1,), 2)])
-    b = make_datum(3, [((1, 2), 1), ((1,), 2)])
-    for x in (a, b):
-        with pytest.raises(ValueError):
-            canonical_form(x)
-    budget = OracleBudget(k_max=6)
-    oracle._tabulate.cache_clear()
-    ta, tb = hilbert_samuel_table(a, budget), hilbert_samuel_table(b, budget)
-    assert oracle._tabulate.cache_info().misses == 2 and ta is not tb
-    assert _assert_uncertified_table(a, budget) is ta
-    assert _assert_uncertified_table(b, budget) is tb
-
-
 def test_time_follows_the_points_not_the_degree_bound():
     # One generator of degree 10^8: 4 stored points under a degree bound of
     # 3 * 10^8, so a walk over every degree up to the bound would take minutes.
-    d = make_datum(1, [((1,), 10**8)])
-    budget = OracleBudget(k_max=4)
+    oracle = importlib.import_module("aqci.multiplicity")
+    bound = 3 * 10**8
+    args = (1, ((10**8,),), [1], bound, bound, 5_000_000, 4)
     start = time.perf_counter()
-    t = hilbert_samuel_table(d, budget)
+    counted = oracle._longest(*args)
     assert time.perf_counter() - start < 1
-    assert without_points(t) == without_points(reference_table(d, budget))
-    assert t.points == 4
+    assert counted == ([1, 1, 1, 1, 0], 4) == _reference_counts(*args)
+
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
@@ -654,26 +640,28 @@ def test_different_budgets_never_share_an_entry(d, first, second):
             assert without_points(t) == without_points(_finished_reference(d, b))
 
 
+RATIO_FOUR = list(enumerate_data(EnumerationBudget(n_max=3, max_ratio=4)))
+
+
 @st.composite
 def _candidates(draw):
-    """Every singleton plus up to three random subsets, weights 1-4, n <= 3.
+    """A class with n <= 3 and ratio <= 4, randomly relabeled.
 
-    Laminar or not, valid or not: the generator sets are arbitrary, so the
-    longest-decomposition lengths need not be as regular as on valid data.
+    The labels fix the order in which the knapsack takes the generators,
+    so `_tabulate` on a relabeling, past the cache that canonical forms
+    key, walks other generator orders than the canonical form's.
     """
-    n = draw(st.integers(1, 3))
-    labels = range(1, n + 1)
-    subsets = st.lists(st.sampled_from(labels), min_size=1, unique=True).map(sorted)
-    sets = [((i,), draw(st.integers(1, 4))) for i in labels]
-    sets += [(draw(subsets), draw(st.integers(1, 4))) for _ in range(draw(st.integers(0, 3)))]
-    return make_datum(n, sets)
+    d = draw(st.sampled_from(RATIO_FOUR))
+    return apply_permutation(d, tuple(draw(st.permutations(range(1, d.n + 1)))))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_candidates(), st.integers(3, 5), st.integers(0, 5000))
 def test_packed_table_matches_reference_on_arbitrary_generator_sets(d, extra, ceiling):
+    oracle = importlib.import_module("aqci.multiplicity")
     budget = OracleBudget(k_max=d.n + extra, point_ceiling=ceiling)
     t = hilbert_samuel_table(d, budget)
+    assert oracle._tabulate.__wrapped__(d, budget) == t
     if t.aborted:
         assert t.points == ceiling + 1
         assert reference_table(d, budget).aborted
